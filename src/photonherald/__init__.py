@@ -7,142 +7,20 @@ constraint classification, sweeps, and optimizers for the heralding schemes
 built from them.
 """
 
-from .analysis import (
-    ANGLE_TOL,
-    CaseId,
-    ConstraintCase,
-    ScanRow,
-    SweepSpec,
-    classify_constraint,
-    closed_form_ps,
-    golden_section_maximize,
-    jf_length_scan,
-    manifold_completion,
-    optimize_ps,
-    simulate_manifold_point,
-    sweep_rows,
-    verify_formula_against_simulator,
-)
-from .elements import (
-    BeamSplitterParams,
-    PhaseShifterParams,
-    apply_beam_splitter,
-    apply_phase_shifter,
-    unitarity_check,
-)
-from .fock import (
-    DEFAULT_CUTOFF,
-    CutoffOverflowError,
-    Ensemble,
-    FockError,
-    FockKet,
-    ModeRegister,
-    PureState,
-    UnsupportedPhotonNumberError,
-    apply_creation,
-    fidelity_to_single_photon,
-    fock_state,
-    partial_trace_discard,
-    project_number,
-    relabel_modes,
-    tensor,
-    vacuum_state,
-    with_medium_dims,
-)
-from .schemes import (
-    DOUBLED,
-    FILTER_SPLIT,
-    MAIN,
-    PAIR_HERALD,
-    VARIANTS,
-    SchemeConfig,
-    SchemeResult,
-    SourceSpec,
-    input_mixture,
-    reduce_through_bs0,
-    run_doubled_scheme,
-    run_filter_split_scheme,
-    run_main_scheme,
-    run_pair_herald_scheme,
-    run_scheme,
-)
-from .tpam import (
-    FwmParams,
-    FwmTpamSpec,
-    GenericTpam,
-    apply_generic_tpam,
-    fwm_coefficients,
-    fwm_coefficients_from_phase,
-    fwm_conditioned_channel,
-    fwm_evolve,
-)
+from . import analysis, elements, fock, schemes, tpam
+from .analysis import *  # noqa: F403
+from .elements import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .schemes import *  # noqa: F403
+from .tpam import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # fock
-    "DEFAULT_CUTOFF",
-    "FockError",
-    "CutoffOverflowError",
-    "UnsupportedPhotonNumberError",
-    "ModeRegister",
-    "FockKet",
-    "PureState",
-    "Ensemble",
-    "fock_state",
-    "vacuum_state",
-    "apply_creation",
-    "tensor",
-    "project_number",
-    "partial_trace_discard",
-    "fidelity_to_single_photon",
-    "relabel_modes",
-    "with_medium_dims",
-    # elements
-    "BeamSplitterParams",
-    "PhaseShifterParams",
-    "apply_beam_splitter",
-    "apply_phase_shifter",
-    "unitarity_check",
-    # tpam
-    "GenericTpam",
-    "FwmParams",
-    "FwmTpamSpec",
-    "apply_generic_tpam",
-    "fwm_coefficients",
-    "fwm_coefficients_from_phase",
-    "fwm_evolve",
-    "fwm_conditioned_channel",
-    # schemes
-    "MAIN",
-    "DOUBLED",
-    "PAIR_HERALD",
-    "FILTER_SPLIT",
-    "VARIANTS",
-    "SourceSpec",
-    "SchemeConfig",
-    "SchemeResult",
-    "input_mixture",
-    "reduce_through_bs0",
-    "run_main_scheme",
-    "run_doubled_scheme",
-    "run_pair_herald_scheme",
-    "run_filter_split_scheme",
-    "run_scheme",
-    # analysis
-    "ANGLE_TOL",
-    "CaseId",
-    "ConstraintCase",
-    "SweepSpec",
-    "ScanRow",
-    "classify_constraint",
-    "manifold_completion",
-    "closed_form_ps",
-    "simulate_manifold_point",
-    "verify_formula_against_simulator",
-    "golden_section_maximize",
-    "optimize_ps",
-    "jf_length_scan",
-    "sweep_rows",
+    *fock.__all__,
+    *elements.__all__,
+    *tpam.__all__,
+    *schemes.__all__,
+    *analysis.__all__,
 ]

@@ -24,14 +24,14 @@ absorber, which only sets the prefactor.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
 from .elements import BeamSplitterParams
 from .fock import DEFAULT_CUTOFF
 from .schemes import MAIN, SchemeConfig, SourceSpec, run_main_scheme
-from .tpam import GenericTpam, fwm_coefficients, FwmParams
+from .tpam import FwmParams, FwmTpamSpec, GenericTpam, fwm_coefficients
 
 __all__ = [
     "ANGLE_TOL",
@@ -42,7 +42,8 @@ __all__ = [
     "classify_constraint",
     "manifold_completion",
     "closed_form_ps",
-    "verify_formula_against_simulator",
+    "manifold_config",
+    "simulate_manifold_point",
     "golden_section_maximize",
     "optimize_ps",
     "jf_length_scan",
@@ -146,6 +147,54 @@ def _unitary_tpam(beta: complex) -> GenericTpam:
     return GenericTpam(alpha, beta)
 
 
+def _number(name: str, value: object, kind: type = float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def manifold_config(
+    theta1: float = math.pi / 4,
+    case: ConstraintCase | CaseId | str = CaseId.SUM_PLUS,
+    *,
+    p: float = 1.0,
+    beta: complex = 0j,
+    tpam: GenericTpam | FwmTpamSpec | None = None,
+    theta0: float = math.pi / 4,
+    theta2: float | None = None,
+    phi1: float | None = None,
+    phi2: float | None = None,
+    variant: str = MAIN,
+    cutoff: int = DEFAULT_CUTOFF,
+) -> SchemeConfig:
+    """The one way to turn manifold parameters into a :class:`SchemeConfig`.
+
+    theta2, phi1 and phi2 default to the completion of theta1 on ``case``;
+    giving them leaves the manifold.  The absorber defaults to the unitary
+    generic one with survival amplitude ``beta``.
+
+    Raises:
+        ValueError: for a null, non-numeric or non-finite parameter.
+    """
+    theta1 = _number("theta1", theta1)
+    theta2, phi1, phi2 = (
+        default if value is None else _number(name, value)
+        for name, value, default in zip(
+            ("theta2", "phi1", "phi2"), (theta2, phi1, phi2), manifold_completion(theta1, case)
+        )
+    )
+    return SchemeConfig(
+        source=SourceSpec(_number("p", p)),
+        tpam=_unitary_tpam(beta) if tpam is None else tpam,
+        bs0=BeamSplitterParams(_number("theta0", theta0)),
+        bs1=BeamSplitterParams(theta1, phi1),
+        bs2=BeamSplitterParams(theta2, phi2),
+        variant=variant,
+        cutoff=_number("cutoff", cutoff, int),
+    )
+
+
 def simulate_manifold_point(
     beta: complex,
     theta1: float,
@@ -157,35 +206,8 @@ def simulate_manifold_point(
     """Run the full circuit at a manifold point; returns p_success / p^2."""
     if p <= 0.0:
         raise ValueError("p must be positive to report a per-p^2 value")
-    theta2, phi1, phi2 = manifold_completion(theta1, case)
-    cfg = SchemeConfig(
-        source=SourceSpec(p),
-        tpam=_unitary_tpam(beta),
-        bs1=BeamSplitterParams(theta1, phi1),
-        bs2=BeamSplitterParams(theta2, phi2),
-        variant=MAIN,
-        cutoff=cutoff,
-    )
+    cfg = manifold_config(theta1, case, p=p, beta=beta, cutoff=cutoff)
     return run_main_scheme(cfg).p_success / p**2
-
-
-def verify_formula_against_simulator(
-    theta1_values: Sequence[float],
-    beta_values: Sequence[complex],
-    cases: Iterable[ConstraintCase | CaseId | str] = VALID_CASES,
-    *,
-    p: float = 1.0,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> float:
-    """Max deviation |closed_form - simulated/p^2| over the given grid."""
-    worst = 0.0
-    for case in cases:
-        for theta1 in theta1_values:
-            for beta in beta_values:
-                predicted = closed_form_ps(beta, theta1, case)
-                simulated = simulate_manifold_point(beta, theta1, case, p=p, cutoff=cutoff)
-                worst = max(worst, abs(predicted - simulated))
-    return worst
 
 
 def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
@@ -399,25 +421,17 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     rows: list[dict[str, float]] = []
     for theta0 in spec.theta0:
         for theta1 in spec.theta1:
-            theta2, phi1, phi2 = manifold_completion(theta1, spec.case)
             for beta in spec.beta:
-                tpam = _unitary_tpam(beta)
                 for p in spec.p:
-                    cfg = SchemeConfig(
-                        source=SourceSpec(p),
-                        tpam=tpam,
-                        bs0=BeamSplitterParams(theta0, 0.0),
-                        bs1=BeamSplitterParams(theta1, phi1),
-                        bs2=BeamSplitterParams(theta2, phi2),
-                        variant=MAIN,
-                        cutoff=cutoff,
+                    cfg = manifold_config(
+                        theta1, spec.case, p=p, beta=beta, theta0=theta0, cutoff=cutoff
                     )
                     result = run_main_scheme(cfg)
                     rows.append(
                         {
                             "theta0_rad": theta0,
                             "theta1_rad": theta1,
-                            "theta2_rad": theta2,
+                            "theta2_rad": cfg.bs2.theta,
                             "beta_re": beta.real,
                             "beta_im": beta.imag,
                             "p": p,

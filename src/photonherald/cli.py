@@ -33,19 +33,9 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import SWEEP_COLUMNS, SweepSpec, sweep_rows
+from .analysis import SWEEP_COLUMNS, SweepSpec, manifold_config, sweep_rows
 from .fock import DEFAULT_CUTOFF, FockError
-from .schemes import (
-    DOUBLED,
-    FILTER_SPLIT,
-    MAIN,
-    PAIR_HERALD,
-    SchemeConfig,
-    SchemeResult,
-    SourceSpec,
-    run_scheme,
-)
-from .elements import BeamSplitterParams
+from .schemes import DOUBLED, FILTER_SPLIT, MAIN, PAIR_HERALD, SchemeResult, run_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam
 from .verify import DEFAULT_SEED, invariant_checks, paper_value_checks
 
@@ -62,12 +52,8 @@ SCHEME_TOKENS = {
     "appendix-b": FILTER_SPLIT,
 }
 
-_CANONICAL_TOKEN = {
-    MAIN: "main",
-    DOUBLED: "doubled",
-    PAIR_HERALD: "pair-herald",
-    FILTER_SPLIT: "filter-split",
-}
+#: Internal variant names -> their first (canonical) CLI token.
+_CANONICAL_TOKEN = {variant: token for token, variant in reversed(SCHEME_TOKENS.items())}
 
 _DEFAULT_TPAM = {
     MAIN: "generic:alpha=1,beta=0",
@@ -200,32 +186,31 @@ def format_tpam_spec(tpam: GenericTpam | FwmTpamSpec) -> str:
     return f"jf:M={m_text},condition=({i},{j})"
 
 
-class AngleParam(click.ParamType):
-    name = "angle"
+class WireParam(click.ParamType):
+    """A CLI value in one of the wire formats; parse errors are usage errors."""
+
+    def __init__(self, name: str, parse, parsed: tuple[type, ...]) -> None:
+        self.name, self.parse, self.parsed = name, parse, parsed
 
     def convert(self, value, param, ctx):
-        if isinstance(value, (int, float)):
-            return float(value)
-        try:
-            return parse_angle(value)
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
-
-
-class TpamParam(click.ParamType):
-    name = "tpam"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, (GenericTpam, FwmTpamSpec)):
+        if isinstance(value, self.parsed):
             return value
         try:
-            return parse_tpam_spec(value)
+            return self.parse(value)
         except ValueError as exc:
             self.fail(str(exc), param, ctx)
 
 
-ANGLE = AngleParam()
-TPAM = TpamParam()
+ANGLE = WireParam("angle", lambda value: parse_angle(str(value)), ())
+TPAM = WireParam("tpam", parse_tpam_spec, (GenericTpam, FwmTpamSpec))
+CUTOFF_OPTION = click.option(
+    "--cutoff",
+    type=click.IntRange(2),
+    default=DEFAULT_CUTOFF,
+    show_default=True,
+    envvar="FOCK_CUTOFF",
+    help="Per-mode photon cutoff (env: FOCK_CUTOFF).",
+)
 
 
 # --------------------------------------------------------------------------
@@ -273,31 +258,29 @@ def run_from_config(config: Mapping[str, object]) -> SchemeResult:
     """Execute a canonical config mapping (the manifest round-trip path).
 
     Raises:
-        ValueError: on unknown scheme tokens or incompatible absorber kinds.
+        ValueError: on null or non-numeric fields, unknown scheme tokens or
+            incompatible absorber kinds.
         FockError: on physics-level failures (propagated from the simulator).
     """
+    nulls = sorted(key for key, value in config.items() if value is None)
+    if nulls:
+        raise ValueError(f"config fields must not be null: {', '.join(nulls)}")
     token = str(config.get("scheme", "main"))
     variant = SCHEME_TOKENS.get(token)
     if variant is None:
         raise ValueError(f"unknown scheme {token!r} (expected one of {sorted(SCHEME_TOKENS)})")
     tpam_field = config.get("tpam", _DEFAULT_TPAM[variant])
     tpam = tpam_field if isinstance(tpam_field, (GenericTpam, FwmTpamSpec)) else parse_tpam_spec(str(tpam_field))
-    if variant in (PAIR_HERALD, FILTER_SPLIT) and not isinstance(tpam, FwmTpamSpec):
-        raise ValueError(
-            f"scheme {token!r} is defined by a four-wave mixer; use a jf:M=... absorber spec"
-        )
-    theta1 = float(config.get("theta1", math.pi / 4))
-    cfg = SchemeConfig(
-        source=SourceSpec(float(config.get("p", 1.0))),
+    cfg = manifold_config(
+        config.get("theta1", math.pi / 4),
+        p=config.get("p", 1.0),
         tpam=tpam,
-        bs0=BeamSplitterParams(float(config.get("theta0", math.pi / 4))),
-        bs1=BeamSplitterParams(theta1, float(config.get("phi1", 0.0))),
-        bs2=BeamSplitterParams(
-            float(config.get("theta2", math.pi / 2 - theta1)),
-            float(config.get("phi2", 0.0)),
-        ),
+        theta0=config.get("theta0", math.pi / 4),
+        theta2=config.get("theta2"),
+        phi1=config.get("phi1"),
+        phi2=config.get("phi2"),
         variant=variant,
-        cutoff=int(config.get("cutoff", DEFAULT_CUTOFF)),
+        cutoff=config.get("cutoff", DEFAULT_CUTOFF),
     )
     return run_scheme(cfg)
 
@@ -377,14 +360,7 @@ def main() -> None:
 )
 @click.option("--phi1", type=ANGLE, default=None, help="First splitter phase [default: 0].")
 @click.option("--phi2", type=ANGLE, default=None, help="Second splitter phase [default: 0].")
-@click.option(
-    "--cutoff",
-    type=click.IntRange(2),
-    default=DEFAULT_CUTOFF,
-    show_default=True,
-    envvar="FOCK_CUTOFF",
-    help="Per-mode photon cutoff (env: FOCK_CUTOFF).",
-)
+@CUTOFF_OPTION
 @click.option(
     "--config",
     "config_path",
@@ -431,14 +407,7 @@ def cmd_run(scheme, p, tpam, theta0, theta1, theta2, phi1, phi2, cutoff, config_
 
 @main.command("sweep")
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--cutoff",
-    type=click.IntRange(2),
-    default=DEFAULT_CUTOFF,
-    show_default=True,
-    envvar="FOCK_CUTOFF",
-    help="Per-mode photon cutoff (env: FOCK_CUTOFF).",
-)
+@CUTOFF_OPTION
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 @click.option(
     "--gnuplot",
@@ -486,13 +455,7 @@ def cmd_sweep(spec_file, cutoff, output, points) -> None:
     help="Which check suite to run.",
 )
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, help="RNG seed for randomized checks.")
-@click.option(
-    "--cutoff",
-    type=click.IntRange(2),
-    default=DEFAULT_CUTOFF,
-    show_default=True,
-    envvar="FOCK_CUTOFF",
-)
+@CUTOFF_OPTION
 def cmd_verify(suite, seed, cutoff) -> None:
     """Run a verification suite; exit 0 iff every check passes."""
     if suite == "paper-values":

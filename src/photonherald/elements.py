@@ -26,9 +26,7 @@ from .fock import DEFAULT_CUTOFF, CutoffOverflowError, FockKet, PureState
 
 __all__ = [
     "BeamSplitterParams",
-    "PhaseShifterParams",
     "apply_beam_splitter",
-    "apply_phase_shifter",
     "unitarity_check",
 ]
 
@@ -45,26 +43,17 @@ class BeamSplitterParams:
     phi: float = 0.0
     mode_pair: tuple[str, str] | None = None
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"beam splitter angles must be finite, got {self!r}")
+
     @classmethod
     def balanced(cls, mode_pair: tuple[str, str] | None = None) -> "BeamSplitterParams":
         """A 50/50 splitter (theta = pi/4, phi = 0)."""
         return cls(math.pi / 4, 0.0, mode_pair)
 
-    @property
-    def reflectivity(self) -> float:
-        return math.sin(self.theta) ** 2
-
     def on(self, first: str, second: str) -> "BeamSplitterParams":
         return replace(self, mode_pair=(first, second))
-
-
-@dataclass(frozen=True, slots=True)
-class PhaseShifterParams:
-    phi: float
-    mode: str | None = None
-
-    def on(self, mode: str) -> "PhaseShifterParams":
-        return replace(self, mode=mode)
 
 
 @lru_cache(maxsize=None)
@@ -127,20 +116,6 @@ def apply_beam_splitter(state: PureState, params: BeamSplitterParams) -> PureSta
             prev = out.get(new, 0j)
             out[new] = prev + amp * coeff
     return PureState(reg, out)
-
-
-def apply_phase_shifter(state: PureState, params: PhaseShifterParams) -> PureState:
-    """Each ket gains exp(i * n * phi) where n is the mode's occupation."""
-    if params.mode is None:
-        raise ValueError("PhaseShifterParams.mode must be set to apply the element")
-    i = state.register.index(params.mode)
-    return PureState(
-        state.register,
-        {
-            ket: amp * cmath.exp(1j * params.phi * ket.occupations[i])
-            for ket, amp in state.terms()
-        },
-    )
 
 
 def unitarity_check(params: BeamSplitterParams, cutoff: int = DEFAULT_CUTOFF) -> float:

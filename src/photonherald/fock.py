@@ -340,6 +340,14 @@ class Ensemble:
         self.register = register
         self.branches = tuple(cleaned)
 
+    @classmethod
+    def _of(cls, register: ModeRegister, branches: Iterable[tuple[float, PureState]]) -> "Ensemble":
+        """Wrap branches that are already normalized, without re-checking them."""
+        new = cls.__new__(cls)
+        new.register = register
+        new.branches = tuple(branches)
+        return new
+
     def total_weight(self) -> float:
         return sum(w for w, _ in self.branches)
 
@@ -379,7 +387,8 @@ class Ensemble:
             if q > _ZERO_NORM:
                 total += w * q
                 out.append((w * q, kept))
-        return Ensemble(self.register.without(mode), out), total
+        register = out[0][1].register if out else self.register.without(mode)
+        return Ensemble(register, out), total
 
     def number_distribution(self, mode: str) -> dict[int, float]:
         """Probability of each photon count in ``mode`` (by branch weight)."""
@@ -395,10 +404,7 @@ class Ensemble:
         total = self.total_weight()
         if total <= 0.0:
             raise ValueError("cannot normalize an empty ensemble")
-        new = Ensemble.__new__(Ensemble)
-        new.register = self.register
-        new.branches = tuple((w / total, s) for w, s in self.branches)
-        return new
+        return Ensemble._of(self.register, ((w / total, s) for w, s in self.branches))
 
     def consolidated(self, atol: float = _CONSOLIDATE_ATOL) -> "Ensemble":
         """Merge branches that are equal up to a global phase.
@@ -416,10 +422,7 @@ class Ensemble:
                     break
             else:
                 merged.append((w, state))
-        new = Ensemble.__new__(Ensemble)
-        new.register = self.register
-        new.branches = tuple(merged)
-        return new
+        return Ensemble._of(self.register, merged)
 
 
 def _canonical_phase(state: PureState) -> PureState:

@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import groupby
+from typing import NamedTuple
 
 from .elements import BeamSplitterParams, apply_beam_splitter
 from .fock import (
@@ -57,6 +60,8 @@ __all__ = [
     "SourceSpec",
     "SchemeConfig",
     "SchemeResult",
+    "Circuit",
+    "build_circuit",
     "input_mixture",
     "reduce_through_bs0",
     "run_main_scheme",
@@ -209,68 +214,215 @@ def reduce_through_bs0(
     return partial_trace_discard(joint, "A")
 
 
-def _sector_of(state: PureState) -> int:
-    """Input-sector photon count of a single-mode Fock branch."""
-    ket, _ = next(iter(state.terms()))
-    return sum(ket.occupations)
+# --------------------------------------------------------------------------
+# Circuits as data.  A circuit is a tuple of stages, each a tuple named by
+# its first element:
+#
+#   ("attach", vacuum, medium_dims)      tensor on vacuum modes (and a medium)
+#   ("split", bs)                        beam splitter on bs.mode_pair
+#   ("absorb", absorber, mode, level)    generic absorber or mixer channel
+#   ("mix", params, (pump, e1, e2))      four-wave mixer
+#   ("relabel", mapping)                 rename modes
+#   ("detect", ((mode, n), ...))         keep the part showing these counts
+#   ("trace", mode)                      trace a mode out
+#   ("herald", outcomes, report, mirror) the last stage: each outcome is
+#       (detector, counts, stages run after it), and the herald probability
+#       sums over them; ``report`` names the details entry listing each
+#       detector's share, ``mirror`` adds an unmonitored output's click.
+#
+# All but "trace" and "herald" map pure states; each run of them is applied
+# branch by branch in one Ensemble.map_branches pass, which folds the norm a
+# detection removes into the branch weight.
 
 
-def _apply_tpam(
-    state: PureState, mode: str, tpam: GenericTpam | FwmTpamSpec, *, excited_level: int = 1
-) -> PureState:
+def _act(stage: tuple, state: PureState) -> PureState:
+    match stage:
+        case ("attach", vacuum, medium_dims):
+            psi = tensor(state, vacuum)
+            return with_medium_dims(psi, medium_dims) if medium_dims > 1 else psi
+        case ("split", bs):
+            return apply_beam_splitter(state, bs)
+        case ("absorb", GenericTpam() as tpam, mode, level):
+            return apply_generic_tpam(state, mode, tpam, excited_level=level)
+        case ("absorb", channel, mode, _):
+            return channel.apply(state, mode)
+        case ("mix", params, modes):
+            return fwm_evolve(state, modes, params)
+        case ("relabel", mapping):
+            return relabel_modes(state, mapping)
+        case ("detect", counts):
+            for mode, n in counts:
+                state, _ = project_number(state, mode, n)
+            return state
+    raise ValueError(f"unknown stage {stage[0]!r}")
+
+
+def _run(ens: Ensemble, stages) -> Ensemble:
+    for maps, group in groupby(stages, lambda stage: stage[0] != "trace"):
+        if maps:
+            ops = tuple(group)
+            ens = ens.map_branches(lambda state: reduce(lambda psi, op: _act(op, psi), ops, state))
+        else:
+            for _, mode in group:
+                ens = partial_trace_discard(ens, mode)
+    return ens
+
+
+class Circuit(NamedTuple):
+    """A scheme as data: its input mixture, its stages, its fixed details."""
+
+    inputs: Ensemble
+    stages: tuple
+    details: dict[str, object]
+
+    def prepare(self, inputs: Ensemble | None = None) -> Ensemble:
+        """Run every stage before the herald on ``inputs`` (default: all of them)."""
+        return _run(self.inputs if inputs is None else inputs, self.stages[:-1])
+
+
+def _check_absorber(cfg: SchemeConfig) -> None:
+    tpam, variant = cfg.tpam, cfg.variant
     if isinstance(tpam, GenericTpam):
-        return apply_generic_tpam(state, mode, tpam, excited_level=excited_level)
-    channel = fwm_conditioned_channel(tpam.params, tpam.condition)
-    return channel.apply(state, mode)
-
-
-def _interferometer(
-    state: PureState,
-    pair: tuple[str, str],
-    cfg: SchemeConfig,
-    *,
-    excited_level: int = 1,
-) -> PureState:
-    """BS1 -> absorber on the first mode of ``pair`` -> BS2."""
-    state = apply_beam_splitter(state, cfg.bs1.on(*pair))
-    state = _apply_tpam(state, pair[0], cfg.tpam, excited_level=excited_level)
-    return apply_beam_splitter(state, cfg.bs2.on(*pair))
-
-
-def _validate_interferometer_tpam(tpam: GenericTpam | FwmTpamSpec) -> None:
-    if isinstance(tpam, FwmTpamSpec) and not tpam.params.is_integer_length:
+        if variant in (PAIR_HERALD, FILTER_SPLIT):
+            raise ValueError(f"variant {variant!r} requires a four-wave-mixing TPAM")
+        return
+    length = tpam.params.length_multiple
+    if variant == FILTER_SPLIT:
+        fits, need = tpam.params.is_half_odd_length, "a half-odd length (k + 1/2): one photon converts"
+    else:
+        fits, need = tpam.params.is_integer_length and round(length) >= 1, "a positive integer length: one photon passes"
+    if not fits:
+        raise ValueError(f"variant {variant!r} needs a four-wave mixer of {need}; got length_multiple={length}")
+    expected = {PAIR_HERALD: (1, 1), FILTER_SPLIT: (0, 0)}.get(variant, tpam.condition)
+    if tpam.condition != expected:
         raise ValueError(
-            "the interferometric schemes need an integer-length four-wave mixer "
-            "(transparency to one photon); got length_multiple="
-            f"{tpam.params.length_multiple}"
+            f"variant {variant!r} conditions the generated fields on {expected}; "
+            f"the absorber spec asks for {tpam.condition}"
         )
 
 
-def _finalize(
-    p: float,
-    variant: str,
-    p_success: float,
-    branches: list[tuple[float, PureState]],
-    branch_log: dict[int, float],
-    register: ModeRegister | None,
-    details: dict[str, object],
-) -> SchemeResult:
+def build_circuit(cfg: SchemeConfig) -> Circuit:
+    """Describe the scheme of ``cfg`` as its input mixture and one tuple of stages.
+
+    A new circuit is one more branch here, ending in a herald stage.
+
+    Raises:
+        ValueError: if the absorber does not suit the variant.
+    """
+    _check_absorber(cfg)
+    tpam, cutoff, variant = cfg.tpam, cfg.cutoff, cfg.variant
+
+    def vacuum(*labels: str) -> PureState:
+        return vacuum_state(ModeRegister(labels, cutoff))
+
+    details: dict[str, object] = {}
+    if variant in (MAIN, DOUBLED):
+        needs_medium = isinstance(tpam, GenericTpam)
+        absorber = tpam if needs_medium else fwm_conditioned_channel(tpam.params, tpam.condition)
+
+        def interferometer(arm: str, partner: str, level: int = 1) -> tuple:
+            """BS1 -> absorber on ``arm`` -> BS2."""
+            return (
+                ("split", cfg.bs1.on(arm, partner)),
+                ("absorb", absorber, arm, level),
+                ("split", cfg.bs2.on(arm, partner)),
+            )
+
+    if variant == MAIN:
+        stages = (
+            ("attach", vacuum("C"), 2 if needs_medium else 1),
+            *interferometer("B", "C"),
+            ("herald", (("B", (("B", 1),), ()),), None, None),
+        )
+    elif variant == DOUBLED:
+        # Exactly one of A and B sees one photon; that arm's output becomes C.
+        one_click = tuple(
+            (arm, (("A", n_a), ("B", n_b)), (("trace", drop), ("relabel", {keep: "C"})))
+            for n_a in range(cutoff + 1)
+            for n_b in range(cutoff + 1)
+            if (n_a == 1) != (n_b == 1)
+            for arm, keep, drop in [("A", "CA", "CB") if n_a == 1 else ("B", "CB", "CA")]
+        )
+        stages = (
+            ("attach", vacuum("CA", "CB"), 3 if needs_medium else 1),
+            *interferometer("A", "CA", 1),
+            *interferometer("B", "CB", 2),
+            ("herald", one_click, "clicks_by_detector", None),
+        )
+    else:
+        n1, n2 = tpam.condition
+        generated = (("E1", n1), ("E2", n2))
+        mixer = (("attach", vacuum("E1", "E2"), 1), ("mix", tpam.params, ("B", "E1", "E2")))
+        details = {"length_multiple": tpam.params.length_multiple, "condition": [n1, n2]}
+        if variant == PAIR_HERALD:
+            stages = (*mixer, ("herald", (("E1", generated, ()),), None, None))
+            details["output_mode"] = "B"
+        else:
+            stages = (
+                *mixer,
+                ("detect", generated),
+                ("attach", vacuum("C"), 1),
+                ("split", BeamSplitterParams.balanced(("B", "C"))),
+                ("herald", (("B", (("B", 1),), ()),), "click_probability_by_output", "C"),
+            )
+            details |= {
+                "monitored_output": "B",
+                "output_mode": "C",
+                "click_probability_by_output": None,  # filled in by the run
+                "herald_convention": (
+                    "exactly one photon at the monitored output; the two outputs flag "
+                    "the same pair event, so only one is counted"
+                ),
+            }
+    inputs = reduce_through_bs0(
+        cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cutoff, discard=variant != DOUBLED
+    )
+    return Circuit(inputs, stages, details)
+
+
+def _interpret(cfg: SchemeConfig) -> SchemeResult:
+    """Run the circuit of ``cfg`` one input photon-number branch at a time."""
+    circuit = build_circuit(cfg)
+    _, outcomes, report, mirror = circuit.stages[-1]
+    clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
+    p_success = 0.0
+    branch_log: dict[int, float] = {}
+    kept: list[Ensemble] = []
+    for weight, state in circuit.inputs:
+        pre = circuit.prepare(Ensemble._of(circuit.inputs.register, ((weight, state),)))
+        contribution = 0.0
+        heralded = []
+        if pre.branches:
+            for detector, counts, tail in outcomes:
+                detected, q = pre, 0.0
+                for mode, n in counts:
+                    if not detected.branches:
+                        break
+                    detected, q = detected.condition_number(mode, n)
+                clicks[detector] += q
+                contribution += q
+                if detected.branches:
+                    heralded.append(_run(detected, tail))
+            if mirror:
+                clicks[mirror] += pre.number_distribution(mirror).get(1, 0.0)
+        ket, _ = next(iter(state.terms()))
+        sector = sum(ket.occupations)
+        branch_log[sector] = branch_log.get(sector, 0.0) + contribution
+        if contribution > _NEGLIGIBLE:
+            p_success += contribution
+            kept.extend(heralded)
+    details = dict(circuit.details)
+    if report:
+        details[report] = clicks
     conditional: Ensemble | None = None
     fidelity = 0.0
-    if p_success > _NEGLIGIBLE and register is not None:
-        conditional = Ensemble(register, branches).normalized_weights().consolidated()
+    if p_success > _NEGLIGIBLE and kept:
+        branches = [branch for ens in kept for branch in ens.branches]
+        conditional = Ensemble._of(kept[-1].register, branches).normalized_weights().consolidated()
         fidelity = fidelity_to_single_photon(conditional)
-    details = dict(details)
-    details["p"] = p
-    details["p_success_over_p2"] = p_success / p**2 if p > 0 else None
-    details["variant"] = variant
-    return SchemeResult(
-        p_success=p_success,
-        conditional_state=conditional,
-        fidelity=fidelity,
-        branch_log=branch_log,
-        details=details,
-    )
+    p = cfg.source.p
+    details |= {"p": p, "p_success_over_p2": p_success / p**2 if p > 0 else None, "variant": cfg.variant}
+    return SchemeResult(p_success, conditional, fidelity, branch_log, details)
 
 
 def run_main_scheme(cfg: SchemeConfig) -> SchemeResult:
@@ -284,30 +436,7 @@ def run_main_scheme(cfg: SchemeConfig) -> SchemeResult:
     """
     if cfg.variant != MAIN:
         raise ValueError(f"run_main_scheme needs variant={MAIN!r}, got {cfg.variant!r}")
-    _validate_interferometer_tpam(cfg.tpam)
-    p = cfg.source.p
-    sectors = reduce_through_bs0(p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff)
-    needs_medium = isinstance(cfg.tpam, GenericTpam)
-    reg_c = ModeRegister(("C",), cfg.cutoff)
-
-    p_success = 0.0
-    branch_log: dict[int, float] = {}
-    kept_branches: list[tuple[float, PureState]] = []
-    out_register: ModeRegister | None = None
-    for w, state in sectors:
-        sector = _sector_of(state)
-        psi = tensor(state, vacuum_state(reg_c))
-        if needs_medium:
-            psi = with_medium_dims(psi, 2)
-        psi = _interferometer(psi, ("B", "C"), cfg)
-        kept, q = project_number(psi, "B", 1)
-        contribution = w * q
-        branch_log[sector] = branch_log.get(sector, 0.0) + contribution
-        if contribution > _NEGLIGIBLE:
-            p_success += contribution
-            kept_branches.append((contribution, kept))
-            out_register = kept.register
-    return _finalize(p, MAIN, p_success, kept_branches, branch_log, out_register, {})
+    return _interpret(cfg)
 
 
 def run_doubled_scheme(cfg: SchemeConfig) -> SchemeResult:
@@ -323,51 +452,7 @@ def run_doubled_scheme(cfg: SchemeConfig) -> SchemeResult:
     """
     if cfg.variant != DOUBLED:
         raise ValueError(f"run_doubled_scheme needs variant={DOUBLED!r}, got {cfg.variant!r}")
-    _validate_interferometer_tpam(cfg.tpam)
-    p = cfg.source.p
-    needs_medium = isinstance(cfg.tpam, GenericTpam)
-    medium_dims = 3 if needs_medium else 1
-    cutoff = cfg.cutoff
-    reg_cc = ModeRegister(("CA", "CB"), cutoff)
-    out_reg = ModeRegister(("C",), cutoff, medium_dims)
-
-    p_success = 0.0
-    branch_log: dict[int, float] = {}
-    kept_branches: list[tuple[float, PureState]] = []
-    clicks_by_detector = {"A": 0.0, "B": 0.0}
-
-    joint = reduce_through_bs0(p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cutoff, discard=False)
-    for w, state in joint:
-        sector = _sector_of(state)
-        psi = tensor(state, vacuum_state(reg_cc))
-        if needs_medium:
-            psi = with_medium_dims(psi, medium_dims)
-        psi = _interferometer(psi, ("A", "CA"), cfg, excited_level=1)
-        psi = _interferometer(psi, ("B", "CB"), cfg, excited_level=2)
-        for n_a in range(cutoff + 1):
-            kept_a, q_a = project_number(psi, "A", n_a)
-            if q_a <= _NEGLIGIBLE:
-                continue
-            for n_b in range(cutoff + 1):
-                kept_ab, q_ab = project_number(kept_a, "B", n_b)
-                if q_ab <= _NEGLIGIBLE:
-                    continue
-                if (n_a == 1) == (n_b == 1):
-                    continue  # zero or both clicks: failure
-                contribution = w * q_ab
-                detector, out_label, drop_label = (
-                    ("A", "CA", "CB") if n_a == 1 else ("B", "CB", "CA")
-                )
-                p_success += contribution
-                clicks_by_detector[detector] += contribution
-                branch_log[sector] = branch_log.get(sector, 0.0) + contribution
-                reduced = partial_trace_discard(kept_ab.normalized(), drop_label)
-                for v, component in reduced:
-                    kept_branches.append(
-                        (contribution * v, relabel_modes(component, {out_label: "C"}))
-                    )
-    details = {"clicks_by_detector": clicks_by_detector}
-    return _finalize(p, DOUBLED, p_success, kept_branches, branch_log, out_reg, details)
+    return _interpret(cfg)
 
 
 def run_pair_herald_scheme(
@@ -388,37 +473,9 @@ def run_pair_herald_scheme(
     single-conversion branch, leaving exactly one pump photon behind.
     p_success = p^2 |alpha1|^2 / 2 at a balanced front splitter.
     """
-    params = FwmParams(length_multiple, pump_phase)
-    if not params.is_integer_length or round(length_multiple) < 1:
-        raise ValueError(
-            "pair-herald scheme needs a positive integer length_multiple "
-            f"(single-photon transparency); got {length_multiple}"
-        )
-    sectors = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff)
-    reg_e = ModeRegister(("E1", "E2"), cutoff)
-
-    p_success = 0.0
-    branch_log: dict[int, float] = {}
-    kept_branches: list[tuple[float, PureState]] = []
-    out_register: ModeRegister | None = None
-    for w, state in sectors:
-        sector = _sector_of(state)
-        psi = tensor(state, vacuum_state(reg_e))
-        psi = fwm_evolve(psi, ("B", "E1", "E2"), params)
-        kept, _ = project_number(psi, "E1", 1)
-        kept, q = project_number(kept, "E2", 1)
-        contribution = w * q
-        branch_log[sector] = branch_log.get(sector, 0.0) + contribution
-        if contribution > _NEGLIGIBLE:
-            p_success += contribution
-            kept_branches.append((contribution, kept))
-            out_register = kept.register
-    details = {
-        "length_multiple": length_multiple,
-        "condition": [1, 1],
-        "output_mode": "B",
-    }
-    return _finalize(p, PAIR_HERALD, p_success, kept_branches, branch_log, out_register, details)
+    tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), (1, 1))
+    bs0 = BeamSplitterParams(theta0, phi0)
+    return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=PAIR_HERALD, cutoff=cutoff))
 
 
 def run_filter_split_scheme(
@@ -445,71 +502,19 @@ def run_filter_split_scheme(
     monitored output counts toward p_success (summing both would
     double-count).
     """
-    params = FwmParams(length_multiple, pump_phase)
-    if not params.is_half_odd_length:
-        raise ValueError(
-            "filter-split scheme needs a half-odd length_multiple (k + 1/2) so a "
-            f"single photon fully converts; got {length_multiple}"
-        )
-    sectors = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff)
-    reg_e = ModeRegister(("E1", "E2"), cutoff)
-    reg_c = ModeRegister(("C",), cutoff)
-
-    p_success = 0.0
-    click_by_output = {"B": 0.0, "C": 0.0}
-    branch_log: dict[int, float] = {}
-    kept_branches: list[tuple[float, PureState]] = []
-    out_register: ModeRegister | None = None
-    for w, state in sectors:
-        sector = _sector_of(state)
-        psi = tensor(state, vacuum_state(reg_e))
-        psi = fwm_evolve(psi, ("B", "E1", "E2"), params)
-        kept, _ = project_number(psi, "E1", 0)
-        kept, _ = project_number(kept, "E2", 0)
-        if kept.is_zero():
-            branch_log.setdefault(sector, 0.0)
-            continue
-        split = apply_beam_splitter(
-            tensor(kept, vacuum_state(reg_c)), BeamSplitterParams.balanced(("B", "C"))
-        )
-        heralded, q = project_number(split, "B", 1)
-        _, q_mirror = project_number(split, "C", 1)
-        contribution = w * q
-        click_by_output["B"] += contribution
-        click_by_output["C"] += w * q_mirror
-        branch_log[sector] = branch_log.get(sector, 0.0) + contribution
-        if contribution > _NEGLIGIBLE:
-            p_success += contribution
-            kept_branches.append((contribution, heralded))
-            out_register = heralded.register
-    details = {
-        "length_multiple": length_multiple,
-        "condition": [0, 0],
-        "monitored_output": "B",
-        "output_mode": "C",
-        "click_probability_by_output": click_by_output,
-        "herald_convention": (
-            "exactly one photon at the monitored output; the two outputs flag "
-            "the same pair event, so only one is counted"
-        ),
-    }
-    return _finalize(p, FILTER_SPLIT, p_success, kept_branches, branch_log, out_register, details)
+    tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), (0, 0))
+    bs0 = BeamSplitterParams(theta0, phi0)
+    return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=FILTER_SPLIT, cutoff=cutoff))
 
 
 def run_scheme(cfg: SchemeConfig) -> SchemeResult:
-    """Dispatch a :class:`SchemeConfig` to the matching circuit."""
+    """Run any :class:`SchemeConfig`.
+
+    Main and doubled go through their named runners, so that timings taken
+    per runner cover every run of those schemes.
+    """
     if cfg.variant == MAIN:
         return run_main_scheme(cfg)
     if cfg.variant == DOUBLED:
         return run_doubled_scheme(cfg)
-    if not isinstance(cfg.tpam, FwmTpamSpec):
-        raise ValueError(f"variant {cfg.variant!r} requires a four-wave-mixing TPAM")
-    common = dict(
-        pump_phase=cfg.tpam.params.pump_phase,
-        theta0=cfg.bs0.theta,
-        phi0=cfg.bs0.phi,
-        cutoff=cfg.cutoff,
-    )
-    if cfg.variant == PAIR_HERALD:
-        return run_pair_herald_scheme(cfg.source.p, cfg.tpam.params.length_multiple, **common)
-    return run_filter_split_scheme(cfg.source.p, cfg.tpam.params.length_multiple, **common)
+    return _interpret(cfg)

@@ -97,6 +97,8 @@ class GenericTpam:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
+        if not all(map(cmath.isfinite, (self.alpha, self.beta, self.global_phase))):
+            raise ValueError(f"generic TPAM parameters must be finite, got {self!r}")
         if abs(self.alpha) ** 2 + abs(self.beta) ** 2 > 1.0 + 1e-9:
             raise ValueError(
                 "generic TPAM requires |alpha|^2 + |beta|^2 <= 1, got "
@@ -182,6 +184,8 @@ class FwmParams:
     def __post_init__(self) -> None:
         if isinstance(self.length_multiple, Fraction):
             object.__setattr__(self, "length_multiple", float(self.length_multiple))
+        if not (math.isfinite(self.length_multiple) and math.isfinite(self.pump_phase)):
+            raise ValueError(f"mixer parameters must be finite, got {self!r}")
         if not self.length_multiple > 0:
             raise ValueError("length_multiple must be positive")
 

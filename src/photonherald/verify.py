@@ -24,15 +24,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import (
     VALID_CASES,
-    CaseId,
+    _unitary_tpam,
     closed_form_ps,
     golden_section_maximize,
     jf_length_scan,
-    manifold_completion,
+    manifold_config,
     optimize_ps,
     simulate_manifold_point,
 )
@@ -48,9 +48,9 @@ from .fock import (
 )
 from .schemes import (
     DOUBLED,
-    MAIN,
     SchemeConfig,
-    SourceSpec,
+    build_circuit,
+    input_mixture,
     reduce_through_bs0,
     run_doubled_scheme,
     run_filter_split_scheme,
@@ -98,29 +98,12 @@ class CheckResult:
         return line
 
 
-def _unitary_tpam(beta: complex) -> GenericTpam:
-    alpha = math.sqrt(max(0.0, 1.0 - abs(beta) ** 2))
-    return GenericTpam(alpha, beta)
-
-
-def _main_config(
-    beta: complex,
-    theta1: float,
-    *,
-    p: float = 1.0,
-    case: CaseId = CaseId.SUM_PLUS,
-    tpam: GenericTpam | FwmTpamSpec | None = None,
-    cutoff: int = DEFAULT_CUTOFF,
-    variant: str = MAIN,
-) -> SchemeConfig:
-    theta2, phi1, phi2 = manifold_completion(theta1, case)
-    return SchemeConfig(
-        source=SourceSpec(p),
-        tpam=tpam if tpam is not None else _unitary_tpam(beta),
-        bs1=BeamSplitterParams(theta1, phi1),
-        bs2=BeamSplitterParams(theta2, phi2),
-        variant=variant,
-        cutoff=cutoff,
+def _random_unitary_tpam(rng: random.Random) -> GenericTpam:
+    """A unitary generic absorber with random magnitudes and phases."""
+    m = rng.uniform(0.0, 1.0)
+    return GenericTpam(
+        math.sqrt(1.0 - m * m) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
+        m * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
     )
 
 
@@ -130,25 +113,19 @@ def _random_valid_config(rng: random.Random, cutoff: int = DEFAULT_CUTOFF) -> Sc
     case = VALID_CASES[rng.randrange(len(VALID_CASES))]
     draw = rng.random()
     if draw < 0.6:
-        tpam: GenericTpam | FwmTpamSpec = GenericTpam(
-            math.sqrt(1.0 - (m := rng.uniform(0.0, 1.0)) ** 2)
-            * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
-            m * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
-        )
+        tpam: GenericTpam | FwmTpamSpec = _random_unitary_tpam(rng)
     elif draw < 0.8:
         scale = rng.uniform(0.3, 0.95)  # lossy absorber: |alpha|^2+|beta|^2 < 1
         m = rng.uniform(0.0, 1.0)
         tpam = GenericTpam(scale * math.sqrt(1.0 - m * m), scale * m)
     else:
         tpam = FwmTpamSpec(FwmParams(float(rng.randint(1, 6))))
-    cfg = _main_config(0.0, theta1, case=case, tpam=tpam, cutoff=cutoff)
-    return SchemeConfig(
-        source=SourceSpec(rng.uniform(0.05, 1.0)),
-        tpam=cfg.tpam,
-        bs0=BeamSplitterParams(rng.uniform(0.1, math.pi / 2 - 0.1)),
-        bs1=cfg.bs1,
-        bs2=cfg.bs2,
-        variant=MAIN,
+    return manifold_config(
+        theta1,
+        case,
+        p=rng.uniform(0.05, 1.0),
+        tpam=tpam,
+        theta0=rng.uniform(0.1, math.pi / 2 - 0.1),
         cutoff=cutoff,
     )
 
@@ -170,20 +147,15 @@ def paper_value_checks(
     )
 
     # A lone photon cannot trigger the herald with balanced splitters.
-    reg = ModeRegister(("B", "C"), cutoff, medium_dims=2)
-    psi = fock_state(reg, (1, 0))
-    psi = apply_beam_splitter(psi, BeamSplitterParams.balanced(("B", "C")))
-    psi = apply_generic_tpam(psi, "B", GenericTpam(1.0, 0.0))
-    psi = apply_beam_splitter(psi, BeamSplitterParams.balanced(("B", "C")))
-    _, q_null = project_number(psi, "B", 1)
+    lone = build_circuit(manifold_config(cutoff=cutoff)).prepare(input_mixture(1.0, cutoff=cutoff))
+    _, q_null = lone.condition_number("B", 1)
     checks.append(CheckResult("single-photon-null-balanced", q_null, 0.0, 1e-12))
 
     # Balanced-interferometer success probability |1-beta|^2 p^2 / 16.
     worst = 0.0
     for beta in (1.0, 0.4130, 0.0, -1.0):
         for p in (0.5, 1.0):
-            cfg = SchemeConfig(SourceSpec(p), _unitary_tpam(beta), cutoff=cutoff)
-            sim = run_main_scheme(cfg).p_success
+            sim = run_main_scheme(manifold_config(p=p, beta=beta, cutoff=cutoff)).p_success
             worst = max(worst, abs(sim - abs(1.0 - beta) ** 2 * p * p / 16.0))
     checks.append(
         CheckResult("balanced-success-formula", worst, 0.0, 1e-10, "8 (beta, p) points")
@@ -204,7 +176,7 @@ def paper_value_checks(
     _, ps_star = optimize_ps(-1.0)
     checks.append(CheckResult("strong-phase-optimum", ps_star, 0.4219, 1e-4))
     doubled = run_doubled_scheme(
-        _main_config(-1.0, math.pi / 6, variant=DOUBLED, cutoff=cutoff)
+        manifold_config(math.pi / 6, beta=-1.0, variant=DOUBLED, cutoff=cutoff)
     ).p_success
     checks.append(CheckResult("doubled-scheme-0.84375", doubled, 0.84375, 1e-10))
 
@@ -235,9 +207,7 @@ def paper_value_checks(
 
     # Mixer-fed interferometer at the optimal angle, and its running best.
     def interferometer_ps(m: int) -> float:
-        cfg = _main_config(
-            0.0, math.pi / 6, tpam=FwmTpamSpec(FwmParams(float(m))), cutoff=cutoff
-        )
+        cfg = manifold_config(math.pi / 6, tpam=FwmTpamSpec(FwmParams(float(m))), cutoff=cutoff)
         return run_main_scheme(cfg).p_success
 
     checks.append(CheckResult("fwm-main-one-cycle", interferometer_ps(1), 0.0363, 5e-4))
@@ -315,11 +285,7 @@ def invariant_checks(
     worst = 0.0
     reg_m = ModeRegister(("B", "C"), cutoff, medium_dims=2)
     for _ in range(draws):
-        m = rng.uniform(0.0, 1.0)
-        tpam = GenericTpam(
-            math.sqrt(1.0 - m * m) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
-            m * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)),
-        )
+        tpam = _random_unitary_tpam(rng)
         psi = PureState(
             reg_m,
             {
@@ -343,8 +309,8 @@ def invariant_checks(
         shifted = GenericTpam(base.alpha, base.beta, global_phase=rng.uniform(0.0, 2.0 * math.pi))
         theta1 = rng.uniform(0.0, 2.0 * math.pi)
         p = rng.uniform(0.2, 1.0)
-        ps_base = run_main_scheme(_main_config(beta, theta1, p=p, tpam=base, cutoff=cutoff)).p_success
-        ps_shift = run_main_scheme(_main_config(beta, theta1, p=p, tpam=shifted, cutoff=cutoff)).p_success
+        ps_base = run_main_scheme(manifold_config(theta1, p=p, tpam=base, cutoff=cutoff)).p_success
+        ps_shift = run_main_scheme(manifold_config(theta1, p=p, tpam=shifted, cutoff=cutoff)).p_success
         worst = max(worst, abs(ps_base - ps_shift))
     checks.append(CheckResult("tpam-global-phase-invariance", worst, 0.0, 1e-12))
 
@@ -360,10 +326,8 @@ def invariant_checks(
     for _ in range(draws // 4):
         cfg = _random_valid_config(rng, cutoff)
         main_ps = run_main_scheme(cfg).p_success
-        doubled_cfg = SchemeConfig(
-            cfg.source, cfg.tpam, cfg.bs0, cfg.bs1, cfg.bs2, DOUBLED, cfg.cutoff
-        )
-        worst = max(worst, abs(run_doubled_scheme(doubled_cfg).p_success - 2.0 * main_ps))
+        doubled_ps = run_doubled_scheme(replace(cfg, variant=DOUBLED)).p_success
+        worst = max(worst, abs(doubled_ps - 2.0 * main_ps))
     checks.append(CheckResult("doubling-exactness", worst, 0.0, 1e-12))
 
     # Ladder: projecting n+1 after a creation operator gives (n+1) * norm^2.

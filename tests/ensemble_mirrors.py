@@ -1,10 +1,10 @@
-"""Ensemble-path circuit mirrors for the dense-oracle comparison tests.
+"""Ensemble-path views of the scheme circuits for the dense-oracle comparison tests.
 
-These rebuild each scheme circuit step by step from the package's public
-primitives (splitters, absorber channels, conditioning) so that the sparse
-ensemble machinery and the dense density-matrix oracle evolve literally the
-same circuit, and every intermediate detector outcome can be compared — not
-just the heralding probability that the ``run_*`` entry points report.
+Each function builds a :class:`SchemeConfig` and runs the package's own
+circuit up to its herald detectors (:meth:`Circuit.prepare`), then reads the
+detector distributions from that ensemble, so the sparse ensemble machinery
+and the dense density-matrix oracle can be compared outcome by outcome — not
+just on the heralding probability that the ``run_*`` entry points report.
 """
 
 from __future__ import annotations
@@ -12,18 +12,14 @@ from __future__ import annotations
 import math
 
 from photonherald import (
-    BeamSplitterParams,
+    DOUBLED,
+    FILTER_SPLIT,
+    PAIR_HERALD,
     FwmParams,
+    FwmTpamSpec,
     GenericTpam,
-    ModeRegister,
-    apply_beam_splitter,
-    apply_generic_tpam,
-    fwm_conditioned_channel,
-    fwm_evolve,
-    reduce_through_bs0,
-    tensor,
-    vacuum_state,
-    with_medium_dims,
+    build_circuit,
+    manifold_config,
 )
 
 
@@ -31,6 +27,29 @@ def _normalized(dist: dict[int, float], total: float) -> dict[int, float]:
     if total <= 0.0:
         return {}
     return {n: v / total for n, v in dist.items()}
+
+
+def _before_herald(p, tpam, *, theta0, cutoff, **splitters):
+    cfg = manifold_config(p=p, tpam=tpam, theta0=theta0, cutoff=cutoff, **splitters)
+    return build_circuit(cfg).prepare()
+
+
+def _click(ens, detector: str, output: str) -> dict[str, object]:
+    conditioned, p_success = ens.condition_number(detector, 1)
+    return {
+        "detector": ens.number_distribution(detector),
+        "p_success": p_success,
+        "conditional": _normalized(conditioned.number_distribution(output), p_success),
+    }
+
+
+def _joint(ens, first: str, second: str, cutoff: int) -> dict[tuple[int, int], float]:
+    joint: dict[tuple[int, int], float] = {}
+    for n_1 in range(cutoff + 1):
+        ens_1, _ = ens.condition_number(first, n_1)
+        for n_2 in range(cutoff + 1):
+            joint[(n_1, n_2)] = ens_1.condition_number(second, n_2)[1]
+    return joint
 
 
 def ensemble_main_generic(
@@ -45,24 +64,11 @@ def ensemble_main_generic(
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
-    sectors = reduce_through_bs0(p, theta0, cutoff=cutoff)
-    reg_c = ModeRegister(("C",), cutoff)
-    tpam = GenericTpam(alpha, beta)
-
-    def evolve(state):
-        psi = with_medium_dims(tensor(state, vacuum_state(reg_c)), 2)
-        psi = apply_beam_splitter(psi, BeamSplitterParams(theta1, phi1, ("B", "C")))
-        psi = apply_generic_tpam(psi, "B", tpam)
-        return apply_beam_splitter(psi, BeamSplitterParams(theta2, phi2, ("B", "C")))
-
-    ens = sectors.map_branches(evolve)
-    detector = ens.number_distribution("B")
-    conditioned, p_success = ens.condition_number("B", 1)
-    return {
-        "detector": detector,
-        "p_success": p_success,
-        "conditional": _normalized(conditioned.number_distribution("C"), p_success),
-    }
+    ens = _before_herald(
+        p, GenericTpam(alpha, beta), theta0=theta0, cutoff=cutoff,
+        theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2,
+    )
+    return _click(ens, "B", "C")
 
 
 def ensemble_main_fwm(
@@ -77,24 +83,11 @@ def ensemble_main_fwm(
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
-    sectors = reduce_through_bs0(p, theta0, cutoff=cutoff)
-    reg_c = ModeRegister(("C",), cutoff)
-    channel = fwm_conditioned_channel(FwmParams(length_multiple), condition)
-
-    def evolve(state):
-        psi = tensor(state, vacuum_state(reg_c))
-        psi = apply_beam_splitter(psi, BeamSplitterParams(theta1, phi1, ("B", "C")))
-        psi = channel.apply(psi, "B")
-        return apply_beam_splitter(psi, BeamSplitterParams(theta2, phi2, ("B", "C")))
-
-    ens = sectors.map_branches(evolve)
-    detector = ens.number_distribution("B")
-    conditioned, p_success = ens.condition_number("B", 1)
-    return {
-        "detector": detector,
-        "p_success": p_success,
-        "conditional": _normalized(conditioned.number_distribution("C"), p_success),
-    }
+    ens = _before_herald(
+        p, FwmTpamSpec(FwmParams(length_multiple), condition), theta0=theta0, cutoff=cutoff,
+        theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2,
+    )
+    return _click(ens, "B", "C")
 
 
 def ensemble_doubled_generic(
@@ -109,31 +102,12 @@ def ensemble_doubled_generic(
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
-    joint_in = reduce_through_bs0(p, theta0, cutoff=cutoff, discard=False)
-    reg_cc = ModeRegister(("CA", "CB"), cutoff)
-    tpam = GenericTpam(alpha, beta)
-    bs1 = BeamSplitterParams(theta1, phi1)
-    bs2 = BeamSplitterParams(theta2, phi2)
-
-    def evolve(state):
-        psi = with_medium_dims(tensor(state, vacuum_state(reg_cc)), 3)
-        psi = apply_beam_splitter(psi, bs1.on("A", "CA"))
-        psi = apply_generic_tpam(psi, "A", tpam, excited_level=1)
-        psi = apply_beam_splitter(psi, bs2.on("A", "CA"))
-        psi = apply_beam_splitter(psi, bs1.on("B", "CB"))
-        psi = apply_generic_tpam(psi, "B", tpam, excited_level=2)
-        return apply_beam_splitter(psi, bs2.on("B", "CB"))
-
-    ens = joint_in.map_branches(evolve)
-    joint: dict[tuple[int, int], float] = {}
-    p_success = 0.0
-    for n_a in range(cutoff + 1):
-        ens_a, _ = ens.condition_number("A", n_a)
-        for n_b in range(cutoff + 1):
-            _, q = ens_a.condition_number("B", n_b)
-            joint[(n_a, n_b)] = q
-            if (n_a == 1) != (n_b == 1):
-                p_success += q
+    ens = _before_herald(
+        p, GenericTpam(alpha, beta), theta0=theta0, cutoff=cutoff, variant=DOUBLED,
+        theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2,
+    )
+    joint = _joint(ens, "A", "B", cutoff)
+    p_success = sum(q for (n_a, n_b), q in joint.items() if (n_a == 1) != (n_b == 1))
     return {"joint": joint, "p_success": p_success}
 
 
@@ -144,23 +118,12 @@ def ensemble_pair_herald(
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
-    sectors = reduce_through_bs0(p, theta0, cutoff=cutoff)
-    reg_e = ModeRegister(("E1", "E2"), cutoff)
-    params = FwmParams(length_multiple)
-
-    ens = sectors.map_branches(
-        lambda state: fwm_evolve(tensor(state, vacuum_state(reg_e)), ("B", "E1", "E2"), params)
-    )
-    joint: dict[tuple[int, int], float] = {}
-    for n_1 in range(cutoff + 1):
-        ens_1, _ = ens.condition_number("E1", n_1)
-        for n_2 in range(cutoff + 1):
-            _, q = ens_1.condition_number("E2", n_2)
-            joint[(n_1, n_2)] = q
+    tpam = FwmTpamSpec(FwmParams(length_multiple), (1, 1))
+    ens = _before_herald(p, tpam, theta0=theta0, cutoff=cutoff, variant=PAIR_HERALD)
     heralded, _ = ens.condition_number("E1", 1)
     heralded, p_success = heralded.condition_number("E2", 1)
     return {
-        "joint": joint,
+        "joint": _joint(ens, "E1", "E2", cutoff),
         "p_success": p_success,
         "conditional": _normalized(heralded.number_distribution("B"), p_success),
     }
@@ -173,25 +136,6 @@ def ensemble_filter_split(
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
-    sectors = reduce_through_bs0(p, theta0, cutoff=cutoff)
-    reg_e = ModeRegister(("E1", "E2"), cutoff)
-    reg_c = ModeRegister(("C",), cutoff)
-    params = FwmParams(length_multiple)
-
-    ens = sectors.map_branches(
-        lambda state: fwm_evolve(tensor(state, vacuum_state(reg_e)), ("B", "E1", "E2"), params)
-    )
-    ens, _ = ens.condition_number("E1", 0)
-    ens, _ = ens.condition_number("E2", 0)
-    ens = ens.map_branches(
-        lambda state: apply_beam_splitter(
-            tensor(state, vacuum_state(reg_c)), BeamSplitterParams.balanced(("B", "C"))
-        )
-    )
-    detector = ens.number_distribution("B")
-    conditioned, p_success = ens.condition_number("B", 1)
-    return {
-        "detector": detector,
-        "p_success": p_success,
-        "conditional": _normalized(conditioned.number_distribution("C"), p_success),
-    }
+    tpam = FwmTpamSpec(FwmParams(length_multiple))
+    ens = _before_herald(p, tpam, theta0=theta0, cutoff=cutoff, variant=FILTER_SPLIT)
+    return _click(ens, "B", "C")

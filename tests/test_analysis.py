@@ -15,7 +15,6 @@ from photonherald import (
     optimize_ps,
     simulate_manifold_point,
     sweep_rows,
-    verify_formula_against_simulator,
 )
 from photonherald.analysis import VALID_CASES
 
@@ -109,11 +108,11 @@ def test_closed_form_reflection_identity():
 
 
 def test_formula_matches_simulator_everywhere():
-    dev = verify_formula_against_simulator(
-        [0.3, DEG30, 0.9, 1.3],
-        [0.0, -1.0, BETA_ONE_CYCLE, 0.25 + 0.55j],
-    )
-    assert dev < 1e-10
+    for case in VALID_CASES:
+        for theta1 in (0.3, DEG30, 0.9, 1.3):
+            for beta in (0.0, -1.0, BETA_ONE_CYCLE, 0.25 + 0.55j):
+                simulated = simulate_manifold_point(beta, theta1, case)
+                assert simulated == pytest.approx(closed_form_ps(beta, theta1, case), abs=1e-10)
 
 
 def test_simulator_benchmark_points():

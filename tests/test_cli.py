@@ -231,6 +231,36 @@ def test_cutoff_below_two_is_usage_error(runner):
     assert result.exit_code == 2
 
 
+def assert_one_line_usage_error(result):
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.output.strip().splitlines()[-1].startswith("Error: ")
+
+
+def test_null_config_field_is_usage_error(runner, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": None}), encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(path)])
+    assert_one_line_usage_error(result)
+    assert "null" in result.output
+
+
+@pytest.mark.parametrize(
+    "scheme,spec",
+    [("filter-split", "jf:M=1.5,condition=(2,1)"), ("pair-herald", "jf:M=2")],
+)
+def test_absorber_condition_mismatch_is_usage_error(runner, scheme, spec):
+    assert_one_line_usage_error(runner.invoke(main, ["run", "--scheme", scheme, "--tpam", spec]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--theta1", "nan"], ["--tpam", "generic:alpha=nan,beta=0", "--theta1", "30deg"]],
+)
+def test_non_finite_parameter_is_usage_error(runner, args):
+    assert_one_line_usage_error(runner.invoke(main, ["run", *args]))
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
@@ -301,6 +331,11 @@ def test_sweep_unknown_axis_is_usage_error(runner, tmp_path):
 def test_sweep_unphysical_beta_is_usage_error(runner, tmp_path):
     spec = write_spec(tmp_path, {"beta": [2.0]})
     assert runner.invoke(main, ["sweep", spec]).exit_code == 2
+
+
+def test_sweep_nan_axis_is_usage_error(runner, tmp_path):
+    spec = write_spec(tmp_path, {"theta1": [0.3, float("nan")], "beta": [0], "p": [1.0]})
+    assert_one_line_usage_error(runner.invoke(main, ["sweep", spec]))
 
 
 def test_sweep_missing_file_is_usage_error(runner, tmp_path):

@@ -289,6 +289,18 @@ def test_run_scheme_dispatches_all_variants():
         assert result.details["variant"] == cfg.variant
 
 
+def test_run_scheme_passes_mixer_parameters_through():
+    # at odd length the sign compensation flips the heralded amplitude, so
+    # the spec's setting must reach the circuit unchanged
+    def heralded_amplitude(compensate):
+        tpam = FwmTpamSpec(FwmParams(3.0, compensate_odd_sign=compensate), (1, 1))
+        state = run_scheme(main_config(p=0.9, tpam=tpam, variant=PAIR_HERALD)).conditional_state
+        ((_, branch),) = state.branches
+        return branch.amplitude(FockKet((1,)))
+
+    assert heralded_amplitude(False) == pytest.approx(-heralded_amplitude(True), abs=1e-12)
+
+
 def test_run_scheme_requires_fwm_for_heralded_conversion_variants():
     for variant in (PAIR_HERALD, FILTER_SPLIT):
         cfg = main_config(variant=variant)  # generic absorber

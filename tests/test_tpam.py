@@ -87,6 +87,16 @@ def test_subnormalized_coefficients_rejected():
         GenericTpam(alpha=0.9, beta=0.9)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(alpha=math.nan, beta=0.0), dict(alpha=0.0, beta=complex(0.0, math.inf)),
+     dict(alpha=1.0, beta=0.0, global_phase=math.nan)],
+)
+def test_non_finite_coefficients_rejected(kwargs):
+    with pytest.raises(ValueError):
+        GenericTpam(**kwargs)
+
+
 def test_loss_property():
     assert GenericTpam(alpha=0.6, beta=0.8).loss == pytest.approx(0.0, abs=1e-12)
     assert GenericTpam(alpha=0.0, beta=0.5).loss == pytest.approx(0.75, abs=1e-12)
@@ -153,6 +163,9 @@ def test_fwm_params_validation():
         FwmParams(0.0)
     with pytest.raises(ValueError):
         FwmParams(-1.5)
+    for bad in (dict(length_multiple=math.inf), dict(length_multiple=2.0, pump_phase=math.nan)):
+        with pytest.raises(ValueError):
+            FwmParams(**bad)
     p = FwmParams(Fraction(3, 2))
     assert isinstance(p.length_multiple, float)
     assert p.length_multiple == 1.5
