@@ -49,6 +49,7 @@ __all__ = [
     "jf_length_scan",
     "sweep_rows",
     "SWEEP_COLUMNS",
+    "MAX_SWEEP_POINTS",
 ]
 
 #: Angular tolerance for deciding a configuration sits on the manifold.
@@ -147,11 +148,19 @@ def _unitary_tpam(beta: complex) -> GenericTpam:
     return GenericTpam(alpha, beta)
 
 
-def _number(name: str, value: object, kind: type = float):
+def _number(name: str, value: object):
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _whole(name: str, value: object) -> int:
+    """A count given as an int or an integral float (JSON may write 1e9)."""
+    number = _number(name, value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def manifold_config(
@@ -175,7 +184,8 @@ def manifold_config(
     generic one with survival amplitude ``beta``.
 
     Raises:
-        ValueError: for a null, non-numeric or non-finite parameter.
+        ValueError: for a null, non-numeric or non-finite parameter, or a
+            fractional cutoff.
     """
     theta1 = _number("theta1", theta1)
     theta2, phi1, phi2 = (
@@ -191,7 +201,7 @@ def manifold_config(
         bs1=BeamSplitterParams(theta1, phi1),
         bs2=BeamSplitterParams(theta2, phi2),
         variant=variant,
-        cutoff=_number("cutoff", cutoff, int),
+        cutoff=_whole("cutoff", cutoff),
     )
 
 
@@ -306,6 +316,16 @@ def jf_length_scan(
 # Parameter sweeps
 
 
+#: Largest grid a sweep accepts, checked before any axis is built.  At a few
+#: thousand points per second it already takes about a minute.
+MAX_SWEEP_POINTS = 100_000
+
+
+def _check_grid_size(points: int) -> None:
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid has {points} points, more than the {MAX_SWEEP_POINTS} allowed")
+
+
 SWEEP_COLUMNS = (
     "theta0_rad",
     "theta1_rad",
@@ -334,6 +354,7 @@ class SweepSpec:
     case: CaseId = CaseId.SUM_PLUS
 
     def __post_init__(self) -> None:
+        _check_grid_size(len(self.theta0) * len(self.theta1) * len(self.beta) * len(self.p))
         for name in ("theta0", "theta1", "p"):
             axis = getattr(self, name)
             if len(axis) == 0:
@@ -356,32 +377,34 @@ class SweepSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
-        kwargs: dict[str, object] = {}
-        for name in ("theta0", "theta1"):
-            if name in data:
-                kwargs[name] = tuple(_parse_axis(data[name], angle=True))
-        if "p" in data:
-            kwargs["p"] = tuple(_parse_axis(data["p"], angle=False))
-        if "beta" in data:
-            raw = data["beta"]
-            if not isinstance(raw, (list, tuple)):
-                raise ValueError("'beta' must be a list")
-            kwargs["beta"] = tuple(_parse_beta(v) for v in raw)
+        axes = {
+            name: _parse_axis(data[name], angle=name != "p")
+            for name in ("theta0", "theta1", "p")
+            if name in data
+        }
+        beta = data.get("beta", [0j])
+        if not isinstance(beta, (list, tuple)):
+            raise ValueError("'beta' must be a list")
+        _check_grid_size(math.prod(size for size, _ in axes.values()) * len(beta))
+        kwargs: dict[str, object] = {name: tuple(values) for name, (_, values) in axes.items()}
+        kwargs["beta"] = tuple(_parse_beta(v) for v in beta)
         if "case" in data:
             kwargs["case"] = CaseId(str(data["case"]))
         return cls(**kwargs)
 
 
-def _parse_axis(raw: object, *, angle: bool) -> list[float]:
+def _parse_axis(raw: object, *, angle: bool) -> tuple[int, Iterable[float]]:
+    """An axis as (size, values).  A range's values are generated lazily, so
+    the grid size can be checked before any of them is built."""
     if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
+        return len(raw), map(float, raw)
     if isinstance(raw, Mapping):
         extra = set(raw) - {"start", "stop", "steps", "unit"}
         if extra:
             raise ValueError(f"unknown keys in axis spec: {sorted(extra)}")
         try:
             start, stop = float(raw["start"]), float(raw["stop"])
-            steps = int(raw["steps"])
+            steps = _whole("steps", raw["steps"])
         except KeyError as missing:
             raise ValueError(f"axis spec needs start/stop/steps, missing {missing}") from None
         if steps < 1:
@@ -393,9 +416,9 @@ def _parse_axis(raw: object, *, angle: bool) -> list[float]:
         if not angle and unit == "deg":
             raise ValueError("'deg' only applies to angle axes")
         if steps == 1:
-            return [start * scale]
+            return 1, [start * scale]
         inc = (stop - start) / (steps - 1)
-        return [(start + i * inc) * scale for i in range(steps)]
+        return steps, ((start + i * inc) * scale for i in range(steps))
     raise ValueError(f"axis spec must be a list or a range object, got {raw!r}")
 
 

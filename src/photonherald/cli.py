@@ -16,7 +16,7 @@ specifications use the wire format ``generic:alpha=1,beta=0`` or
 ``jf:M=2,condition=(1,1)`` (``fwm:`` is accepted as an alias for ``jf:``; M
 may be a fraction like ``3/2``).  The default per-mode photon cutoff is 4,
 overridable per invocation with ``--cutoff`` or globally with the
-``FOCK_CUTOFF`` environment variable.
+``FOCK_CUTOFF`` environment variable; it must lie in 2..16.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import click
 from . import __version__
 from .analysis import SWEEP_COLUMNS, SweepSpec, manifold_config, sweep_rows
 from .fock import DEFAULT_CUTOFF, FockError
-from .schemes import DOUBLED, FILTER_SPLIT, MAIN, PAIR_HERALD, SchemeResult, run_scheme
+from .schemes import DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeResult, run_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam
 from .verify import DEFAULT_SEED, invariant_checks, paper_value_checks
 
@@ -54,6 +54,11 @@ SCHEME_TOKENS = {
 
 #: Internal variant names -> their first (canonical) CLI token.
 _CANONICAL_TOKEN = {variant: token for token, variant in reversed(SCHEME_TOKENS.items())}
+
+#: Fields of a run config.  The interferometer splitters exist in main and
+#: doubled only.
+_SPLITTER_FIELDS = ("theta1", "theta2", "phi1", "phi2")
+_CONFIG_FIELDS = ("scheme", "p", "cutoff", "tpam", "theta0", *_SPLITTER_FIELDS)
 
 _DEFAULT_TPAM = {
     MAIN: "generic:alpha=1,beta=0",
@@ -205,7 +210,7 @@ ANGLE = WireParam("angle", lambda value: parse_angle(str(value)), ())
 TPAM = WireParam("tpam", parse_tpam_spec, (GenericTpam, FwmTpamSpec))
 CUTOFF_OPTION = click.option(
     "--cutoff",
-    type=click.IntRange(2),
+    type=click.IntRange(2, MAX_CUTOFF),
     default=DEFAULT_CUTOFF,
     show_default=True,
     envvar="FOCK_CUTOFF",
@@ -258,10 +263,16 @@ def run_from_config(config: Mapping[str, object]) -> SchemeResult:
     """Execute a canonical config mapping (the manifest round-trip path).
 
     Raises:
-        ValueError: on null or non-numeric fields, unknown scheme tokens or
-            incompatible absorber kinds.
+        ValueError: on unknown, null or non-numeric fields, fields the scheme
+            does not use, unknown scheme tokens, a fractional or out-of-range
+            cutoff, or incompatible absorber kinds.
         FockError: on physics-level failures (propagated from the simulator).
     """
+    unknown = sorted(set(config) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"unknown config fields: {', '.join(map(repr, unknown))} (known: {', '.join(_CONFIG_FIELDS)})"
+        )
     nulls = sorted(key for key, value in config.items() if value is None)
     if nulls:
         raise ValueError(f"config fields must not be null: {', '.join(nulls)}")
@@ -269,6 +280,9 @@ def run_from_config(config: Mapping[str, object]) -> SchemeResult:
     variant = SCHEME_TOKENS.get(token)
     if variant is None:
         raise ValueError(f"unknown scheme {token!r} (expected one of {sorted(SCHEME_TOKENS)})")
+    unused = sorted(set(config) & set(_SPLITTER_FIELDS))
+    if unused and variant not in (MAIN, DOUBLED):
+        raise ValueError(f"config fields {', '.join(map(repr, unused))} do not apply to scheme {token!r}")
     tpam_field = config.get("tpam", _DEFAULT_TPAM[variant])
     tpam = tpam_field if isinstance(tpam_field, (GenericTpam, FwmTpamSpec)) else parse_tpam_spec(str(tpam_field))
     cfg = manifold_config(

@@ -187,6 +187,19 @@ class PureState:
         self.register = register
         self._amps = amps
 
+    @classmethod
+    def _of(cls, register: ModeRegister, amps: Mapping[FockKet, complex]) -> "PureState":
+        """Wrap complex amplitudes on kets already valid on ``register``.
+
+        Skips :meth:`ModeRegister.validate_ket`, so only operations that map
+        valid kets to valid kets may use it.  Amplitudes at or below
+        :data:`PRUNE_THRESHOLD` are still dropped, into a new dict.
+        """
+        new = cls.__new__(cls)
+        new.register = register
+        new._amps = {ket: amp for ket, amp in amps.items() if abs(amp) > PRUNE_THRESHOLD}
+        return new
+
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[FockKet, complex]]:
@@ -212,7 +225,7 @@ class PureState:
     # -- elementwise operations ------------------------------------------
 
     def scaled(self, factor: complex) -> "PureState":
-        return PureState(self.register, {k: a * factor for k, a in self._amps.items()})
+        return PureState._of(self.register, {k: a * factor for k, a in self._amps.items()})
 
     def normalized(self) -> "PureState":
         n2 = self.squared_norm()
@@ -294,7 +307,7 @@ def project_number(state: PureState, mode: str, n: int) -> tuple[PureState, floa
         if ket.occupations[i] == n:
             occ = ket.occupations[:i] + ket.occupations[i + 1 :]
             out[FockKet(occ, ket.medium)] = amp
-    kept = PureState(reg, out)
+    kept = PureState._of(reg, out)
     return kept, kept.squared_norm()
 
 
@@ -303,14 +316,14 @@ def with_medium_dims(state: PureState, medium_dims: int) -> PureState:
     if state.register.medium_dims != 1:
         raise ValueError("state already carries a medium subsystem")
     reg = ModeRegister(state.register.labels, state.register.cutoff, medium_dims)
-    return PureState(reg, dict(state._amps))
+    return PureState._of(reg, state._amps)
 
 
 def relabel_modes(state: PureState, mapping: Mapping[str, str]) -> PureState:
     """Rename modes; occupations and amplitudes are untouched."""
     labels = tuple(mapping.get(lbl, lbl) for lbl in state.register.labels)
     reg = ModeRegister(labels, state.register.cutoff, state.register.medium_dims)
-    return PureState(reg, dict(state._amps))
+    return PureState._of(reg, state._amps)
 
 
 class Ensemble:
@@ -466,7 +479,7 @@ def partial_trace_discard(state: PureState | Ensemble, mode: str) -> Ensemble:
         groups.setdefault(ket.occupations[i], {})[FockKet(occ, ket.medium)] = amp
     branches = []
     for _, amps in sorted(groups.items()):
-        component = PureState(reg, amps)
+        component = PureState._of(reg, amps)
         branches.append((component.squared_norm(), component))
     return Ensemble(reg, branches).consolidated()
 

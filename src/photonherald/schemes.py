@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import groupby
 from typing import NamedTuple
 
@@ -54,6 +54,7 @@ from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_c
 __all__ = [
     "MAIN",
     "DOUBLED",
+    "MAX_CUTOFF",
     "PAIR_HERALD",
     "FILTER_SPLIT",
     "VARIANTS",
@@ -79,6 +80,15 @@ VARIANTS = (MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT)
 
 #: Joint probabilities at or below this are treated as dead branches.
 _NEGLIGIBLE = 1e-24
+
+#: Largest per-mode cutoff a scheme accepts.  No circuit here holds more than
+#: two photons in a mode, and the doubled herald enumerates (cutoff + 1)^2
+#: detector outcomes, so a larger cutoff only costs time.
+MAX_CUTOFF = 16
+
+#: Bound of the ``reduce_through_bs0`` cache.  A sweep walks its p axis
+#: innermost, so it needs one entry per p value of its grid.
+BS0_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,8 +122,11 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown scheme variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.cutoff < 2:
-            raise ValueError("scheme circuits need cutoff >= 2 (two-photon inputs)")
+        if not (isinstance(self.cutoff, int) and 2 <= self.cutoff <= MAX_CUTOFF):
+            raise ValueError(
+                f"scheme circuits need an integer cutoff in [2, {MAX_CUTOFF}] "
+                f"(two-photon inputs), got {self.cutoff!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,6 +192,7 @@ def input_mixture(
     )
 
 
+@lru_cache(maxsize=BS0_CACHE_SIZE)
 def reduce_through_bs0(
     p: float,
     theta0: float = math.pi / 4,
@@ -196,6 +210,9 @@ def reduce_through_bs0(
 
     With ``discard=False`` the joint two-mode ensemble on (A, B) is returned
     instead (used by the doubled variant, which processes both outputs).
+
+    Results are memoized on the arguments, and a repeated call returns the
+    same ensemble object; like every state here, treat it as read-only.
     """
     mix_a = input_mixture(p, "A", cutoff=cutoff)
     mix_b = input_mixture(p, "B", cutoff=cutoff)

@@ -141,7 +141,7 @@ def apply_generic_tpam(
     def _add(ket: FockKet, amp: complex) -> None:
         out[ket] = out.get(ket, 0j) + amp
 
-    for ket, amp in state.terms():
+    for ket, amp in state._amps.items():
         n = ket.occupations[i]
         if n > 2:
             raise UnsupportedPhotonNumberError(
@@ -272,7 +272,7 @@ def fwm_evolve(
             amp *= (-1.0) ** ket.occupations[ip]
         out[ket] = out.get(ket, 0j) + amp
 
-    for ket, amp in state.terms():
+    for ket, amp in state._amps.items():
         if ket.occupations[i1] != 0 or ket.occupations[i2] != 0:
             raise ValueError(
                 f"four-wave mixer requires both generated-field modes in vacuum, got {ket}"
@@ -330,7 +330,7 @@ class FwmConditionedChannel:
         """
         i = state.register.index(mode)
         out: dict[FockKet, complex] = {}
-        for ket, amp in state.terms():
+        for ket, amp in state._amps.items():
             n = ket.occupations[i]
             if n > 2:
                 raise UnsupportedPhotonNumberError(

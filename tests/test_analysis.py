@@ -5,6 +5,7 @@ import math
 import pytest
 
 from photonherald import (
+    MAX_SWEEP_POINTS,
     CaseId,
     SweepSpec,
     classify_constraint,
@@ -12,10 +13,14 @@ from photonherald import (
     golden_section_maximize,
     jf_length_scan,
     manifold_completion,
+    manifold_config,
     optimize_ps,
+    reduce_through_bs0,
+    run_main_scheme,
     simulate_manifold_point,
     sweep_rows,
 )
+from photonherald import analysis
 from photonherald.analysis import VALID_CASES
 
 PEAK = 27.0 / 256.0
@@ -253,6 +258,36 @@ def test_sweep_spec_rejects_deg_on_p_axis():
         SweepSpec.from_mapping({"p": {"start": 0, "stop": 1, "steps": 3, "unit": "deg"}})
 
 
+@pytest.mark.parametrize("steps", [4.5, "4.5", float("inf"), float("nan")])
+def test_sweep_spec_rejects_fractional_steps(steps):
+    with pytest.raises(ValueError, match="steps"):
+        SweepSpec.from_mapping({"theta1": {"start": 0, "stop": 1, "steps": steps}})
+
+
+def test_sweep_spec_accepts_integral_float_steps():
+    assert len(SweepSpec.from_mapping({"theta1": {"start": 0, "stop": 1, "steps": 3.0}}).theta1) == 3
+
+
+def test_sweep_spec_rejects_oversized_range_before_building_it():
+    # a billion steps would take many GB if the axis were built first
+    with pytest.raises(ValueError, match="points"):
+        SweepSpec.from_mapping({"theta1": {"start": 0, "stop": 1, "steps": 1e9}})
+
+
+def test_sweep_spec_rejects_oversized_product_of_small_axes():
+    side = math.isqrt(MAX_SWEEP_POINTS) + 1
+    with pytest.raises(ValueError, match="points"):
+        SweepSpec.from_mapping(
+            {"theta1": {"start": 0, "stop": 1, "steps": side}, "p": {"start": 0, "stop": 1, "steps": side}}
+        )
+
+
+def test_sweep_spec_constructor_checks_grid_size(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_SWEEP_POINTS", 3)
+    with pytest.raises(ValueError, match="points"):
+        SweepSpec(theta1=(0.1, 0.2), p=(0.5, 1.0))
+
+
 def test_sweep_rows_grid_order_and_manifold_snap():
     spec = SweepSpec.from_mapping(
         {
@@ -273,3 +308,16 @@ def test_sweep_rows_grid_order_and_manifold_snap():
             closed_form_ps(0.0, r["theta1_rad"], CaseId.SUM_PLUS), abs=1e-12
         )
     assert rows[-1]["p_success"] == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+
+def test_sweep_rows_equal_uncached_single_runs():
+    spec = SweepSpec(
+        theta0=(0.6, 0.8), theta1=(0.3, DEG30), beta=(0j, 0.3 + 0.1j), p=(0.5, 1.0), case=CaseId.DIFF_MINUS
+    )
+    rows = sweep_rows(spec)
+    for row in rows:
+        reduce_through_bs0.cache_clear()
+        beta = complex(row["beta_re"], row["beta_im"])
+        cfg = manifold_config(row["theta1_rad"], spec.case, p=row["p"], beta=beta, theta0=row["theta0_rad"])
+        result = run_main_scheme(cfg)
+        assert (row["p_success"], row["fidelity"]) == (result.p_success, result.fidelity)

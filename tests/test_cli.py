@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from photonherald import FwmTpamSpec, GenericTpam
+from photonherald import MAX_CUTOFF, FwmTpamSpec, GenericTpam
 from photonherald.cli import (
     config_hash,
     format_tpam_spec,
@@ -245,6 +245,35 @@ def test_null_config_field_is_usage_error(runner, tmp_path):
     assert "null" in result.output
 
 
+def run_config(runner, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return runner.invoke(main, ["run", "--config", str(path)])
+
+
+def test_unknown_config_field_is_usage_error(runner, tmp_path):
+    result = run_config(runner, tmp_path, {"scheme": "main", "thetal": 0.3})
+    assert_one_line_usage_error(result)
+    assert "'thetal'" in result.output
+
+
+def test_splitter_field_on_conversion_scheme_is_usage_error(runner, tmp_path):
+    result = run_config(runner, tmp_path, {"scheme": "pair-herald", "theta1": 0.3})
+    assert_one_line_usage_error(result)
+    assert "'theta1'" in result.output
+
+
+@pytest.mark.parametrize("cutoff", [4.7, "4.5", MAX_CUTOFF + 1, 1])
+def test_bad_config_cutoff_is_usage_error(runner, tmp_path, cutoff):
+    assert_one_line_usage_error(run_config(runner, tmp_path, {"cutoff": cutoff}))
+
+
+def test_cutoff_above_ceiling_is_usage_error(runner):
+    too_big = str(MAX_CUTOFF + 1)
+    assert_one_line_usage_error(runner.invoke(main, ["run", "--cutoff", too_big]))
+    assert_one_line_usage_error(runner.invoke(main, ["run"], env={"FOCK_CUTOFF": too_big}))
+
+
 @pytest.mark.parametrize(
     "scheme,spec",
     [("filter-split", "jf:M=1.5,condition=(2,1)"), ("pair-herald", "jf:M=2")],
@@ -335,6 +364,12 @@ def test_sweep_unphysical_beta_is_usage_error(runner, tmp_path):
 
 def test_sweep_nan_axis_is_usage_error(runner, tmp_path):
     spec = write_spec(tmp_path, {"theta1": [0.3, float("nan")], "beta": [0], "p": [1.0]})
+    assert_one_line_usage_error(runner.invoke(main, ["sweep", spec]))
+
+
+@pytest.mark.parametrize("steps", [4.5, 1e9])
+def test_sweep_bad_steps_is_usage_error(runner, tmp_path, steps):
+    spec = write_spec(tmp_path, {"theta1": {"start": 0, "stop": 1, "steps": steps}})
     assert_one_line_usage_error(runner.invoke(main, ["sweep", spec]))
 
 

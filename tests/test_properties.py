@@ -6,19 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonherald import (
+    DOUBLED,
+    FILTER_SPLIT,
+    MAIN,
+    PAIR_HERALD,
+    PRUNE_THRESHOLD,
     BeamSplitterParams,
     CaseId,
     FockKet,
+    FwmParams,
+    FwmTpamSpec,
     GenericTpam,
     ModeRegister,
     PureState,
+    SchemeConfig,
+    SourceSpec,
     apply_beam_splitter,
     apply_generic_tpam,
+    build_circuit,
     classify_constraint,
     closed_form_ps,
     fwm_coefficients_from_phase,
     manifold_completion,
+    manifold_config,
     project_number,
+    run_scheme,
     tensor,
     unitarity_check,
 )
@@ -158,3 +170,50 @@ def test_closed_form_bounds_and_symmetry(theta1, beta):
         math.pi / 2 - theta1
     ) ** 2
     assert abs(closed_form_ps(beta, theta1, CaseId.SUM_MINUS) - mirrored) < 1e-12
+
+
+@st.composite
+def scheme_configs(draw):
+    """A random config of any of the four schemes, lossy absorbers included."""
+    variant = draw(st.sampled_from([MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT]))
+    p = draw(st.floats(min_value=0.05, max_value=1.0))
+    theta0, phi0, pump_phase = draw(angles), draw(angles), draw(angles)
+    cutoff = draw(st.integers(min_value=2, max_value=5))
+    if variant in (PAIR_HERALD, FILTER_SPLIT):
+        length = draw(st.integers(min_value=1, max_value=8)) - (0.5 if variant == FILTER_SPLIT else 0.0)
+        condition = (1, 1) if variant == PAIR_HERALD else (0, 0)
+        return SchemeConfig(
+            SourceSpec(p),
+            FwmTpamSpec(FwmParams(length, pump_phase), condition),
+            BeamSplitterParams(theta0, phi0),
+            variant=variant,
+            cutoff=cutoff,
+        )
+    if draw(st.booleans()):
+        tpam = FwmTpamSpec(FwmParams(float(draw(st.integers(min_value=1, max_value=8))), pump_phase))
+    else:
+        beta = draw(amplitudes)
+        scale = draw(st.floats(min_value=0.0, max_value=1.0))
+        tpam = GenericTpam(scale * math.sqrt(max(0.0, 1.0 - abs(beta) ** 2)), beta)
+    case = draw(st.sampled_from([CaseId.SUM_PLUS, CaseId.SUM_MINUS, CaseId.DIFF_PLUS, CaseId.DIFF_MINUS]))
+    return manifold_config(draw(angles), case, p=p, tpam=tpam, theta0=theta0, variant=variant, cutoff=cutoff)
+
+
+def assert_stored_kets_valid(ensemble):
+    for _, state in ensemble:
+        assert state.register == ensemble.register
+        for ket, amp in state._amps.items():
+            ensemble.register.validate_ket(ket)
+            assert abs(amp) > PRUNE_THRESHOLD
+
+
+@given(cfg=scheme_configs())
+@settings(max_examples=80, deadline=None)
+def test_every_intermediate_state_holds_valid_kets(cfg):
+    """States built without re-validation still hold only valid, unpruned kets."""
+    circuit = build_circuit(cfg)
+    for k in range(len(circuit.stages)):
+        assert_stored_kets_valid(circuit._replace(stages=circuit.stages[: k + 1]).prepare())
+    result = run_scheme(cfg)
+    if result.conditional_state is not None:
+        assert_stored_kets_valid(result.conditional_state)

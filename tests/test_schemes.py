@@ -8,6 +8,7 @@ from photonherald import (
     DOUBLED,
     FILTER_SPLIT,
     MAIN,
+    MAX_CUTOFF,
     PAIR_HERALD,
     BeamSplitterParams,
     FockKet,
@@ -92,6 +93,25 @@ def test_front_splitter_joint_mode_keeps_both_outputs():
     assert joint.total_weight() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("discard", [True, False])
+@pytest.mark.parametrize(
+    "p,theta0,phi0,cutoff", [(1.0, math.pi / 4, 0.0, 4), (0.37, 0.6, 1.3, 2), (0.86, 1.1, -0.4, 5)]
+)
+def test_memoized_front_splitter_matches_uncached(p, theta0, phi0, cutoff, discard):
+    reduce_through_bs0.cache_clear()
+    first = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
+    again = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
+    assert again is first
+    assert reduce_through_bs0.cache_info().hits == 1
+    fresh = reduce_through_bs0.__wrapped__(p, theta0, phi0, cutoff=cutoff, discard=discard)
+    assert first.register == fresh.register
+    assert len(first) == len(fresh)
+    for (w, state), (w_fresh, state_fresh) in zip(first, fresh):
+        assert w == w_fresh
+        assert state.register == state_fresh.register
+        assert list(state.terms()) == list(state_fresh.terms())
+
+
 # ---------------------------------------------------------------------------
 # main interferometric scheme
 
@@ -161,6 +181,12 @@ def test_main_rejects_half_odd_fwm():
 def test_main_rejects_wrong_variant():
     with pytest.raises(ValueError):
         run_main_scheme(main_config(variant=DOUBLED))
+
+
+@pytest.mark.parametrize("cutoff", [1, MAX_CUTOFF + 1, 4.0, True])
+def test_config_rejects_cutoff_outside_integer_range(cutoff):
+    with pytest.raises(ValueError, match="cutoff"):
+        SchemeConfig(SourceSpec(1.0), FULL_ABSORBER, cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
