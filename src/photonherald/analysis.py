@@ -148,11 +148,15 @@ def _unitary_tpam(beta: complex) -> GenericTpam:
     return GenericTpam(alpha, beta)
 
 
-def _number(name: str, value: object):
+def _number(name: str, value: object) -> float:
+    """``value`` as a finite float; a boolean is not a number here."""
     try:
-        return float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 def _whole(name: str, value: object) -> int:
@@ -377,11 +381,7 @@ class SweepSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
-        axes = {
-            name: _parse_axis(data[name], angle=name != "p")
-            for name in ("theta0", "theta1", "p")
-            if name in data
-        }
+        axes = {name: _parse_axis(name, data[name]) for name in ("theta0", "theta1", "p") if name in data}
         beta = data.get("beta", [0j])
         if not isinstance(beta, (list, tuple)):
             raise ValueError("'beta' must be a list")
@@ -393,17 +393,17 @@ class SweepSpec:
         return cls(**kwargs)
 
 
-def _parse_axis(raw: object, *, angle: bool) -> tuple[int, Iterable[float]]:
+def _parse_axis(name: str, raw: object) -> tuple[int, Iterable[float]]:
     """An axis as (size, values).  A range's values are generated lazily, so
     the grid size can be checked before any of them is built."""
     if isinstance(raw, (list, tuple)):
-        return len(raw), map(float, raw)
+        return len(raw), (_number(name, value) for value in raw)
     if isinstance(raw, Mapping):
         extra = set(raw) - {"start", "stop", "steps", "unit"}
         if extra:
             raise ValueError(f"unknown keys in axis spec: {sorted(extra)}")
         try:
-            start, stop = float(raw["start"]), float(raw["stop"])
+            start, stop = _number(f"{name} start", raw["start"]), _number(f"{name} stop", raw["stop"])
             steps = _whole("steps", raw["steps"])
         except KeyError as missing:
             raise ValueError(f"axis spec needs start/stop/steps, missing {missing}") from None
@@ -413,7 +413,7 @@ def _parse_axis(raw: object, *, angle: bool) -> tuple[int, Iterable[float]]:
         scale = math.pi / 180.0 if unit == "deg" else 1.0
         if unit not in ("deg", "rad"):
             raise ValueError(f"unknown unit {unit!r}")
-        if not angle and unit == "deg":
+        if name == "p" and unit == "deg":
             raise ValueError("'deg' only applies to angle axes")
         if steps == 1:
             return 1, [start * scale]
@@ -428,10 +428,8 @@ def _parse_beta(raw: object) -> complex:
     if isinstance(raw, (list, tuple)):
         if len(raw) != 2:
             raise ValueError(f"beta pair must be [re, im], got {raw!r}")
-        return complex(float(raw[0]), float(raw[1]))
-    if isinstance(raw, (int, float, complex)):
-        return complex(raw)
-    raise ValueError(f"cannot parse beta value {raw!r}")
+        return complex(_number("beta", raw[0]), _number("beta", raw[1]))
+    return raw if isinstance(raw, complex) else complex(_number("beta", raw))
 
 
 def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[str, float]]:

@@ -35,7 +35,7 @@ import click
 from . import __version__
 from .analysis import SWEEP_COLUMNS, SweepSpec, manifold_config, sweep_rows
 from .fock import DEFAULT_CUTOFF, FockError
-from .schemes import DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeResult, run_scheme
+from .schemes import DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeConfig, SchemeResult, run_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam
 from .verify import DEFAULT_SEED, invariant_checks, paper_value_checks
 
@@ -132,7 +132,10 @@ def _parse_fields(body: str, allowed: set[str]) -> dict[str, str]:
 
 def _parse_length(text: str) -> float:
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"length {text!r} divides by zero") from None
     return float(text)
 
 
@@ -259,14 +262,13 @@ def build_config(
     return config
 
 
-def run_from_config(config: Mapping[str, object]) -> SchemeResult:
-    """Execute a canonical config mapping (the manifest round-trip path).
+def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
+    """Validate a config mapping (a manifest's or a bare config file's).
 
     Raises:
         ValueError: on unknown, null or non-numeric fields, fields the scheme
             does not use, unknown scheme tokens, a fractional or out-of-range
             cutoff, or incompatible absorber kinds.
-        FockError: on physics-level failures (propagated from the simulator).
     """
     unknown = sorted(set(config) - set(_CONFIG_FIELDS))
     if unknown:
@@ -285,7 +287,7 @@ def run_from_config(config: Mapping[str, object]) -> SchemeResult:
         raise ValueError(f"config fields {', '.join(map(repr, unused))} do not apply to scheme {token!r}")
     tpam_field = config.get("tpam", _DEFAULT_TPAM[variant])
     tpam = tpam_field if isinstance(tpam_field, (GenericTpam, FwmTpamSpec)) else parse_tpam_spec(str(tpam_field))
-    cfg = manifold_config(
+    return manifold_config(
         config.get("theta1", math.pi / 4),
         p=config.get("p", 1.0),
         tpam=tpam,
@@ -296,7 +298,16 @@ def run_from_config(config: Mapping[str, object]) -> SchemeResult:
         variant=variant,
         cutoff=config.get("cutoff", DEFAULT_CUTOFF),
     )
-    return run_scheme(cfg)
+
+
+def run_from_config(config: Mapping[str, object]) -> SchemeResult:
+    """Execute a config mapping (the manifest round-trip path).
+
+    Raises:
+        ValueError: on a config :func:`_scheme_config` rejects.
+        FockError: on physics-level failures (propagated from the simulator).
+    """
+    return run_scheme(_scheme_config(config))
 
 
 def config_hash(config: Mapping[str, object]) -> str:
@@ -406,6 +417,14 @@ def cmd_run(scheme, p, tpam, theta0, theta1, theta2, phi1, phi2, cutoff, config_
     else:
         config = build_config(scheme, p, tpam, theta0, theta1, theta2, phi1, phi2, cutoff)
     try:
+        if config_path is not None:
+            # record the canonical config, so equal physics hashes alike
+            # (a cutoff of 6 and 6.0, say); the run re-reads that record
+            cfg = _scheme_config(config)
+            config = build_config(
+                _CANONICAL_TOKEN[cfg.variant], cfg.source.p, cfg.tpam, cfg.bs0.theta,
+                cfg.bs1.theta, cfg.bs2.theta, cfg.bs1.phi, cfg.bs2.phi, cfg.cutoff,
+            )
         result = run_from_config(config)
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -118,10 +118,10 @@ def apply_beam_splitter(state: PureState, params: BeamSplitterParams) -> PureSta
                 f"{reg.cutoff} for ket {ket} (combined occupation {n1 + n2})"
             )
         for m1, coeff in _mixing_row(params.theta, params.phi, n1, n2):
-            new = ket.replace_occupation(i1, m1).replace_occupation(i2, n1 + n2 - m1)
+            new = ket.with_occupations({i1: m1, i2: n1 + n2 - m1})
             prev = out.get(new, 0j)
             out[new] = prev + amp * coeff
-    return PureState._of(reg, out)
+    return PureState._of(reg, out, state.norm())
 
 
 def unitarity_check(params: BeamSplitterParams, cutoff: int = DEFAULT_CUTOFF) -> float:

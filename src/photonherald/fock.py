@@ -6,22 +6,24 @@ subsystem (the absorber register used by two-photon media, ground state at
 index 0).
 
 A :class:`PureState` is a sparse map ``FockKet -> complex amplitude``.  Mixed
-states are :class:`Ensemble` objects: classical-probability-weighted lists of
-pure states.  Every mixture produced by the circuits in this package is
-diagonal in that decomposition, so the ensemble picture is exact — a dense
-density-matrix representation is never needed at runtime.
+states are :class:`Ensemble` objects: tuples of unnormalized pure states whose
+squared norms are the branch weights.  Every mixture produced by the circuits
+in this package is diagonal in that decomposition, so the ensemble picture is
+exact — a dense density-matrix representation is never needed at runtime.
 
 Conventions used throughout:
 
-* Amplitudes with magnitude at or below :data:`PRUNE_THRESHOLD` are dropped on
-  construction, so states never store numerical dust.
+* Amplitudes with magnitude at or below :data:`PRUNE_THRESHOLD` times the
+  norm of the state an op acted on are dropped, so states never store
+  numerical dust, and a small branch keeps what its normalized state would.
 * Ket iteration order is deterministic (lexicographic on occupations, then the
   medium index), which keeps every downstream output byte-stable.
 * Conditioning (:func:`project_number`, :meth:`Ensemble.condition_number`)
   returns the *unnormalized* kept component together with its squared norm.
-  For a normalized input that squared norm is the outcome probability, and
-  chaining conditions accumulates joint probabilities.  Renormalization is an
-  explicit caller step.
+  For a normalized input that squared norm is the outcome probability.
+  Ensembles never renormalize: maps, conditions and traces keep each branch
+  unnormalized, so its squared norm is the joint probability of everything
+  it has passed.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ __all__ = [
 #: (an overflow raises) instead of silent.
 DEFAULT_CUTOFF = 4
 
-#: Amplitudes at or below this magnitude are discarded when states are built.
+#: Amplitudes at or below this magnitude, relative to the norm of the state
+#: an op acted on, are discarded when states are built.
 PRUNE_THRESHOLD = 1e-14
 
 #: Squared-norm threshold under which a state counts as numerically zero.
@@ -153,10 +156,13 @@ class FockKet:
     occupations: tuple[int, ...]
     medium: int = 0
 
-    def replace_occupation(self, index: int, value: int) -> "FockKet":
+    def with_occupations(self, counts: Mapping[int, int], medium: int | None = None) -> "FockKet":
+        """This ket with the occupation at each index of ``counts`` replaced
+        (and the medium index, when given)."""
         occ = list(self.occupations)
-        occ[index] = value
-        return FockKet(tuple(occ), self.medium)
+        for index, n in counts.items():
+            occ[index] = n
+        return FockKet(tuple(occ), self.medium if medium is None else medium)
 
     def __str__(self) -> str:
         occ = ",".join(str(n) for n in self.occupations)
@@ -188,16 +194,20 @@ class PureState:
         self._amps = amps
 
     @classmethod
-    def _of(cls, register: ModeRegister, amps: Mapping[FockKet, complex]) -> "PureState":
+    def _of(cls, register: ModeRegister, amps: Mapping[FockKet, complex], norm: float) -> "PureState":
         """Wrap complex amplitudes on kets already valid on ``register``.
 
         Skips :meth:`ModeRegister.validate_ket`, so only operations that map
-        valid kets to valid kets may use it.  Amplitudes at or below
-        :data:`PRUNE_THRESHOLD` are still dropped, into a new dict.
+        valid kets to valid kets may use it.  ``norm`` is the norm of the
+        state the amplitudes were computed from; amplitudes at or below
+        :data:`PRUNE_THRESHOLD` times it are dropped, into a new dict.  The
+        cut is relative, so an op on an unnormalized branch keeps what it
+        would keep on the normalized one.
         """
+        floor = PRUNE_THRESHOLD * norm
         new = cls.__new__(cls)
         new.register = register
-        new._amps = {ket: amp for ket, amp in amps.items() if abs(amp) > PRUNE_THRESHOLD}
+        new._amps = {ket: amp for ket, amp in amps.items() if abs(amp) > floor}
         return new
 
     # -- inspection ------------------------------------------------------
@@ -212,6 +222,9 @@ class PureState:
     def squared_norm(self) -> float:
         return sum(abs(a) ** 2 for a in self._amps.values())
 
+    def norm(self) -> float:
+        return math.sqrt(self.squared_norm())
+
     def is_zero(self) -> bool:
         return not self._amps
 
@@ -225,7 +238,8 @@ class PureState:
     # -- elementwise operations ------------------------------------------
 
     def scaled(self, factor: complex) -> "PureState":
-        return PureState._of(self.register, {k: a * factor for k, a in self._amps.items()})
+        """This state times ``factor``; scaling prunes nothing but exact zeros."""
+        return PureState._of(self.register, {k: a * factor for k, a in self._amps.items()}, 0.0)
 
     def normalized(self) -> "PureState":
         n2 = self.squared_norm()
@@ -261,7 +275,7 @@ def apply_creation(state: PureState, mode: str) -> PureState:
             raise CutoffOverflowError(
                 f"creation on {mode!r} would exceed cutoff {state.register.cutoff} from {ket}"
             )
-        new = ket.replace_occupation(i, n + 1)
+        new = ket.with_occupations({i: n + 1})
         out[new] = out.get(new, 0j) + amp * math.sqrt(n + 1)
     return PureState(state.register, out)
 
@@ -287,7 +301,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
         for kb, ab in b._amps.items():
             medium = ka.medium if ra.medium_dims > 1 else kb.medium
             out[FockKet(ka.occupations + kb.occupations, medium)] = aa * ab
-    return PureState(reg, out)
+    return PureState._of(reg, out, a.norm() * b.norm())
 
 
 def project_number(state: PureState, mode: str, n: int) -> tuple[PureState, float]:
@@ -307,7 +321,7 @@ def project_number(state: PureState, mode: str, n: int) -> tuple[PureState, floa
         if ket.occupations[i] == n:
             occ = ket.occupations[:i] + ket.occupations[i + 1 :]
             out[FockKet(occ, ket.medium)] = amp
-    kept = PureState._of(reg, out)
+    kept = PureState._of(reg, out, state.norm())
     return kept, kept.squared_norm()
 
 
@@ -316,139 +330,144 @@ def with_medium_dims(state: PureState, medium_dims: int) -> PureState:
     if state.register.medium_dims != 1:
         raise ValueError("state already carries a medium subsystem")
     reg = ModeRegister(state.register.labels, state.register.cutoff, medium_dims)
-    return PureState._of(reg, state._amps)
+    return PureState._of(reg, state._amps, 0.0)
 
 
 def relabel_modes(state: PureState, mapping: Mapping[str, str]) -> PureState:
     """Rename modes; occupations and amplitudes are untouched."""
     labels = tuple(mapping.get(lbl, lbl) for lbl in state.register.labels)
     reg = ModeRegister(labels, state.register.cutoff, state.register.medium_dims)
-    return PureState._of(reg, state._amps)
+    return PureState._of(reg, state._amps, 0.0)
 
 
 class Ensemble:
-    """A classical mixture of pure states: list of (weight, PureState).
+    """A mixed state ``rho = sum_k |psi_k><psi_k|`` over unnormalized pure states.
 
-    Branch states are normalized at construction; weights carry all the
-    probability bookkeeping.  Before any conditioning the weights of a
-    physical input mixture sum to 1; after conditioning the total weight is
-    the accumulated joint probability of the accepted outcomes.
+    A branch's weight is the squared norm of its state, so maps, projections
+    and traces carry probability in the amplitudes themselves.  Before any
+    conditioning the weights of a physical input mixture sum to 1; after
+    conditioning the total weight is the accumulated joint probability of
+    the accepted outcomes.
+
+    ``Ensemble(register, [(weight, state), ...])`` is the checked
+    constructor; it scales each state to norm ``sqrt(weight)``.
+    :attr:`branches` and iteration give the (weight, normalized state) view.
     """
 
-    __slots__ = ("register", "branches")
+    __slots__ = ("register", "states")
 
     def __init__(
         self, register: ModeRegister, branches: Iterable[tuple[float, PureState]] = ()
     ) -> None:
-        cleaned: list[tuple[float, PureState]] = []
+        states: list[PureState] = []
         for weight, state in branches:
             if state.register != register:
                 raise ValueError("all ensemble branches must share one register")
             w = float(weight)
             if w < -1e-12:
                 raise ValueError(f"negative branch weight {w}")
-            if w <= 0.0 or state.is_zero():
-                continue
-            cleaned.append((w, state.normalized()))
+            if w > 0.0 and not state.is_zero():
+                states.append(state.scaled(math.sqrt(w / state.squared_norm())))
         self.register = register
-        self.branches = tuple(cleaned)
+        self.states = _live(states)
 
     @classmethod
-    def _of(cls, register: ModeRegister, branches: Iterable[tuple[float, PureState]]) -> "Ensemble":
-        """Wrap branches that are already normalized, without re-checking them."""
+    def _of(cls, register: ModeRegister, states: Iterable[PureState]) -> "Ensemble":
+        """Wrap states on ``register`` without re-checking them."""
         new = cls.__new__(cls)
         new.register = register
-        new.branches = tuple(branches)
+        new.states = _live(states)
         return new
 
+    @property
+    def branches(self) -> tuple[tuple[float, PureState], ...]:
+        """(weight, normalized state) pairs."""
+        return tuple((n2, s.scaled(1.0 / math.sqrt(n2))) for s in self.states for n2 in [s.squared_norm()])
+
     def total_weight(self) -> float:
-        return sum(w for w, _ in self.branches)
+        return sum(s.squared_norm() for s in self.states)
 
     def __len__(self) -> int:
-        return len(self.branches)
+        return len(self.states)
 
     def __iter__(self) -> Iterator[tuple[float, PureState]]:
         return iter(self.branches)
 
     def map_branches(self, op) -> "Ensemble":
-        """Apply a (possibly trace-decreasing) pure-state map branch by branch.
+        """Apply a (possibly trace-decreasing) pure-state map to every branch.
 
-        Any norm lost by ``op`` is folded into the branch weight; branches
-        that die completely are dropped.
+        Norm lost by ``op`` is weight lost; branches that die are dropped.
         """
-        out: list[tuple[float, PureState]] = []
-        register = self.register
-        for w, state in self.branches:
-            mapped = op(state)
-            register = mapped.register
-            n2 = mapped.squared_norm()
-            if n2 > _ZERO_NORM:
-                out.append((w * n2, mapped))
-        return Ensemble(register, out)
+        mapped = [op(state) for state in self.states]
+        return Ensemble._of(mapped[-1].register if mapped else self.register, mapped)
 
     def condition_number(self, mode: str, n: int) -> tuple["Ensemble", float]:
         """Condition every branch on ``n`` photons in ``mode``.
 
-        Returns the surviving ensemble (weights = joint probabilities, states
-        renormalized, measured mode dropped) and the total accepted
-        probability relative to this ensemble's weights.
+        Returns the surviving ensemble (measured mode dropped, weights the
+        joint probabilities) and its total weight, the accepted probability.
         """
-        out: list[tuple[float, PureState]] = []
-        total = 0.0
-        for w, state in self.branches:
-            kept, q = project_number(state, mode, n)
-            if q > _ZERO_NORM:
-                total += w * q
-                out.append((w * q, kept))
-        register = out[0][1].register if out else self.register.without(mode)
-        return Ensemble(register, out), total
+        kept = Ensemble._of(
+            self.register.without(mode), (project_number(s, mode, n)[0] for s in self.states)
+        )
+        return kept, kept.total_weight()
 
     def number_distribution(self, mode: str) -> dict[int, float]:
         """Probability of each photon count in ``mode`` (by branch weight)."""
         dist: dict[int, float] = {}
         i = self.register.index(mode)
-        for w, state in self.branches:
+        for state in self.states:
             for ket, amp in state._amps.items():
                 n = ket.occupations[i]
-                dist[n] = dist.get(n, 0.0) + w * abs(amp) ** 2
+                dist[n] = dist.get(n, 0.0) + abs(amp) ** 2
         return dist
 
     def normalized_weights(self) -> "Ensemble":
         total = self.total_weight()
         if total <= 0.0:
             raise ValueError("cannot normalize an empty ensemble")
-        return Ensemble._of(self.register, ((w / total, s) for w, s in self.branches))
+        return Ensemble._of(self.register, (s.scaled(1.0 / math.sqrt(total)) for s in self.states))
 
     def consolidated(self, atol: float = _CONSOLIDATE_ATOL) -> "Ensemble":
-        """Merge branches that are equal up to a global phase.
+        """Merge branches whose states are equal up to norm and global phase.
 
-        Keeps ensembles small after partial traces; exact mixtures produced
-        by the circuits here only ever have a handful of distinct branches,
-        so the pairwise comparison is cheap.
+        The first state of each group is kept, scaled to the group's total
+        weight.  Keeps ensembles small after partial traces; exact mixtures
+        produced by the circuits here only ever have a handful of distinct
+        branches, so the pairwise comparison is cheap.
         """
-        merged: list[tuple[float, PureState]] = []
-        for w, state in self.branches:
-            canon = _canonical_phase(state)
-            for j, (wj, sj) in enumerate(merged):
-                if _states_close(canon, _canonical_phase(sj), atol):
-                    merged[j] = (wj + w, sj)
+        groups: list[list] = []  # [direction, first state, its weight, group weight]
+        for state in self.states:
+            n2 = state.squared_norm()
+            direction = _direction(state, n2)
+            for group in groups:
+                if _states_close(direction, group[0], atol):
+                    group[3] += n2
                     break
             else:
-                merged.append((w, state))
-        return Ensemble._of(self.register, merged)
+                groups.append([direction, state, n2, n2])
+        return Ensemble._of(
+            self.register,
+            (s if total == own else s.scaled(math.sqrt(total / own)) for _, s, own, total in groups),
+        )
 
 
-def _canonical_phase(state: PureState) -> PureState:
-    """Rotate the global phase so the largest-magnitude amplitude is real positive."""
+def _live(states: Iterable[PureState]) -> tuple[PureState, ...]:
+    """The states that carry weight.  Ops prune relative to each branch's own
+    norm, so a branch dies by losing every amplitude, not by being small."""
+    return tuple(s for s in states if s.squared_norm() > 0.0)
+
+
+def _direction(state: PureState, n2: float) -> PureState:
+    """``state`` at unit norm, turned so its largest amplitude is real positive."""
+    norm = math.sqrt(n2)
     best: tuple[float, FockKet] | None = None
     for ket, amp in state._amps.items():
-        mag = abs(amp)
+        mag = abs(amp) / norm
         if best is None or mag > best[0] + 1e-15 or (abs(mag - best[0]) <= 1e-15 and ket < best[1]):
             best = (mag, ket)
-    if best is None:
-        return state
     anchor = state._amps[best[1]]
-    return state.scaled(abs(anchor) / anchor)
+    return state.scaled(abs(anchor) / anchor / norm)
 
 
 def _states_close(a: PureState, b: PureState, atol: float) -> bool:
@@ -459,29 +478,20 @@ def _states_close(a: PureState, b: PureState, atol: float) -> bool:
 def partial_trace_discard(state: PureState | Ensemble, mode: str) -> Ensemble:
     """Trace out one mode, returning the reduced state as an ensemble.
 
-    A pure state decomposes exactly over the discarded mode's occupation:
-    grouping the kets by that occupation yields orthogonal components whose
-    squared norms are the branch weights of the reduced density matrix.
+    Grouping each state's kets by the discarded mode's occupation yields
+    orthogonal components; their squared norms are the branch weights of the
+    reduced density matrix.
     """
-    if isinstance(state, Ensemble):
-        reg = state.register.without(mode)
-        branches: list[tuple[float, PureState]] = []
-        for w, s in state.branches:
-            for wk, sk in partial_trace_discard(s, mode).branches:
-                branches.append((w * wk, sk))
-        return Ensemble(reg, branches).consolidated()
-
     i = state.register.index(mode)
     reg = state.register.without(mode)
-    groups: dict[int, dict[FockKet, complex]] = {}
-    for ket, amp in state._amps.items():
-        occ = ket.occupations[:i] + ket.occupations[i + 1 :]
-        groups.setdefault(ket.occupations[i], {})[FockKet(occ, ket.medium)] = amp
-    branches = []
-    for _, amps in sorted(groups.items()):
-        component = PureState._of(reg, amps)
-        branches.append((component.squared_norm(), component))
-    return Ensemble(reg, branches).consolidated()
+    components: list[PureState] = []
+    for psi in state.states if isinstance(state, Ensemble) else (state,):
+        groups: dict[int, dict[FockKet, complex]] = {}
+        for ket, amp in psi._amps.items():
+            occ = ket.occupations[:i] + ket.occupations[i + 1 :]
+            groups.setdefault(ket.occupations[i], {})[FockKet(occ, ket.medium)] = amp
+        components.extend(PureState._of(reg, amps, psi.norm()) for _, amps in sorted(groups.items()))
+    return Ensemble._of(reg, components).consolidated()
 
 
 def fidelity_to_single_photon(state: PureState | Ensemble) -> float:
@@ -489,25 +499,21 @@ def fidelity_to_single_photon(state: PureState | Ensemble) -> float:
 
     For a pure state this is ``|<1|psi>|^2`` (medium levels summed over, i.e.
     the medium is traced out); for an ensemble, the weight-averaged value.
-    Branch weights/normalization are divided out, so conditioned states can
-    be passed directly.
+    Norms and weights are divided out, so conditioned states can be passed
+    directly.
 
     Raises:
         ValueError: if the state still has more (or fewer) than one mode.
     """
-    if isinstance(state, Ensemble):
-        total = state.total_weight()
-        if total <= 0.0:
-            return 0.0
-        return sum(w * fidelity_to_single_photon(s) for w, s in state.branches) / total
     if state.register.n_modes != 1:
         raise ValueError(
             f"fidelity_to_single_photon needs a single-mode state, got {state.register.n_modes} modes"
         )
-    n2 = state.squared_norm()
-    if n2 <= _ZERO_NORM:
+    states = state.states if isinstance(state, Ensemble) else (state,)
+    total = sum(psi.squared_norm() for psi in states)
+    if total <= 0.0:
         return 0.0
     got = sum(
-        abs(amp) ** 2 for ket, amp in state._amps.items() if ket.occupations == (1,)
+        abs(amp) ** 2 for psi in states for ket, amp in psi._amps.items() if ket.occupations == (1,)
     )
-    return got / n2
+    return got / total

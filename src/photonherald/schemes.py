@@ -214,17 +214,14 @@ def reduce_through_bs0(
     Results are memoized on the arguments, and a repeated call returns the
     same ensemble object; like every state here, treat it as read-only.
     """
-    mix_a = input_mixture(p, "A", cutoff=cutoff)
-    mix_b = input_mixture(p, "B", cutoff=cutoff)
     bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
-    joint_reg = ModeRegister(("A", "B"), cutoff)
-    joint = Ensemble(
-        joint_reg,
-        [
-            (wa * wb, apply_beam_splitter(tensor(sa, sb), bs0))
-            for wa, sa in mix_a
-            for wb, sb in mix_b
-        ],
+    joint = Ensemble._of(
+        ModeRegister(("A", "B"), cutoff),
+        (
+            apply_beam_splitter(tensor(a, b), bs0)
+            for a in input_mixture(p, "A", cutoff=cutoff).states
+            for b in input_mixture(p, "B", cutoff=cutoff).states
+        ),
     )
     if not discard:
         return joint
@@ -248,8 +245,8 @@ def reduce_through_bs0(
 #       detector's share, ``mirror`` adds an unmonitored output's click.
 #
 # All but "trace" and "herald" map pure states; each run of them is applied
-# branch by branch in one Ensemble.map_branches pass, which folds the norm a
-# detection removes into the branch weight.
+# branch by branch in one Ensemble.map_branches pass.  Branch states stay
+# unnormalized, so the norm a detection removes is weight lost.
 
 
 def _act(stage: tuple, state: PureState) -> PureState:
@@ -405,25 +402,21 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
     p_success = 0.0
     branch_log: dict[int, float] = {}
     kept: list[Ensemble] = []
-    for weight, state in circuit.inputs:
-        pre = circuit.prepare(Ensemble._of(circuit.inputs.register, ((weight, state),)))
+    for state in circuit.inputs.states:
+        pre = circuit.prepare(Ensemble._of(circuit.inputs.register, (state,)))
         contribution = 0.0
         heralded = []
-        if pre.branches:
-            for detector, counts, tail in outcomes:
-                detected, q = pre, 0.0
-                for mode, n in counts:
-                    if not detected.branches:
-                        break
-                    detected, q = detected.condition_number(mode, n)
-                clicks[detector] += q
-                contribution += q
-                if detected.branches:
-                    heralded.append(_run(detected, tail))
-            if mirror:
-                clicks[mirror] += pre.number_distribution(mirror).get(1, 0.0)
-        ket, _ = next(iter(state.terms()))
-        sector = sum(ket.occupations)
+        for detector, counts, tail in outcomes:
+            detected = pre
+            for mode, n in counts:
+                detected, q = detected.condition_number(mode, n)
+            clicks[detector] += q
+            contribution += q
+            if detected.states:
+                heralded.append(_run(detected, tail))
+        if mirror:
+            clicks[mirror] += pre.number_distribution(mirror).get(1, 0.0)
+        sector = sum(next(iter(state.terms()))[0].occupations)
         branch_log[sector] = branch_log.get(sector, 0.0) + contribution
         if contribution > _NEGLIGIBLE:
             p_success += contribution
@@ -434,8 +427,8 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
     conditional: Ensemble | None = None
     fidelity = 0.0
     if p_success > _NEGLIGIBLE and kept:
-        branches = [branch for ens in kept for branch in ens.branches]
-        conditional = Ensemble._of(kept[-1].register, branches).normalized_weights().consolidated()
+        states = [psi for ens in kept for psi in ens.states]
+        conditional = Ensemble._of(kept[-1].register, states).normalized_weights().consolidated()
         fidelity = fidelity_to_single_photon(conditional)
     p = cfg.source.p
     details |= {"p": p, "p_success_over_p2": p_success / p**2 if p > 0 else None, "variant": cfg.variant}

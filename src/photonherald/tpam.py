@@ -130,11 +130,8 @@ def apply_generic_tpam(
     """
     reg = state.register
     i = reg.index(mode)
-    if reg.medium_dims <= excited_level:
-        raise ValueError(
-            f"medium subsystem too small: need at least {excited_level + 1} levels, "
-            f"register has {reg.medium_dims}"
-        )
+    if not 0 <= excited_level < reg.medium_dims:
+        raise ValueError(f"excited level {excited_level} outside the register's {reg.medium_dims} medium levels")
     phase = cmath.exp(1j * tpam.global_phase)
     out: dict[FockKet, complex] = {}
 
@@ -153,12 +150,11 @@ def apply_generic_tpam(
                     "two photons reached a TPAM whose medium is already excited; "
                     "the model defines no dynamics for this"
                 )
-            absorbed = FockKet(ket.occupations[:i] + (0,) + ket.occupations[i + 1 :], excited_level)
-            _add(absorbed, amp * tpam.alpha * phase)
+            _add(ket.with_occupations({i: 0}, excited_level), amp * tpam.alpha * phase)
             _add(ket, amp * tpam.beta * phase)
         else:
             _add(ket, amp * phase)
-    return PureState(reg, out)
+    return PureState._of(reg, out, state.norm())
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,11 +256,6 @@ def fwm_evolve(
         and round(params.length_multiple) % 2 == 1
     )
 
-    def _with(ket: FockKet, pump: int, e1: int, e2: int) -> FockKet:
-        occ = list(ket.occupations)
-        occ[ip], occ[i1], occ[i2] = pump, e1, e2
-        return FockKet(tuple(occ), ket.medium)
-
     out: dict[FockKet, complex] = {}
 
     def _add(ket: FockKet, amp: complex) -> None:
@@ -290,12 +281,12 @@ def fwm_evolve(
             _add(ket, amp)
         elif n == 1:
             _add(ket, amp * math.cos(rabi))
-            _add(_with(ket, 0, 1, 1), amp * (-1j) * math.sin(rabi))
+            _add(ket.with_occupations({ip: 0, i1: 1, i2: 1}), amp * (-1j) * math.sin(rabi))
         else:
-            _add(_with(ket, 0, 2, 2), amp * alpha0)
-            _add(_with(ket, 1, 1, 1), amp * alpha1)
+            _add(ket.with_occupations({ip: 0, i1: 2, i2: 2}), amp * alpha0)
+            _add(ket.with_occupations({ip: 1, i1: 1, i2: 1}), amp * alpha1)
             _add(ket, amp * beta)
-    return PureState(reg, out)
+    return PureState._of(reg, out, state.norm())
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,9 +331,9 @@ class FwmConditionedChannel:
             if hit is None:
                 continue
             n_out, factor = hit
-            new = ket.replace_occupation(i, n_out)
+            new = ket.with_occupations({i: n_out})
             out[new] = out.get(new, 0j) + amp * factor
-        return PureState(state.register, out)
+        return PureState._of(state.register, out, state.norm())
 
 
 def fwm_conditioned_channel(

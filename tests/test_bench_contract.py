@@ -1,0 +1,51 @@
+"""The traced benchmark run wraps package functions by name; they must exist.
+
+``perfbench/tracer.py`` is loaded by path and only read.  A rename or removal
+of a traced function then fails here instead of breaking the traced run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = load_tracer()
+TRACED = [
+    (module, attr, span)
+    for module, names in TRACER.SPANS.items()
+    for attr, span in names.items()
+]
+
+
+def traced_function(module: str, attr: str):
+    return getattr(importlib.import_module(f"photonherald.{module}"), attr, None)
+
+
+@pytest.mark.parametrize("module,attr,span", TRACED)
+def test_every_span_names_a_package_callable(module, attr, span):
+    assert callable(traced_function(module, attr)), f"span {span!r} wraps photonherald.{module}.{attr}"
+
+
+@pytest.mark.parametrize("span,keys", sorted(TRACER.KEYS.items()))
+def test_every_key_argument_is_a_parameter(span, keys):
+    (module, attr), = [(module, attr) for module, attr, name in TRACED if name == span]
+    parameters = inspect.signature(traced_function(module, attr)).parameters
+    assert set(keys) <= set(parameters)
+
+
+def test_mixing_row_cache_is_inspectable():
+    from photonherald import elements
+
+    assert callable(elements._mixing_row.cache_info)

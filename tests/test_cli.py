@@ -5,8 +5,10 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photonherald import MAX_CUTOFF, FwmTpamSpec, GenericTpam
+from photonherald import MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam
 from photonherald.cli import (
     config_hash,
     format_tpam_spec,
@@ -375,6 +377,116 @@ def test_sweep_bad_steps_is_usage_error(runner, tmp_path, steps):
 
 def test_sweep_missing_file_is_usage_error(runner, tmp_path):
     assert runner.invoke(main, ["sweep", str(tmp_path / "absent.json")]).exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# canonical --config manifests and bad numbers
+
+
+@pytest.mark.parametrize("field,first,second", [("cutoff", 6.0, 6), ("p", 1, 1.0)])
+def test_config_numbers_of_equal_value_record_one_config(runner, tmp_path, field, first, second):
+    a = manifest_of(run_config(runner, tmp_path, {field: first}))
+    b = manifest_of(run_config(runner, tmp_path, {field: second}))
+    assert json.dumps(a["config"]) == json.dumps(b["config"])
+    assert a["config_hash"] == b["config_hash"]
+
+
+def test_config_file_records_the_flag_path_config(runner, tmp_path):
+    flags = manifest_of(invoke(runner, "run", "--theta1", "0.5", "--tpam", "jf:M=3"))
+    config = manifest_of(run_config(runner, tmp_path, {"theta1": 0.5, "tpam": "fwm:M=3", "cutoff": 4.0}))
+    assert json.dumps(config["config"]) == json.dumps(flags["config"])
+    assert config["config_hash"] == flags["config_hash"]
+
+
+@pytest.mark.parametrize("config", [{"p": True}, {"theta1": False}, {"p": True, "theta1": False}, {"cutoff": True}])
+def test_boolean_config_field_is_usage_error(runner, tmp_path, config):
+    assert_one_line_usage_error(run_config(runner, tmp_path, config))
+
+
+@pytest.mark.parametrize("tpam", ["jf:M=1/0", "fwm:M=3/0,condition=(1,1)"])
+def test_zero_denominator_mixer_length_is_usage_error(runner, tmp_path, tpam):
+    assert_one_line_usage_error(runner.invoke(main, ["run", "--tpam", tpam]))
+    assert_one_line_usage_error(run_config(runner, tmp_path, {"tpam": tpam}))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"p": [True]},
+        {"beta": [True]},
+        {"beta": [[0.1, False]]},
+        {"theta1": {"start": 0, "stop": True, "steps": 3}},
+        {"theta1": {"start": 0.3, "stop": float("nan"), "steps": 1}},
+    ],
+)
+def test_boolean_or_unused_bad_sweep_value_is_usage_error(runner, tmp_path, spec):
+    assert_one_line_usage_error(runner.invoke(main, ["sweep", write_spec(tmp_path, spec)]))
+
+
+BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, True, False])
+BAD_TEXT = st.sampled_from(["nan", "inf", "-inf", "true", "True", "1/0"])
+ANY_SCHEME = ["main", "doubled", "pair-herald", "filter-split"]
+
+
+@st.composite
+def bad_run_configs(draw):
+    """A run config with NaN, +-inf or a boolean in exactly one numeric field."""
+    field = draw(st.sampled_from(["p", "theta0", "cutoff", "theta1", "theta2", "phi1", "phi2", "alpha", "beta", "M"]))
+    if field == "M":
+        scheme = draw(st.sampled_from(["pair-herald", "filter-split"]))
+        return {"scheme": scheme, "tpam": f"jf:M={draw(BAD_TEXT)}" + (",condition=(1,1)" if scheme == "pair-herald" else "")}
+    scheme = draw(st.sampled_from(ANY_SCHEME if field in ("p", "theta0", "cutoff") else ANY_SCHEME[:2]))
+    if field in ("alpha", "beta"):
+        coefficients = {"alpha": "0.6", "beta": "0.8", field: draw(BAD_TEXT)}
+        return {"scheme": scheme, "tpam": "generic:alpha={alpha},beta={beta}".format(**coefficients)}
+    return {"scheme": scheme, field: draw(BAD_NUMBERS)}
+
+
+@st.composite
+def bad_sweep_specs(draw):
+    """A sweep spec with NaN, +-inf or a boolean in exactly one numeric field."""
+    spec: dict[str, object] = {"theta1": [0.4, 0.6], "beta": [0.0, [0.1, 0.2]], "p": [0.5, 1.0]}
+    place = draw(st.sampled_from(["entry", "start", "stop", "steps", "beta", "beta-pair", "beta-text"]))
+    axis = draw(st.sampled_from(["theta0", "theta1", "p"]))
+    if place == "entry":
+        values = [0.4, 0.6]
+        values.insert(draw(st.integers(0, 2)), draw(BAD_NUMBERS))
+        spec[axis] = values
+    elif place in ("start", "stop", "steps"):
+        spec[axis] = {"start": 0.2, "stop": 0.8, "steps": draw(st.integers(1, 3)), place: draw(BAD_NUMBERS)}
+    elif place == "beta":
+        spec["beta"] = [0.1, draw(BAD_NUMBERS)]
+    elif place == "beta-pair":
+        spec["beta"] = [[0.1, draw(BAD_NUMBERS)]] if draw(st.booleans()) else [[draw(BAD_NUMBERS), 0.1]]
+    else:
+        spec["beta"] = [draw(BAD_TEXT)]
+    return spec
+
+
+def assert_no_number_printed(result):
+    assert_one_line_usage_error(result)
+    assert "p_success" not in result.output
+    assert not any(line.count(",") == len(SWEEP_COLUMNS) - 1 for line in result.output.splitlines())
+
+
+@given(config=bad_run_configs())
+@settings(max_examples=60, deadline=None)
+def test_bad_number_in_run_config_never_prints_a_result(config):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("config.json", "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert_no_number_printed(runner.invoke(main, ["run", "--config", "config.json"]))
+
+
+@given(spec=bad_sweep_specs())
+@settings(max_examples=60, deadline=None)
+def test_bad_number_in_sweep_spec_never_prints_a_row(spec):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("spec.json", "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        assert_no_number_printed(runner.invoke(main, ["sweep", "spec.json"]))
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,18 @@ def test_ensemble_drops_zero_weight_branches():
     assert ens.total_weight() == pytest.approx(0.7)
 
 
+def test_ensemble_keeps_tiny_weight_branches():
+    r = reg("B")
+    plus = PureState(r, {FockKet((0,)): INV_SQRT2, FockKet((1,)): INV_SQRT2})
+    ens = Ensemble(r, [(1e-30, fock_state(r, (1,))), (1e-40, plus), (1.0, vacuum_state(r))])
+    assert len(ens) == 3
+    assert [w for w, _ in ens] == pytest.approx([1e-30, 1e-40, 1.0], rel=1e-12)
+    assert all(s.squared_norm() == pytest.approx(1.0, abs=1e-14) for _, s in ens)
+    merged = Ensemble(r, [(1e-30, plus), (1e-30, plus.scaled(-1j))]).consolidated()
+    assert len(merged) == 1
+    assert merged.total_weight() == pytest.approx(2e-30, rel=1e-12)
+
+
 def test_condition_number_returns_joint_probability():
     r = reg("B", "C")
     ens = Ensemble(

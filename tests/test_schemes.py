@@ -11,13 +11,16 @@ from photonherald import (
     MAX_CUTOFF,
     PAIR_HERALD,
     BeamSplitterParams,
+    Ensemble,
     FockKet,
     FwmParams,
     FwmTpamSpec,
     GenericTpam,
     SchemeConfig,
     SourceSpec,
+    build_circuit,
     input_mixture,
+    manifold_config,
     reduce_through_bs0,
     run_doubled_scheme,
     run_filter_split_scheme,
@@ -342,3 +345,56 @@ def test_result_serialization_round_trips_sorted_sectors():
     assert blob["details"]["p_success_over_p2"] == pytest.approx(
         result.p_success / 0.36, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# small branch weights: a branch's physics must not depend on its weight
+
+NEAR_NULL = math.pi / 2 - 1e-4
+
+SCALE_CASES = [
+    dict(tpam=FULL_ABSORBER),
+    dict(tpam=GenericTpam(0.6j, 0.8), theta0=0.2, theta1=0.7, phi1=0.3, theta2=0.9),
+    dict(tpam=FwmTpamSpec(FwmParams(3.0)), theta0=1e-3, theta1=NEAR_NULL, phi1=0.3, theta2=0.7),
+    dict(tpam=PHASE_FLIP, variant=DOUBLED, theta1=math.pi / 6, theta2=math.pi / 3),
+    dict(tpam=FwmTpamSpec(FwmParams(2.0), (1, 1)), variant=PAIR_HERALD),
+    dict(tpam=FwmTpamSpec(FwmParams(1.5)), variant=FILTER_SPLIT, theta0=0.2),
+]
+
+
+@pytest.mark.parametrize("kwargs", SCALE_CASES)
+def test_heralded_branches_do_not_depend_on_branch_weight(kwargs):
+    # the same input branches at 1e-16 of their weight: every herald
+    # probability scales by 1e-16 and every heralded state is unchanged
+    scale = 1e-16
+    circuit = build_circuit(manifold_config(p=1.0, **kwargs))
+    _, outcomes, _, _ = circuit.stages[-1]
+    small = Ensemble(circuit.inputs.register, [(w * scale, s) for w, s in circuit.inputs])
+    for _, counts, _ in outcomes:
+        ref, got = circuit.prepare(), circuit.prepare(small)
+        for mode, n in counts:
+            ref, q_ref = ref.condition_number(mode, n)
+            got, q_got = got.condition_number(mode, n)
+        assert q_got / scale == pytest.approx(q_ref, rel=1e-12, abs=1e-15)
+        assert len(got) == len(ref)
+        for (w_ref, s_ref), (w_got, s_got) in zip(ref, got):
+            assert w_got / scale == pytest.approx(w_ref, rel=1e-12, abs=1e-15)
+            assert [k for k, _ in s_got.terms()] == [k for k, _ in s_ref.terms()]
+            for (_, a_got), (_, a_ref) in zip(s_got.terms(), s_ref.terms()):
+                assert abs(a_got - a_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-8, 1e-10])
+def test_weak_sources_herald_the_unit_source_state_on_null_manifold(p):
+    # a lone photon never heralds here, so only the p^2 sector is left
+    weak, unit = run_main_scheme(main_config(p=p)), run_main_scheme(main_config(p=1.0))
+    assert weak.details["p_success_over_p2"] == pytest.approx(unit.p_success, abs=1e-12)
+    assert weak.fidelity == pytest.approx(unit.fidelity, abs=1e-12)
+    weak_state, unit_state = weak.to_dict()["conditional_state"], unit.to_dict()["conditional_state"]
+    assert len(weak_state["branches"]) == len(unit_state["branches"])
+    for got, want in zip(weak_state["branches"], unit_state["branches"]):
+        assert got["weight"] == pytest.approx(want["weight"], abs=1e-12)
+        assert len(got["terms"]) == len(want["terms"])
+        for a, b in zip(got["terms"], want["terms"]):
+            assert (a["occupations"], a["medium"]) == (b["occupations"], b["medium"])
+            assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= 1e-12
