@@ -448,6 +448,7 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
                         theta1, spec.case, p=p, beta=beta, theta0=theta0, cutoff=cutoff
                     )
                     result = run_main_scheme(cfg)
+                    ratio = result.details["p_success_over_p2"]
                     rows.append(
                         {
                             "theta0_rad": theta0,
@@ -457,9 +458,7 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
                             "beta_im": beta.imag,
                             "p": p,
                             "p_success": result.p_success,
-                            "p_success_over_p2": (
-                                result.p_success / p**2 if p > 0 else float("nan")
-                            ),
+                            "p_success_over_p2": float("nan") if ratio is None else ratio,
                             "fidelity": result.fidelity,
                         }
                     )

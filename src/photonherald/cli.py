@@ -3,7 +3,10 @@
 Three subcommands:
 
 * ``run`` — execute one scheme and emit a JSON run manifest (command echo,
-  canonical config, config hash, result payload).
+  canonical config, config hash, result payload).  The flags that carry a
+  value, or else a ``--config`` file, form one config mapping that
+  :func:`run_from_config` validates once, records canonically and runs; a
+  physics flag typed beside ``--config`` is an error.
 * ``sweep`` — evaluate a grid of main-scheme configurations from a JSON spec
   file and emit an RFC-4180 CSV table (or gnuplot-style columns).
 * ``verify`` — run the built-in check suites and exit nonzero on failure.
@@ -31,6 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .analysis import SWEEP_COLUMNS, SweepSpec, manifold_config, sweep_rows
@@ -225,45 +229,11 @@ CUTOFF_OPTION = click.option(
 # Config canonicalization and execution
 
 
-def build_config(
-    scheme: str,
-    p: float,
-    tpam: GenericTpam | FwmTpamSpec | None,
-    theta0: float | None,
-    theta1: float | None,
-    theta2: float | None,
-    phi1: float | None,
-    phi2: float | None,
-    cutoff: int,
-) -> dict[str, object]:
-    """Canonical config mapping for a run (plain JSON types only).
-
-    For the interferometric schemes, an unspecified second splitter angle
-    snaps onto the null-condition manifold (theta2 = pi/2 - theta1), so a
-    bare ``--theta1`` stays on the constraint surface.
-    """
-    variant = SCHEME_TOKENS[scheme]
-    if tpam is None:
-        tpam = parse_tpam_spec(_DEFAULT_TPAM[variant])
-    config: dict[str, object] = {
-        "scheme": _CANONICAL_TOKEN[variant],
-        "p": float(p),
-        "cutoff": int(cutoff),
-        "tpam": format_tpam_spec(tpam),
-        "theta0": float(theta0) if theta0 is not None else math.pi / 4,
-    }
-    if variant in (MAIN, DOUBLED):
-        t1 = float(theta1) if theta1 is not None else math.pi / 4
-        t2 = float(theta2) if theta2 is not None else math.pi / 2 - t1
-        config["theta1"] = t1
-        config["theta2"] = t2
-        config["phi1"] = float(phi1) if phi1 is not None else 0.0
-        config["phi2"] = float(phi2) if phi2 is not None else 0.0
-    return config
-
-
 def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
-    """Validate a config mapping (a manifest's or a bare config file's).
+    """Validate a run config mapping (a manifest's, a config file's or the flags').
+
+    Every field is optional; :func:`manifold_config` and ``_DEFAULT_TPAM``
+    hold the defaults.
 
     Raises:
         ValueError: on unknown, null or non-numeric fields, fields the scheme
@@ -278,36 +248,45 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
     nulls = sorted(key for key, value in config.items() if value is None)
     if nulls:
         raise ValueError(f"config fields must not be null: {', '.join(nulls)}")
-    token = str(config.get("scheme", "main"))
+    fields = dict(config)
+    token = str(fields.pop("scheme", "main"))
     variant = SCHEME_TOKENS.get(token)
     if variant is None:
         raise ValueError(f"unknown scheme {token!r} (expected one of {sorted(SCHEME_TOKENS)})")
-    unused = sorted(set(config) & set(_SPLITTER_FIELDS))
+    unused = sorted(set(fields) & set(_SPLITTER_FIELDS))
     if unused and variant not in (MAIN, DOUBLED):
         raise ValueError(f"config fields {', '.join(map(repr, unused))} do not apply to scheme {token!r}")
-    tpam_field = config.get("tpam", _DEFAULT_TPAM[variant])
-    tpam = tpam_field if isinstance(tpam_field, (GenericTpam, FwmTpamSpec)) else parse_tpam_spec(str(tpam_field))
-    return manifold_config(
-        config.get("theta1", math.pi / 4),
-        p=config.get("p", 1.0),
-        tpam=tpam,
-        theta0=config.get("theta0", math.pi / 4),
-        theta2=config.get("theta2"),
-        phi1=config.get("phi1"),
-        phi2=config.get("phi2"),
-        variant=variant,
-        cutoff=config.get("cutoff", DEFAULT_CUTOFF),
-    )
+    tpam = fields.pop("tpam", _DEFAULT_TPAM[variant])
+    if not isinstance(tpam, (GenericTpam, FwmTpamSpec)):
+        tpam = parse_tpam_spec(str(tpam))
+    return manifold_config(**fields, tpam=tpam, variant=variant)
 
 
-def run_from_config(config: Mapping[str, object]) -> SchemeResult:
-    """Execute a config mapping (the manifest round-trip path).
+def _config_record(cfg: SchemeConfig) -> dict[str, object]:
+    """Canonical config mapping of ``cfg`` (plain JSON types only), so equal
+    physics records and hashes alike (a cutoff of 6 and 6.0, say)."""
+    record: dict[str, object] = {
+        "scheme": _CANONICAL_TOKEN[cfg.variant],
+        "p": cfg.source.p,
+        "cutoff": cfg.cutoff,
+        "tpam": format_tpam_spec(cfg.tpam),
+        "theta0": cfg.bs0.theta,
+    }
+    if cfg.variant in (MAIN, DOUBLED):
+        record |= {"theta1": cfg.bs1.theta, "theta2": cfg.bs2.theta, "phi1": cfg.bs1.phi, "phi2": cfg.bs2.phi}
+    return record
+
+
+def run_from_config(config: Mapping[str, object]) -> tuple[dict[str, object], SchemeResult]:
+    """Validate a config mapping once, run it, and return its canonical
+    record with the result.  Every ``run`` goes through here.
 
     Raises:
         ValueError: on a config :func:`_scheme_config` rejects.
         FockError: on physics-level failures (propagated from the simulator).
     """
-    return run_scheme(_scheme_config(config))
+    cfg = _scheme_config(config)
+    return _config_record(cfg), run_scheme(cfg)
 
 
 def config_hash(config: Mapping[str, object]) -> str:
@@ -392,7 +371,7 @@ def main() -> None:
     type=click.Path(exists=True, dir_okay=False),
     default=None,
     help="Re-run the config from a previous manifest (or bare config) JSON; "
-    "overrides the physics flags.",
+    "a physics flag typed beside it exits 2.",
 )
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 @click.option(
@@ -402,9 +381,15 @@ def main() -> None:
     is_flag=True,
     help="Emit plot-ready columns (p_success, fidelity) instead of JSON.",
 )
-def cmd_run(scheme, p, tpam, theta0, theta1, theta2, phi1, phi2, cutoff, config_path, output, points) -> None:
+def cmd_run(config_path, output, points, **flags) -> None:
     """Run one scheme and emit a JSON run manifest."""
-    if config_path is not None:
+    if config_path is None:
+        config = {name: value for name, value in flags.items() if value is not None}
+    else:
+        ctx = click.get_current_context()
+        typed = [f"--{name}" for name in flags if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+        if typed:
+            raise click.UsageError(f"--config sets every physics field; drop {', '.join(typed)}")
         try:
             loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -414,18 +399,8 @@ def cmd_run(scheme, p, tpam, theta0, theta1, theta2, phi1, phi2, cutoff, config_
         config = loaded.get("config", loaded)
         if not isinstance(config, dict):
             raise click.UsageError("manifest 'config' field must be an object")
-    else:
-        config = build_config(scheme, p, tpam, theta0, theta1, theta2, phi1, phi2, cutoff)
     try:
-        if config_path is not None:
-            # record the canonical config, so equal physics hashes alike
-            # (a cutoff of 6 and 6.0, say); the run re-reads that record
-            cfg = _scheme_config(config)
-            config = build_config(
-                _CANONICAL_TOKEN[cfg.variant], cfg.source.p, cfg.tpam, cfg.bs0.theta,
-                cfg.bs1.theta, cfg.bs2.theta, cfg.bs1.phi, cfg.bs2.phi, cfg.cutoff,
-            )
-        result = run_from_config(config)
+        config, result = run_from_config(config)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except FockError as exc:

@@ -29,6 +29,7 @@ per-input-photon-sector breakdown of where the probability came from.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import groupby
@@ -78,9 +79,6 @@ PAIR_HERALD = "pair_herald"
 FILTER_SPLIT = "filter_split"
 VARIANTS = (MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT)
 
-#: Joint probabilities at or below this are treated as dead branches.
-_NEGLIGIBLE = 1e-24
-
 #: Largest per-mode cutoff a scheme accepts.  No circuit here holds more than
 #: two photons in a mode, and the doubled herald enumerates (cutoff + 1)^2
 #: detector outcomes, so a larger cutoff only costs time.
@@ -93,13 +91,18 @@ BS0_CACHE_SIZE = 256
 
 @dataclass(frozen=True, slots=True)
 class SourceSpec:
-    """Single-photon source efficiency p: emits |1> with probability p, else vacuum."""
+    """Single-photon source efficiency p: emits |1> with probability p, else vacuum.
+
+    A nonzero p must keep p^2, the scale of every herald, a normal double.
+    """
 
     p: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
+        if self.p > 0.0 and self.p * self.p < sys.float_info.min:
+            raise ValueError(f"source efficiency {self.p} is too small: p^2 is not a normal double (p >= 1.5e-154 or 0)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,15 +421,14 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
             clicks[mirror] += pre.number_distribution(mirror).get(1, 0.0)
         sector = sum(next(iter(state.terms()))[0].occupations)
         branch_log[sector] = branch_log.get(sector, 0.0) + contribution
-        if contribution > _NEGLIGIBLE:
-            p_success += contribution
-            kept.extend(heralded)
+        p_success += contribution
+        kept.extend(heralded)
     details = dict(circuit.details)
     if report:
         details[report] = clicks
     conditional: Ensemble | None = None
     fidelity = 0.0
-    if p_success > _NEGLIGIBLE and kept:
+    if p_success > 0.0 and kept:
         states = [psi for ens in kept for psi in ens.states]
         conditional = Ensemble._of(kept[-1].register, states).normalized_weights().consolidated()
         fidelity = fidelity_to_single_photon(conditional)

@@ -49,3 +49,26 @@ def test_mixing_row_cache_is_inspectable():
     from photonherald import elements
 
     assert callable(elements._mixing_row.cache_info)
+
+
+@pytest.mark.parametrize("use_config", [False, True], ids=["flags", "config"])
+def test_run_goes_through_the_traced_cli_layer_once(tmp_path, use_config):
+    # the cli-cold trace times `run` as cli.run_from_config; both inputs
+    # must reach it, and only once
+    from click.testing import CliRunner
+
+    from photonherald import cli
+
+    args = ["run", "--theta1", "30deg"]
+    if use_config:
+        path = tmp_path / "config.json"
+        path.write_text('{"theta1": 0.5}', encoding="utf-8")
+        args = ["run", "--config", str(path)]
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0, result.output
+    assert TRACER.summarize([tracer.dump()], 1)["cli.run_from_config.calls"] == 1

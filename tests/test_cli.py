@@ -143,11 +143,17 @@ def test_run_is_deterministic_modulo_timestamp(runner):
     assert a == b
 
 
-def test_run_config_round_trip(runner, tmp_path):
-    first = manifest_of(
-        invoke(runner, "run", "--scheme", "doubled", "--p", "0.7",
-               "--tpam", "generic:alpha=0,beta=-1", "--theta1", "30deg")
-    )
+ROUND_TRIP_FLAGS = {
+    "main": ["--p", "0.6", "--theta0", "40deg", "--tpam", "generic:alpha=0.6,beta=0.8", "--theta1", "25deg"],
+    "doubled": ["--p", "0.7", "--tpam", "generic:alpha=0,beta=-1", "--theta1", "30deg"],
+    "pair-herald": ["--p", "0.8", "--theta0", "0.7", "--tpam", "jf:M=3,condition=(1,1)"],
+    "filter-split": ["--p", "0.9", "--tpam", "fwm:M=5/2"],
+}
+
+
+@pytest.mark.parametrize("scheme", ["main", "doubled", "pair-herald", "filter-split"])
+def test_run_config_round_trip(runner, tmp_path, scheme):
+    first = manifest_of(invoke(runner, "run", "--scheme", scheme, *ROUND_TRIP_FLAGS[scheme]))
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(first), encoding="utf-8")
     second = manifest_of(invoke(runner, "run", "--config", str(path)))
@@ -421,6 +427,57 @@ def test_zero_denominator_mixer_length_is_usage_error(runner, tmp_path, tpam):
 )
 def test_boolean_or_unused_bad_sweep_value_is_usage_error(runner, tmp_path, spec):
     assert_one_line_usage_error(runner.invoke(main, ["sweep", write_spec(tmp_path, spec)]))
+
+
+# ---------------------------------------------------------------------------
+# one run path: flags and --config files are validated alike
+
+
+@pytest.mark.parametrize("flag", ["--theta1", "--theta2", "--phi1", "--phi2"])
+@pytest.mark.parametrize("scheme", ["pair-herald", "filter-split"])
+def test_splitter_flag_on_conversion_scheme_is_usage_error(runner, scheme, flag):
+    result = runner.invoke(main, ["run", "--scheme", scheme, flag, "30deg"])
+    assert_one_line_usage_error(result)
+    assert repr(flag[2:]) in result.output
+
+
+@pytest.mark.parametrize(
+    "flags", [["--p", "0.5"], ["--scheme", "doubled"], ["--cutoff", "6"], ["--theta1", "30deg", "--tpam", "jf:M=3"]]
+)
+def test_physics_flag_beside_config_is_usage_error(runner, tmp_path, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": 0.7}), encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(path), *flags])
+    assert_one_line_usage_error(result)
+    for flag in flags[::2]:
+        assert flag in result.output
+
+
+def test_cutoff_env_variable_beside_config_is_ignored(runner, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": 0.7}), encoding="utf-8")
+    plain = manifest_of(invoke(runner, "run", "--config", str(path)))
+    with_env = manifest_of(invoke(runner, "run", "--config", str(path), env={"FOCK_CUTOFF": "6"}))
+    assert with_env["config"] == plain["config"]
+    assert with_env["result"] == plain["result"]
+
+
+@pytest.mark.parametrize("p", ["1e-155", "1e-200", "5e-324"])
+def test_source_efficiency_with_subnormal_square_is_usage_error(runner, tmp_path, p):
+    assert_one_line_usage_error(runner.invoke(main, ["run", "--p", p]))
+    assert_one_line_usage_error(runner.invoke(main, ["sweep", write_spec(tmp_path, {"p": [float(p)]})]))
+
+
+def test_smallest_source_efficiency_keeps_the_unit_source_ratio(runner, tmp_path):
+    unit = manifest_of(invoke(runner, "run", "--theta1", "30deg"))["result"]["p_success"]
+    weak = manifest_of(invoke(runner, "run", "--theta1", "30deg", "--p", "1e-150"))["result"]
+    assert weak["details"]["p_success_over_p2"] == pytest.approx(unit, rel=1e-12)
+    spec = write_spec(tmp_path, {"theta1": [math.pi / 6], "beta": [0], "p": [1e-150, 1.0]})
+    lines = invoke(runner, "sweep", spec).output.splitlines()
+    column = lines[0].split(",").index("p_success_over_p2")
+    weak_row, unit_row = (float(line.split(",")[column]) for line in lines[1:3])
+    assert weak_row == pytest.approx(unit_row, rel=1e-12)
+    assert unit_row == pytest.approx(unit, rel=1e-12)
 
 
 BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, True, False])

@@ -1,6 +1,7 @@
 """End-to-end heralding circuits and their closed-form benchmark points."""
 
 import math
+import sys
 
 import pytest
 
@@ -398,3 +399,29 @@ def test_weak_sources_herald_the_unit_source_state_on_null_manifold(p):
         for a, b in zip(got["terms"], want["terms"]):
             assert (a["occupations"], a["medium"]) == (b["occupations"], b["medium"])
             assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= 1e-12
+
+
+TINY_P_CASES = [
+    dict(tpam=FULL_ABSORBER, theta1=math.pi / 6),
+    dict(tpam=PHASE_FLIP, variant=DOUBLED, theta1=math.pi / 6),
+    dict(tpam=FwmTpamSpec(FwmParams(2.0), (1, 1)), variant=PAIR_HERALD),
+    dict(tpam=FwmTpamSpec(FwmParams(1.5)), variant=FILTER_SPLIT),
+]
+
+
+@pytest.mark.parametrize("p", [1e-12, 1e-14, 1e-100])
+@pytest.mark.parametrize("kwargs", TINY_P_CASES)
+def test_tiny_source_efficiency_still_heralds(kwargs, p):
+    # no absolute cut: a herald of probability ~p^2 counts however small
+    weak, unit = run_scheme(manifold_config(p=p, **kwargs)), run_scheme(manifold_config(p=1.0, **kwargs))
+    assert weak.details["p_success_over_p2"] == pytest.approx(unit.p_success, rel=1e-12)
+    assert weak.fidelity == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(weak.branch_log.values()) == pytest.approx(weak.p_success, rel=1e-12)
+
+
+def test_source_efficiency_floor_is_where_p_squared_stops_being_normal():
+    floor = math.sqrt(sys.float_info.min)
+    assert SourceSpec(floor * (1 + 1e-15)).p > 0.0
+    assert SourceSpec(0.0).p == 0.0
+    with pytest.raises(ValueError, match="too small"):
+        SourceSpec(floor * (1 - 1e-15))
