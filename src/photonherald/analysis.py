@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .elements import BeamSplitterParams
-from .fock import DEFAULT_CUTOFF
-from .schemes import MAIN, SchemeConfig, SourceSpec, run_main_scheme
-from .tpam import FwmParams, FwmTpamSpec, GenericTpam, fwm_coefficients
+import numpy as np
+
+from .elements import BeamSplitterParams, splitter_block
+from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, fock_state
+from .schemes import MAIN, Circuit, SchemeConfig, SourceSpec, build_circuit, run_main_scheme
+from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
     "ANGLE_TOL",
@@ -320,8 +322,10 @@ def jf_length_scan(
 # Parameter sweeps
 
 
-#: Largest grid a sweep accepts, checked before any axis is built.  At a few
-#: thousand points per second it already takes about a minute.
+#: Largest grid a sweep accepts, checked before any axis is built.  On a
+#: 2-CPU host a README-shaped grid runs at 60k-90k points per second, but
+#: each (theta0, p) pair costs a front-splitter reduction, so a grid spread
+#: over theta0 and p runs at about 2.5k, and this limit takes 40 s there.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -358,6 +362,8 @@ class SweepSpec:
     case: CaseId = CaseId.SUM_PLUS
 
     def __post_init__(self) -> None:
+        if self.case == CaseId.VIOLATED:
+            raise ValueError("a sweep snaps every point onto the manifold, so its case cannot be 'violated'")
         _check_grid_size(len(self.theta0) * len(self.theta1) * len(self.beta) * len(self.p))
         for name in ("theta0", "theta1", "p"):
             axis = getattr(self, name)
@@ -433,33 +439,109 @@ def _parse_beta(raw: object) -> complex:
 
 
 def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[str, float]]:
-    """Run the main scheme at every grid point; deterministic row order.
+    """Evaluate the main scheme at every grid point; deterministic row order.
 
-    Grid order is theta0-major, then theta1, beta, p.  Points are evaluated
-    independently (runs are pure), so callers may parallelize; this reference
-    implementation keeps a single deterministic pass.
+    Grid order is theta0-major, then theta1, beta, p.  Each axis value goes
+    through :func:`manifold_config` once.  Each stage of the circuit from
+    :func:`build_circuit` is built once per axis value it depends on, as a
+    dense block on every input photon-number sector (the splitters per
+    theta1, the absorber per beta), and numpy products cover the whole
+    theta1 x beta product; the sector weights come once per (theta0, p).
+    After every stage the amplitudes a single run would prune are set to 0,
+    so rows agree with ``run_main_scheme`` to rounding, and its exact zeros
+    stay 0.
     """
-    rows: list[dict[str, float]] = []
-    for theta0 in spec.theta0:
-        for theta1 in spec.theta1:
-            for beta in spec.beta:
-                for p in spec.p:
-                    cfg = manifold_config(
-                        theta1, spec.case, p=p, beta=beta, theta0=theta0, cutoff=cutoff
-                    )
-                    result = run_main_scheme(cfg)
-                    ratio = result.details["p_success_over_p2"]
-                    rows.append(
-                        {
-                            "theta0_rad": theta0,
-                            "theta1_rad": theta1,
-                            "theta2_rad": cfg.bs2.theta,
-                            "beta_re": beta.real,
-                            "beta_im": beta.imag,
-                            "p": p,
-                            "p_success": result.p_success,
-                            "p_success_over_p2": float("nan") if ratio is None else ratio,
-                            "fidelity": result.fidelity,
-                        }
-                    )
-    return rows
+
+    def config(theta1=spec.theta1[0], beta=spec.beta[0], p=spec.p[0], theta0=spec.theta0[0]) -> SchemeConfig:
+        return manifold_config(theta1, spec.case, p=p, beta=beta, theta0=theta0, cutoff=cutoff)
+
+    by_theta1 = [config(theta1=theta1) for theta1 in spec.theta1]
+    absorbers = [config(beta=beta).tpam for beta in spec.beta]
+    front = [config(theta0=theta0).bs0 for theta0 in spec.theta0]
+    by_p = [config(p=p) for p in spec.p]
+    circuits = [build_circuit(replace(cfg, bs0=bs0)) for bs0 in front for cfg in by_p]
+    (mode,) = circuits[0].inputs.register.labels
+    weights = [circuit.inputs.number_distribution(mode) for circuit in circuits]
+    sectors = sorted(set().union(*weights))
+    w = np.array([[weight.get(n, 0.0) for n in sectors] for weight in weights])
+    heralds = np.array([_sector_heralds(circuits[0], n, by_theta1, absorbers) for n in sectors])
+    p_success, on_one = np.einsum("kls,sxtb->xktbl", w.reshape(len(front), len(by_p), -1), heralds)
+    p2 = np.square(spec.p)
+    ratio = np.divide(p_success, p2, out=np.full_like(p_success, math.nan), where=p2 > 0.0)
+    fidelity = np.divide(on_one, p_success, out=np.zeros_like(p_success), where=p_success > 0.0)
+    p_success, ratio, fidelity = p_success.tolist(), ratio.tolist(), fidelity.tolist()
+    return [
+        {
+            "theta0_rad": theta0,
+            "theta1_rad": theta1,
+            "theta2_rad": cfg.bs2.theta,
+            "beta_re": beta.real,
+            "beta_im": beta.imag,
+            "p": p,
+            "p_success": p_success[k][t][b][i],
+            "p_success_over_p2": ratio[k][t][b][i],
+            "fidelity": fidelity[k][t][b][i],
+        }
+        for k, theta0 in enumerate(spec.theta0)
+        for t, (theta1, cfg) in enumerate(zip(spec.theta1, by_theta1))
+        for b, beta in enumerate(spec.beta)
+        for i, p in enumerate(spec.p)
+    ]
+
+
+def _sector_heralds(
+    circuit: Circuit, n: int, by_theta1: list[SchemeConfig], absorbers: list[GenericTpam]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Herald probability, and its part with one photon left in the output,
+    of the main circuit fed ``|n>`` at unit weight, per (theta1, beta).
+
+    The circuit attaches the output mode and a medium, then runs two
+    splitters, BS1 and BS2 in that order, around the absorber.  Sector n
+    holds the kets ``|k, n-k>`` on the ground medium and, on each excited
+    level, ``|k, n-2-k>``: the absorber took two photons.  Amplitudes carry
+    the axes (theta1, beta, ket).
+    """
+    (_, vacuum, medium_dims), *stages, (_, outcomes, _, _) = circuit.stages
+    register = ModeRegister(circuit.inputs.register.labels + vacuum.register.labels, vacuum.register.cutoff, medium_dims)
+    groups = [(level, n - 2 * (level > 0)) for level in range(medium_dims) if n - 2 * (level > 0) >= 0]
+    basis = [FockKet((k, total - k), level) for level, total in groups for k in range(total + 1)]
+    index = {ket: i for i, ket in enumerate(basis)}
+    amps = np.zeros(len(basis), dtype=complex)
+    amps[index[FockKet((n, 0))]] = 1.0
+    splitters = iter(([cfg.bs1 for cfg in by_theta1], [cfg.bs2 for cfg in by_theta1]))
+    for stage in stages:
+        match stage:
+            case ("split", _):
+                params = next(splitters)
+                matrix = np.zeros((len(params), 1, len(basis), len(basis)), dtype=complex)
+                start = 0
+                for _, total in groups:
+                    block = slice(start, start + total + 1)
+                    matrix[:, 0, block, block] = [splitter_block(bs.theta, bs.phi, total) for bs in params]
+                    start += total + 1
+            case ("absorb", GenericTpam(), absorbed, level):
+                matrix = np.zeros((1, len(absorbers), len(basis), len(basis)), dtype=complex)
+                for b, tpam in enumerate(absorbers):
+                    for j, ket in enumerate(basis):
+                        state = fock_state(register, ket.occupations, ket.medium)
+                        for out, amp in apply_generic_tpam(state, absorbed, tpam, excited_level=level).terms():
+                            matrix[0, b, index[out], j] = amp
+            case _:
+                raise ValueError(f"the sweep engine has no block for stage {stage[0]!r}")
+        amps = _pruned((matrix @ amps[..., None])[..., 0], amps)
+    heralded = on_one = 0.0
+    for _, counts, _ in outcomes:
+        measured = {register.index(m): c for m, c in counts}
+        keep = [all(ket.occupations[i] == c for i, c in measured.items()) for ket in basis]
+        one = [[o for i, o in enumerate(ket.occupations) if i not in measured] == [1] for ket in basis]
+        probs = abs(_pruned(np.where(keep, amps, 0.0), amps)) ** 2
+        heralded += probs.sum(axis=-1)
+        on_one += probs[..., one].sum(axis=-1)
+    return heralded, on_one
+
+
+def _pruned(amps: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """``amps`` with every amplitude at or below ``PRUNE_THRESHOLD`` times the
+    norm of ``before``, the stage's input, set to 0, as a single run drops it."""
+    floor = PRUNE_THRESHOLD * np.sqrt(np.sum(abs(before) ** 2, axis=-1, keepdims=True))
+    return np.where(abs(amps) > floor, amps, 0.0)

@@ -84,8 +84,9 @@ VARIANTS = (MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT)
 #: detector outcomes, so a larger cutoff only costs time.
 MAX_CUTOFF = 16
 
-#: Bound of the ``reduce_through_bs0`` cache.  A sweep walks its p axis
-#: innermost, so it needs one entry per p value of its grid.
+#: Bound of the ``reduce_through_bs0`` cache.  A sweep calls it once per
+#: (theta0, p) pair; the memo pays off where single runs repeat a front
+#: splitter, as the formula-vs-simulator check of ``verify`` does 50 times.
 BS0_CACHE_SIZE = 256
 
 

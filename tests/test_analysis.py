@@ -310,14 +310,55 @@ def test_sweep_rows_grid_order_and_manifold_snap():
     assert rows[-1]["p_success"] == pytest.approx(1.0 / 16.0, abs=1e-12)
 
 
+def assert_row_matches_single_run(row, case, cutoff=4):
+    """One sweep row against ``run_main_scheme`` at its point: probabilities
+    within 1e-13 relative, an exact 0 or NaN kept, fidelity within 1e-13."""
+    beta = complex(row["beta_re"], row["beta_im"])
+    cfg = manifold_config(row["theta1_rad"], case, p=row["p"], beta=beta, theta0=row["theta0_rad"], cutoff=cutoff)
+    result = run_main_scheme(cfg)
+    ratio = result.details["p_success_over_p2"]
+    for got, want in ((row["p_success"], result.p_success), (row["p_success_over_p2"], math.nan if ratio is None else ratio)):
+        if want == 0.0 or math.isnan(want):
+            assert got == want or math.isnan(got) and math.isnan(want), (row, want)
+        else:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), row
+    assert row["fidelity"] == pytest.approx(result.fidelity, rel=0.0, abs=1e-13), row
+    assert row["theta2_rad"] == cfg.bs2.theta
+
+
 def test_sweep_rows_equal_uncached_single_runs():
+    # The sweep sums in another order than a single run, so rows agree to
+    # rounding, not bit for bit.
     spec = SweepSpec(
         theta0=(0.6, 0.8), theta1=(0.3, DEG30), beta=(0j, 0.3 + 0.1j), p=(0.5, 1.0), case=CaseId.DIFF_MINUS
     )
     rows = sweep_rows(spec)
     for row in rows:
         reduce_through_bs0.cache_clear()
-        beta = complex(row["beta_re"], row["beta_im"])
-        cfg = manifold_config(row["theta1_rad"], spec.case, p=row["p"], beta=beta, theta0=row["theta0_rad"])
-        result = run_main_scheme(cfg)
-        assert (row["p_success"], row["fidelity"]) == (result.p_success, result.fidelity)
+        assert_row_matches_single_run(row, spec.case)
+
+
+@pytest.mark.parametrize("cutoff", [2, 4])
+@pytest.mark.parametrize("case", VALID_CASES)
+def test_sweep_rows_match_single_runs_on_edge_grid(case, cutoff):
+    # Null angles, a vanishing source and a fully reflecting front splitter:
+    # rows where single runs prune every herald amplitude to exactly 0, or
+    # keep a herald of 1e-300, must read the same from the batched sweep.
+    spec = SweepSpec(
+        theta0=(0.0, 0.3, math.pi / 4, math.pi / 2),
+        theta1=(0.0, 1e-9, DEG30, math.pi / 2, math.pi / 2 + 1e-7, math.pi, 4.0),
+        beta=(0j, 1 + 0j, -1 + 0j, 0.5j, 0.6 + 0.8j),
+        p=(0.0, 1e-150, 1e-12, 0.3, 1.0),
+        case=case,
+    )
+    rows = sweep_rows(spec, cutoff=cutoff)
+    assert len(rows) == 4 * 7 * 5 * 5
+    for row in rows:
+        assert_row_matches_single_run(row, case, cutoff)
+
+
+def test_sweep_spec_rejects_violated_case():
+    with pytest.raises(ValueError, match="violated"):
+        SweepSpec(case=CaseId.VIOLATED)
+    with pytest.raises(ValueError, match="violated"):
+        SweepSpec.from_mapping({"case": "violated"})

@@ -381,6 +381,12 @@ def test_sweep_bad_steps_is_usage_error(runner, tmp_path, steps):
     assert_one_line_usage_error(runner.invoke(main, ["sweep", spec]))
 
 
+def test_sweep_violated_case_is_malformed_spec(runner, tmp_path):
+    result = runner.invoke(main, ["sweep", write_spec(tmp_path, {"case": "violated"})])
+    assert_one_line_usage_error(result)
+    assert "malformed sweep spec" in result.output
+
+
 def test_sweep_missing_file_is_usage_error(runner, tmp_path):
     assert runner.invoke(main, ["sweep", str(tmp_path / "absent.json")]).exit_code == 2
 

@@ -13,6 +13,7 @@ from photonherald import (
     PureState,
     apply_beam_splitter,
     fock_state,
+    splitter_block,
     unitarity_check,
 )
 
@@ -73,6 +74,16 @@ def test_balanced_single_photon_equal_split_no_phase():
 )
 def test_unitarity_residual_is_tiny(params):
     assert unitarity_check(params, cutoff=CUTOFF) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(CUTOFF + 1))
+def test_splitter_block_columns_are_the_splitter_on_each_ket(n):
+    theta, phi = 0.7, 1.3
+    block = splitter_block(theta, phi, n)
+    assert block.shape == (n + 1, n + 1)
+    for k in range(n + 1):
+        out = apply_beam_splitter(fock_state(REG, (k, n - k)), bs(theta, phi))
+        assert list(block[:, k]) == [out.amplitude(FockKet((m, n - m))) for m in range(n + 1)]
 
 
 @pytest.mark.parametrize("theta,phi", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 0.0)])
