@@ -393,14 +393,6 @@ class Ensemble:
     def __iter__(self) -> Iterator[tuple[float, PureState]]:
         return iter(self.branches)
 
-    def map_branches(self, op) -> "Ensemble":
-        """Apply a (possibly trace-decreasing) pure-state map to every branch.
-
-        Norm lost by ``op`` is weight lost; branches that die are dropped.
-        """
-        mapped = [op(state) for state in self.states]
-        return Ensemble._of(mapped[-1].register if mapped else self.register, mapped)
-
     def condition_number(self, mode: str, n: int) -> tuple["Ensemble", float]:
         """Condition every branch on ``n`` photons in ``mode``.
 

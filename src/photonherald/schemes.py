@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import groupby
+from functools import lru_cache
 from typing import NamedTuple
 
 from .elements import BeamSplitterParams, apply_beam_splitter
@@ -80,8 +79,8 @@ FILTER_SPLIT = "filter_split"
 VARIANTS = (MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT)
 
 #: Largest per-mode cutoff a scheme accepts.  No circuit here holds more than
-#: two photons in a mode, and the doubled herald enumerates (cutoff + 1)^2
-#: detector outcomes, so a larger cutoff only costs time.
+#: two photons in a mode, so every cutoff from 2 up gives the same results and
+#: a larger one buys nothing; the ceiling only keeps absurd input out.
 MAX_CUTOFF = 16
 
 #: Bound of the ``reduce_through_bs0`` cache.  A sweep calls it once per
@@ -242,15 +241,16 @@ def reduce_through_bs0(
 #   ("mix", params, (pump, e1, e2))      four-wave mixer
 #   ("relabel", mapping)                 rename modes
 #   ("detect", ((mode, n), ...))         keep the part showing these counts
-#   ("trace", mode)                      trace a mode out
 #   ("herald", outcomes, report, mirror) the last stage: each outcome is
 #       (detector, counts, stages run after it), and the herald probability
 #       sums over them; ``report`` names the details entry listing each
 #       detector's share, ``mirror`` adds an unmonitored output's click.
+#   ("trace", mode)                      trace a mode out: only as the last
+#       stage of a herald tail, where it splits the heralded state in branches
 #
-# All but "trace" and "herald" map pure states; each run of them is applied
-# branch by branch in one Ensemble.map_branches pass.  Branch states stay
-# unnormalized, so the norm a detection removes is weight lost.
+# Every other stage maps one pure state to one pure state (``_act``); each
+# input branch runs through them as one unnormalized state, so the norm a
+# detection removes is weight lost.
 
 
 def _act(stage: tuple, state: PureState) -> PureState:
@@ -275,15 +275,13 @@ def _act(stage: tuple, state: PureState) -> PureState:
     raise ValueError(f"unknown stage {stage[0]!r}")
 
 
-def _run(ens: Ensemble, stages) -> Ensemble:
-    for maps, group in groupby(stages, lambda stage: stage[0] != "trace"):
-        if maps:
-            ops = tuple(group)
-            ens = ens.map_branches(lambda state: reduce(lambda psi, op: _act(op, psi), ops, state))
-        else:
-            for _, mode in group:
-                ens = partial_trace_discard(ens, mode)
-    return ens
+def _evolve(state: PureState, stages) -> tuple[PureState, ...]:
+    """``state`` after ``stages``; a closing trace splits it into the reduced state's branches."""
+    for stage in stages:
+        if stage[0] == "trace":
+            return partial_trace_discard(state, stage[1]).states
+        state = _act(stage, state)
+    return (state,)
 
 
 class Circuit(NamedTuple):
@@ -295,7 +293,9 @@ class Circuit(NamedTuple):
 
     def prepare(self, inputs: Ensemble | None = None) -> Ensemble:
         """Run every stage before the herald on ``inputs`` (default: all of them)."""
-        return _run(self.inputs if inputs is None else inputs, self.stages[:-1])
+        inputs = self.inputs if inputs is None else inputs
+        states = [psi for state in inputs.states for psi in _evolve(state, self.stages[:-1])]
+        return Ensemble._of(states[-1].register if states else inputs.register, states)
 
 
 def _check_absorber(cfg: SchemeConfig) -> None:
@@ -354,12 +354,11 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
         )
     elif variant == DOUBLED:
         # Exactly one of A and B sees one photon; that arm's output becomes C.
-        one_click = tuple(
-            (arm, (("A", n_a), ("B", n_b)), (("trace", drop), ("relabel", {keep: "C"})))
-            for n_a in range(cutoff + 1)
-            for n_b in range(cutoff + 1)
-            if (n_a == 1) != (n_b == 1)
-            for arm, keep, drop in [("A", "CA", "CB") if n_a == 1 else ("B", "CB", "CA")]
+        # At most two photons enter, so the other detector then sees none:
+        # (A, B) = (0, 1) and (1, 0) are the only outcomes that can herald.
+        one_click = (
+            ("B", (("A", 0), ("B", 1)), (("relabel", {"CB": "C"}), ("trace", "CA"))),
+            ("A", (("A", 1), ("B", 0)), (("relabel", {"CA": "C"}), ("trace", "CB"))),
         )
         stages = (
             ("attach", vacuum("CA", "CB"), 3 if needs_medium else 1),
@@ -401,37 +400,33 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
 def _interpret(cfg: SchemeConfig) -> SchemeResult:
     """Run the circuit of ``cfg`` one input photon-number branch at a time."""
     circuit = build_circuit(cfg)
-    _, outcomes, report, mirror = circuit.stages[-1]
+    *stages, (_, outcomes, report, mirror) = circuit.stages
     clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
     p_success = 0.0
     branch_log: dict[int, float] = {}
-    kept: list[Ensemble] = []
+    kept: list[PureState] = []
     for state in circuit.inputs.states:
-        pre = circuit.prepare(Ensemble._of(circuit.inputs.register, (state,)))
+        (pre,) = _evolve(state, stages)
         contribution = 0.0
-        heralded = []
         for detector, counts, tail in outcomes:
-            detected = pre
-            for mode, n in counts:
-                detected, q = detected.condition_number(mode, n)
+            detected = _act(("detect", counts), pre)
+            q = detected.squared_norm()
             clicks[detector] += q
             contribution += q
-            if detected.states:
-                heralded.append(_run(detected, tail))
+            if q > 0.0:
+                kept.extend(_evolve(detected, tail))
         if mirror:
-            clicks[mirror] += pre.number_distribution(mirror).get(1, 0.0)
+            clicks[mirror] += Ensemble._of(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
         sector = sum(next(iter(state.terms()))[0].occupations)
         branch_log[sector] = branch_log.get(sector, 0.0) + contribution
         p_success += contribution
-        kept.extend(heralded)
     details = dict(circuit.details)
     if report:
         details[report] = clicks
     conditional: Ensemble | None = None
     fidelity = 0.0
     if p_success > 0.0 and kept:
-        states = [psi for ens in kept for psi in ens.states]
-        conditional = Ensemble._of(kept[-1].register, states).normalized_weights().consolidated()
+        conditional = Ensemble._of(kept[-1].register, kept).normalized_weights().consolidated()
         fidelity = fidelity_to_single_photon(conditional)
     p = cfg.source.p
     details |= {"p": p, "p_success_over_p2": p_success / p**2 if p > 0 else None, "variant": cfg.variant}

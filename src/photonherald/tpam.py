@@ -63,6 +63,7 @@ from .fock import (
 )
 
 __all__ = [
+    "MAX_LENGTH_MULTIPLE",
     "GenericTpam",
     "FwmParams",
     "FwmTpamSpec",
@@ -76,6 +77,12 @@ __all__ = [
 
 _SQRT_3_2 = math.sqrt(1.5)
 _INTEGER_TOL = 1e-9
+
+#: Longest mixer a :class:`FwmParams` accepts, in single-photon cycles.  The
+#: phases M*pi and M*pi*sqrt(3/2) are doubles, off by up to about M * 4e-16
+#: rad: a few times 1e-10 rad at 1e6, but a quarter radian at 1e15, where
+#: cos(M*pi) reads 0.97 for an integer M that must pass a lone photon.
+MAX_LENGTH_MULTIPLE = 1e6
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +170,8 @@ class FwmParams:
 
     Args:
         length_multiple: medium length M in units of the full single-photon
-            conversion cycle L0.  Positive; integers keep the medium
+            conversion cycle L0.  Positive and at most
+            :data:`MAX_LENGTH_MULTIPLE`; integers keep the medium
             transparent to one photon, half-odd values convert one photon
             completely.
         pump_phase: phase of the classical pump amplitude; enters the
@@ -184,6 +192,10 @@ class FwmParams:
             raise ValueError(f"mixer parameters must be finite, got {self!r}")
         if not self.length_multiple > 0:
             raise ValueError("length_multiple must be positive")
+        if self.length_multiple > MAX_LENGTH_MULTIPLE:
+            raise ValueError(
+                f"length_multiple {self.length_multiple:g} is above {MAX_LENGTH_MULTIPLE:g}: a double cannot hold its phase"
+            )
 
     @property
     def interaction_phase(self) -> float:

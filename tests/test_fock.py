@@ -336,14 +336,3 @@ def test_consolidated_merges_phase_equal_branches():
     ens = Ensemble(r, [(0.4, plus), (0.6, same_up_to_phase)]).consolidated()
     assert len(ens) == 1
     assert ens.total_weight() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_map_branches_folds_lost_norm_into_weight():
-    r = reg("B")
-    ens = Ensemble(r, [(1.0, fock_state(r, (2,)))])
-    # a trace-decreasing map: keep the ket, damp the amplitude
-    damped = ens.map_branches(lambda s: s.scaled(0.5))
-    assert damped.total_weight() == pytest.approx(0.25, abs=1e-14)
-    # branch state is re-normalized
-    (_, s), = damped.branches
-    assert s.squared_norm() == pytest.approx(1.0, abs=1e-14)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import ensemble_mirrors as em
 from photonherald import (
     DOUBLED,
     FILTER_SPLIT,
@@ -234,6 +235,39 @@ def test_doubled_detectors_fire_symmetrically():
 def test_doubled_output_is_single_mode_c():
     result = run_doubled_scheme(main_config(variant=DOUBLED))
     assert result.conditional_state.register.labels == ("C",)
+
+
+DOUBLED_HERALD_CASES = [
+    # off the manifold
+    dict(p=0.65, alpha=0.6 + 0.3j, beta=0.5 - 0.4j, theta1=0.7, phi1=0.3, theta2=0.9, phi2=0.0),
+    # a lossy absorber
+    dict(p=0.9, alpha=0.5, beta=0.5, theta1=1.1, phi1=0.0, theta2=0.4, phi2=1.2),
+    # on the manifold
+    dict(p=1.0, alpha=1.0, beta=0.0, theta1=math.pi / 6, phi1=0.0, theta2=math.pi / 3, phi2=0.0),
+]
+
+
+@pytest.mark.parametrize("case", DOUBLED_HERALD_CASES)
+def test_doubled_herald_is_complete_and_cutoff_free(case):
+    # the mirror sums its joint over every (n_a, n_b) pair the cutoff allows;
+    # the run must find the same clicks whatever the cutoff
+    p, alpha, beta = case["p"], case["alpha"], case["beta"]
+    angles = {name: case[name] for name in ("theta1", "phi1", "theta2", "phi2")}
+    results = []
+    for cutoff in (2, 4, 16):
+        cfg = manifold_config(p=p, tpam=GenericTpam(alpha, beta), theta0=0.4, variant=DOUBLED, cutoff=cutoff, **angles)
+        result = run_doubled_scheme(cfg)
+        mirror = em.ensemble_doubled_generic(p, alpha, beta, **angles, theta0=0.4, cutoff=cutoff)
+        clicks = result.details["clicks_by_detector"]
+        one_click = {
+            "A": sum(q for (n_a, n_b), q in mirror["joint"].items() if n_a == 1 and n_b != 1),
+            "B": sum(q for (n_a, n_b), q in mirror["joint"].items() if n_b == 1 and n_a != 1),
+        }
+        assert result.p_success == pytest.approx(mirror["p_success"], rel=1e-15, abs=0.0)
+        for arm in "AB":
+            assert clicks[arm] == pytest.approx(one_click[arm], rel=1e-15, abs=0.0)
+        results.append(result.to_dict())
+    assert results[0] == results[1] == results[2]
 
 
 # ---------------------------------------------------------------------------

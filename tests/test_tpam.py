@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from photonherald import (
+    MAX_LENGTH_MULTIPLE,
     FockKet,
     FwmParams,
     FwmTpamSpec,
@@ -172,6 +173,14 @@ def test_fwm_params_validation():
     assert p.is_half_odd_length and not p.is_integer_length
     assert FwmParams(4).is_integer_length
     assert not FwmParams(1.25).is_integer_length
+
+
+def test_fwm_params_reject_lengths_whose_phase_a_double_cannot_hold():
+    assert FwmParams(MAX_LENGTH_MULTIPLE).is_integer_length
+    assert math.cos(FwmParams(MAX_LENGTH_MULTIPLE).rabi_angle) == pytest.approx(1.0, abs=1e-15)
+    for length in (MAX_LENGTH_MULTIPLE * (1 + 1e-15), 1e15, 1e17, Fraction(10**17)):
+        with pytest.raises(ValueError, match="above"):
+            FwmParams(length)
 
 
 def test_fwm_spec_condition_validation():
