@@ -190,15 +190,24 @@ def manifold_config(
     generic one with survival amplitude ``beta``.
 
     Raises:
-        ValueError: for a null, non-numeric or non-finite parameter, or a
-            fractional cutoff.
+        ValueError: for a null, non-numeric or non-finite parameter, a
+            fractional cutoff, or a theta1 so large that its completed theta2
+            misses the branch by more than ``ANGLE_TOL`` in double precision.
     """
     theta1 = _number("theta1", theta1)
+    completion = manifold_completion(theta1, case)
+    if theta2 is None:
+        # On the sum (diff) branches theta1 + theta2 (theta1 - theta2) is
+        # +-pi/2; for a huge theta1 the rounding of theta2 loses that.
+        off = math.cos(theta1 + completion[0] if completion[1] == 0.0 else theta1 - completion[0])
+        if abs(off) > ANGLE_TOL:
+            raise ValueError(
+                f"theta1 = {theta1!r} is too large to complete theta2 onto {_case_id(case).value} "
+                f"in double precision (the branch cosine is {off:.3g}, not 0)"
+            )
     theta2, phi1, phi2 = (
         default if value is None else _number(name, value)
-        for name, value, default in zip(
-            ("theta2", "phi1", "phi2"), (theta2, phi1, phi2), manifold_completion(theta1, case)
-        )
+        for name, value, default in zip(("theta2", "phi1", "phi2"), (theta2, phi1, phi2), completion)
     )
     return SchemeConfig(
         source=SourceSpec(_number("p", p)),

@@ -11,25 +11,30 @@ Three subcommands:
   file and emit an RFC-4180 CSV table (or gnuplot-style columns).
 * ``verify`` — run the built-in check suites and exit nonzero on failure.
 
-Exit codes: 0 success, 2 usage/parse errors (bad flags, malformed specs),
-3 physics errors (cutoff overflow, photon numbers outside the model).
+Every failure prints one ``Error:`` line on stderr and nothing on stdout.
+Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage/parse errors
+(bad flags, malformed config or spec files, values the model rejects),
+3 physics errors (cutoff overflow, photon numbers outside the model) and
+files that cannot be read or written.
 
-Angles are accepted as ``30deg``, ``0.5236rad``, or bare radians.  Absorber
-specifications use the wire format ``generic:alpha=1,beta=0`` or
-``jf:M=2,condition=(1,1)`` (``fwm:`` is accepted as an alias for ``jf:``; M
-may be a fraction like ``3/2``).  The default per-mode photon cutoff is 4,
-overridable per invocation with ``--cutoff`` or globally with the
-``FOCK_CUTOFF`` environment variable; it must lie in 2..16.
+Angles, as flags or in a config file, are accepted as ``30deg``,
+``0.5236rad``, or bare radians.  Absorber specifications use the wire format
+``generic:alpha=1,beta=0`` or ``jf:M=2,condition=(1,1)`` (``fwm:`` is
+accepted as an alias for ``jf:``; M may be a fraction like ``3/2``).  The
+default per-mode photon cutoff is 4, overridable per invocation with
+``--cutoff`` or globally with the ``FOCK_CUTOFF`` environment variable; it
+must lie in 2..16.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,9 +65,10 @@ SCHEME_TOKENS = {
 _CANONICAL_TOKEN = {variant: token for token, variant in reversed(SCHEME_TOKENS.items())}
 
 #: Fields of a run config.  The interferometer splitters exist in main and
-#: doubled only.
+#: doubled only.  Angle fields also take the ``30deg`` forms of :func:`parse_angle`.
 _SPLITTER_FIELDS = ("theta1", "theta2", "phi1", "phi2")
-_CONFIG_FIELDS = ("scheme", "p", "cutoff", "tpam", "theta0", *_SPLITTER_FIELDS)
+_ANGLE_FIELDS = ("theta0", *_SPLITTER_FIELDS)
+_CONFIG_FIELDS = ("scheme", "p", "cutoff", "tpam", *_ANGLE_FIELDS)
 
 _DEFAULT_TPAM = {
     MAIN: "generic:alpha=1,beta=0",
@@ -70,12 +76,6 @@ _DEFAULT_TPAM = {
     PAIR_HERALD: "jf:M=2,condition=(1,1)",
     FILTER_SPLIT: "jf:M=1.5,condition=(0,0)",
 }
-
-
-class PhysicsCliError(click.ClickException):
-    """Configuration parsed fine but the physics model rejects it."""
-
-    exit_code = 3
 
 
 # --------------------------------------------------------------------------
@@ -174,10 +174,7 @@ def parse_tpam_spec(text: str) -> GenericTpam | FwmTpamSpec:
             raw = fields["condition"].strip()
             if not (raw.startswith("(") and raw.endswith(")")):
                 raise ValueError(f"condition must look like (i,j), got {raw!r}")
-            pair = [p.strip() for p in raw[1:-1].split(",")]
-            if len(pair) != 2:
-                raise ValueError(f"condition must have two entries, got {raw!r}")
-            condition = (int(pair[0]), int(pair[1]))
+            condition = tuple(int(entry) for entry in raw[1:-1].split(","))
         return FwmTpamSpec(FwmParams(length), condition)
     raise ValueError(f"unknown absorber kind {kind!r} (expected generic, jf, or fwm)")
 
@@ -198,23 +195,6 @@ def format_tpam_spec(tpam: GenericTpam | FwmTpamSpec) -> str:
     return f"jf:M={m_text},condition=({i},{j})"
 
 
-class WireParam(click.ParamType):
-    """A CLI value in one of the wire formats; parse errors are usage errors."""
-
-    def __init__(self, name: str, parse, parsed: tuple[type, ...]) -> None:
-        self.name, self.parse, self.parsed = name, parse, parsed
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, self.parsed):
-            return value
-        try:
-            return self.parse(value)
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
-
-
-ANGLE = WireParam("angle", lambda value: parse_angle(str(value)), ())
-TPAM = WireParam("tpam", parse_tpam_spec, (GenericTpam, FwmTpamSpec))
 CUTOFF_OPTION = click.option(
     "--cutoff",
     type=click.IntRange(2, MAX_CUTOFF),
@@ -233,12 +213,13 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
     """Validate a run config mapping (a manifest's, a config file's or the flags').
 
     Every field is optional; :func:`manifold_config` and ``_DEFAULT_TPAM``
-    hold the defaults.
+    hold the defaults.  An angle given as text (every flag is text) goes
+    through :func:`parse_angle`, so ``30deg`` works in a file too.
 
     Raises:
         ValueError: on unknown, null or non-numeric fields, fields the scheme
             does not use, unknown scheme tokens, a fractional or out-of-range
-            cutoff, or incompatible absorber kinds.
+            cutoff, or unparsable or incompatible absorber specs.
     """
     unknown = sorted(set(config) - set(_CONFIG_FIELDS))
     if unknown:
@@ -256,9 +237,10 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
     unused = sorted(set(fields) & set(_SPLITTER_FIELDS))
     if unused and variant not in (MAIN, DOUBLED):
         raise ValueError(f"config fields {', '.join(map(repr, unused))} do not apply to scheme {token!r}")
-    tpam = fields.pop("tpam", _DEFAULT_TPAM[variant])
-    if not isinstance(tpam, (GenericTpam, FwmTpamSpec)):
-        tpam = parse_tpam_spec(str(tpam))
+    for name in _ANGLE_FIELDS:
+        if isinstance(fields.get(name), str):
+            fields[name] = parse_angle(fields[name])
+    tpam = parse_tpam_spec(str(fields.pop("tpam", _DEFAULT_TPAM[variant])))
     return manifold_config(**fields, tpam=tpam, variant=variant)
 
 
@@ -315,6 +297,28 @@ def build_manifest(
     }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """``object_pairs_hook`` for config and spec files: a key given twice
+    would silently drop its first value, so it is an error."""
+    data: dict[str, object] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        data[key] = value
+    return data
+
+
+def _read_object(path: str, what: str) -> dict[str, object]:
+    """The JSON object in the UTF-8 file ``path``; ``what`` names the file in errors."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    return data
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=not text.endswith("\n"))
@@ -327,7 +331,37 @@ def _emit(text: str, output: str | None) -> None:
 # Commands
 
 
-@click.group()
+@contextlib.contextmanager
+def _one_line_errors() -> Iterator[None]:
+    """Re-raise a failure as a :class:`click.ClickException`, which click
+    prints as one ``Error:`` line on stderr: exit 2 for a usage error or a
+    ``ValueError``, 3 for a ``FockError`` or an ``OSError``.  Click's help
+    for a bare ``photonherald`` and its broken-pipe exit pass through."""
+    try:
+        yield
+    except (click.UsageError, ValueError, FockError, OSError) as exc:
+        if isinstance(exc, (click.exceptions.NoArgsIsHelpError, BrokenPipeError)):
+            raise
+        message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+        failure = click.ClickException(" ".join(message.split()))
+        failure.exit_code = 3 if isinstance(exc, (FockError, OSError)) else 2
+        raise failure from None
+
+
+class _Group(click.Group):
+    """The ``photonherald`` group: parsing and every command run inside
+    :func:`_one_line_errors`, so every failure is reported the same way."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _one_line_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx: click.Context):
+        with _one_line_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="photonherald")
 def main() -> None:
     """Few-mode Fock-space simulator for heralded single-photon schemes."""
@@ -336,34 +370,22 @@ def main() -> None:
 @main.command("run")
 @click.option(
     "--scheme",
-    type=click.Choice(sorted(SCHEME_TOKENS)),
-    default="main",
-    show_default=True,
-    help="Circuit to run (appendix-a/appendix-b alias pair-herald/filter-split).",
+    metavar="SCHEME",
+    help="Circuit to run: main, doubled, pair-herald (alias appendix-a) or filter-split (alias appendix-b) "
+    "[default: main].",
 )
-@click.option("--p", type=click.FloatRange(0.0, 1.0), default=1.0, show_default=True, help="Source efficiency.")
+@click.option("--p", metavar="FLOAT", help="Source efficiency in [0, 1] [default: 1].")
 @click.option(
     "--tpam",
-    type=TPAM,
-    default=None,
-    help="Absorber spec: generic:alpha=1,beta=0 or jf:M=2,condition=(1,1). "
-    "Defaults depend on the scheme.",
+    metavar="TPAM",
+    help="Absorber spec [default: generic:alpha=1,beta=0 for main and doubled, jf:M=2,condition=(1,1) "
+    "for pair-herald, jf:M=1.5,condition=(0,0) for filter-split].",
 )
-@click.option("--theta0", type=ANGLE, default=None, help="Front-splitter angle [default: 45deg].")
-@click.option(
-    "--theta1",
-    type=ANGLE,
-    default=None,
-    help="First interferometer splitter angle [default: 45deg].",
-)
-@click.option(
-    "--theta2",
-    type=ANGLE,
-    default=None,
-    help="Second interferometer splitter angle [default: 90deg - theta1].",
-)
-@click.option("--phi1", type=ANGLE, default=None, help="First splitter phase [default: 0].")
-@click.option("--phi2", type=ANGLE, default=None, help="Second splitter phase [default: 0].")
+@click.option("--theta0", metavar="ANGLE", help="Front-splitter angle [default: 45deg].")
+@click.option("--theta1", metavar="ANGLE", help="First interferometer splitter angle [default: 45deg].")
+@click.option("--theta2", metavar="ANGLE", help="Second interferometer splitter angle [default: 90deg - theta1].")
+@click.option("--phi1", metavar="ANGLE", help="First splitter phase [default: 0].")
+@click.option("--phi2", metavar="ANGLE", help="Second splitter phase [default: 0].")
 @CUTOFF_OPTION
 @click.option(
     "--config",
@@ -389,22 +411,15 @@ def cmd_run(config_path, output, points, **flags) -> None:
         ctx = click.get_current_context()
         typed = [f"--{name}" for name in flags if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
         if typed:
-            raise click.UsageError(f"--config sets every physics field; drop {', '.join(typed)}")
-        try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise click.UsageError(f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise click.UsageError("config file must hold a JSON object")
+            raise ValueError(f"--config sets every physics field; drop {', '.join(typed)}")
+        loaded = _read_object(config_path, "config file")
+        ignored = sorted(set(loaded) & set(_CONFIG_FIELDS)) if "config" in loaded else []
+        if ignored:
+            raise ValueError(f"fields {', '.join(map(repr, ignored))} beside a manifest's 'config' would be ignored")
         config = loaded.get("config", loaded)
         if not isinstance(config, dict):
-            raise click.UsageError("manifest 'config' field must be an object")
-    try:
-        config, result = run_from_config(config)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except FockError as exc:
-        raise PhysicsCliError(str(exc))
+            raise ValueError("manifest 'config' field must be an object")
+    config, result = run_from_config(config)
     if points:
         lines = ["# p_success fidelity", f"{result.p_success!r} {result.fidelity!r}"]
         _emit("\n".join(lines) + "\n", output)
@@ -432,18 +447,10 @@ def cmd_sweep(spec_file, cutoff, output, points) -> None:
     RFC-4180 CSV with one row per grid point, in deterministic grid order.
     """
     try:
-        data = json.loads(Path(spec_file).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("sweep spec must be a JSON object")
-        spec = SweepSpec.from_mapping(data)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise click.UsageError(f"malformed sweep spec: {exc}")
-    try:
-        rows = sweep_rows(spec, cutoff=cutoff)
+        spec = SweepSpec.from_mapping(_read_object(spec_file, "sweep spec"))
     except ValueError as exc:
-        raise click.UsageError(f"invalid sweep values: {exc}")
-    except FockError as exc:
-        raise PhysicsCliError(str(exc))
+        raise ValueError(f"malformed sweep spec: {exc}") from None
+    rows = sweep_rows(spec, cutoff=cutoff)
     if points:
         lines = ["# " + " ".join(SWEEP_COLUMNS)]
         lines.extend(" ".join(repr(row[col]) for col in SWEEP_COLUMNS) for row in rows)

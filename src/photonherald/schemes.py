@@ -85,7 +85,9 @@ MAX_CUTOFF = 16
 
 #: Bound of the ``reduce_through_bs0`` cache.  A sweep calls it once per
 #: (theta0, p) pair; the memo pays off where single runs repeat a front
-#: splitter, as the formula-vs-simulator check of ``verify`` does 50 times.
+#: splitter.  A pass of both ``verify`` suites hits it about 110 times (about
+#: 50 each in formula-simulator-agreement and tpam-global-phase-invariance,
+#: 11 in paper-values) against about 208 misses.
 BS0_CACHE_SIZE = 256
 
 

@@ -70,6 +70,18 @@ def test_completion_of_violated_case_raises():
         manifold_completion(0.5, CaseId.VIOLATED)
 
 
+@pytest.mark.parametrize("case", VALID_CASES)
+def test_completion_a_double_cannot_hold_is_rejected(case):
+    # At 1e16 the rounded completion puts theta1 +- theta2 at 2, not +-pi/2;
+    # at 1e6 the rounding error (about 6e-11) is still inside ANGLE_TOL.
+    with pytest.raises(ValueError, match="too large"):
+        manifold_config(1e16, case)
+    theta2, phi1, phi2 = manifold_completion(1e6, case)
+    assert classify_constraint(phi1, phi2, 1e6, theta2).case_id is case
+    assert manifold_config(1e6, case).bs2.theta == theta2
+    assert manifold_config(1e16, case, theta2=0.3).bs2.theta == 0.3
+
+
 # ---------------------------------------------------------------------------
 # closed form
 

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photonherald
 from photonherald import MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam
 from photonherald.cli import (
     config_hash,
@@ -239,10 +244,12 @@ def test_cutoff_below_two_is_usage_error(runner):
     assert result.exit_code == 2
 
 
-def assert_one_line_usage_error(result):
-    assert result.exit_code == 2, result.output
-    assert "Traceback" not in result.output
-    assert result.output.strip().splitlines()[-1].startswith("Error: ")
+def assert_one_line_usage_error(result, exit_code=2):
+    """The failure prints exactly one ``Error:`` line on stderr and nothing on stdout."""
+    assert result.exit_code == exit_code, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.stderr
 
 
 def test_null_config_field_is_usage_error(runner, tmp_path):
@@ -296,6 +303,74 @@ def test_absorber_condition_mismatch_is_usage_error(runner, scheme, spec):
 )
 def test_non_finite_parameter_is_usage_error(runner, args):
     assert_one_line_usage_error(runner.invoke(main, ["run", *args]))
+
+
+@pytest.fixture()
+def failure_files(tmp_path):
+    """Inputs for the one-line failure cases; ``{tmp}`` in their arguments is ``tmp_path``."""
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe" + '{"p": 0.5}'.encode("utf-16-le"))
+    (tmp_path / "typo.json").write_text(json.dumps({"thetal": 1}), encoding="utf-8")
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "decreasing.json").write_text(json.dumps({"p": [1.0, 0.5]}), encoding="utf-8")
+    (tmp_path / "grid.json").write_text(json.dumps({"theta1": [0.5], "p": [1.0]}), encoding="utf-8")
+    return tmp_path
+
+
+#: Failures that must print one ``Error:`` line, by exit code.
+ONE_LINE_FAILURES = {
+    "run --p 2": (2, ["run", "--p", "2"]),
+    "run --scheme imaginary": (2, ["run", "--scheme", "imaginary"]),
+    "run --theta1 abc": (2, ["run", "--theta1", "abc"]),
+    "run --tpam bad": (2, ["run", "--tpam", "bad"]),
+    "run --bogus": (2, ["run", "--bogus"]),
+    "run --cutoff 1": (2, ["run", "--cutoff", "1"]),
+    "--bogus": (2, ["--bogus"]),
+    "frob": (2, ["frob"]),
+    "run --config missing file": (2, ["run", "--config", "{tmp}/absent.json"]),
+    "run --config non-UTF-8 file": (2, ["run", "--config", "{tmp}/utf16.json"]),
+    "run --config unknown field": (2, ["run", "--config", "{tmp}/typo.json"]),
+    "sweep list spec": (2, ["sweep", "{tmp}/list.json"]),
+    "sweep decreasing p": (2, ["sweep", "{tmp}/decreasing.json"]),
+    "verify --suite made-up": (2, ["verify", "--suite", "made-up"]),
+    "verify without --suite": (2, ["verify"]),
+    "run --output missing dir": (3, ["run", "--output", "{tmp}/missing/x.json"]),
+    "sweep --output missing dir": (3, ["sweep", "{tmp}/grid.json", "--output", "{tmp}/missing/x.csv"]),
+}
+
+
+def failure_args(case, tmp_path):
+    code, args = ONE_LINE_FAILURES[case]
+    return code, [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+
+
+@pytest.mark.parametrize("case", ONE_LINE_FAILURES)
+def test_every_failure_is_one_error_line(runner, failure_files, case):
+    code, args = failure_args(case, failure_files)
+    assert_one_line_usage_error(runner.invoke(main, args), exit_code=code)
+
+
+@pytest.mark.parametrize("case", ["run --output missing dir", "run --config non-UTF-8 file"])
+def test_failure_is_one_error_line_in_a_real_process(failure_files, case):
+    code, args = failure_args(case, failure_files)
+    src = str(Path(photonherald.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("FOCK_CUTOFF", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonherald.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("Error: "), proc.stderr
+
+
+def test_help_version_and_bare_group_keep_their_click_behaviour(runner):
+    bare = runner.invoke(main, [])
+    assert bare.exit_code == 2 and bare.stdout == ""
+    assert bare.stderr.startswith("Usage: ") and "Commands:" in bare.stderr
+    helped = runner.invoke(main, ["--help"])
+    assert helped.exit_code == 0 and helped.stdout == bare.stderr
+    version = runner.invoke(main, ["--version"])
+    assert version.exit_code == 0 and version.stdout == f"photonherald, version {photonherald.__version__}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +478,13 @@ def test_config_numbers_of_equal_value_record_one_config(runner, tmp_path, field
     assert a["config_hash"] == b["config_hash"]
 
 
+def test_config_field_beside_a_manifests_config_is_usage_error(runner, tmp_path):
+    manifest = manifest_of(invoke(runner, "run", "--p", "0.5"))
+    result = run_config(runner, tmp_path, {**manifest, "p": 0.7})
+    assert_one_line_usage_error(result)
+    assert "'p'" in result.stderr
+
+
 def test_config_file_records_the_flag_path_config(runner, tmp_path):
     flags = manifest_of(invoke(runner, "run", "--theta1", "0.5", "--tpam", "jf:M=3"))
     config = manifest_of(run_config(runner, tmp_path, {"theta1": 0.5, "tpam": "fwm:M=3", "cutoff": 4.0}))
@@ -452,6 +534,63 @@ def test_splitter_flag_on_conversion_scheme_is_usage_error(runner, scheme, flag)
     result = runner.invoke(main, ["run", "--scheme", scheme, flag, "30deg"])
     assert_one_line_usage_error(result)
     assert repr(flag[2:]) in result.output
+
+
+#: Per run field: a value it accepts and one it rejects, as flag text.
+FIELD_VALUES = [
+    ("scheme", "appendix-a", "imaginary"),
+    ("p", "0.25", "2"),
+    ("tpam", "jf:M=3", "jf:M=1/0"),
+    ("theta0", "30deg", "abc"),
+    ("theta1", "0.5236rad", "nan"),
+    ("theta2", "1.1", "1/0"),
+    ("phi1", "-45deg", "inf"),
+    ("phi2", "0.3", ""),
+]
+
+
+@pytest.mark.parametrize("field,valid,invalid", FIELD_VALUES)
+def test_flag_and_config_file_accept_and_reject_alike(runner, tmp_path, field, valid, invalid):
+    by_flag = manifest_of(invoke(runner, "run", f"--{field}", valid))
+    by_file = manifest_of(run_config(runner, tmp_path, {field: valid}))
+    assert by_file["config_hash"] == by_flag["config_hash"]
+    bad_flag = runner.invoke(main, ["run", f"--{field}", invalid])
+    bad_file = run_config(runner, tmp_path, {field: invalid})
+    assert_one_line_usage_error(bad_flag)
+    assert bad_file.exit_code == bad_flag.exit_code
+    assert bad_file.stderr == bad_flag.stderr
+
+
+@pytest.mark.parametrize(
+    "command,text,key",
+    [
+        ("run", '{"p": 0.5, "p": 0.7}', "p"),
+        ("run", '{"command": "run", "config": {"theta1": 0.3, "theta1": 0.4}}', "theta1"),
+        ("sweep", '{"p": [0.5], "theta1": [0.3], "p": [0.7]}', "p"),
+        ("sweep", '{"theta1": {"start": 0, "start": 1, "stop": 1, "steps": 2}}', "start"),
+    ],
+)
+def test_duplicate_key_in_config_or_spec_is_usage_error(runner, tmp_path, command, text, key):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(path)] if command == "run" else ["sweep", str(path)])
+    assert_one_line_usage_error(result)
+    assert f"duplicate key {key!r}" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--p", "0.5", "--theta1", "1e16"],
+        ["run", "--scheme", "doubled", "--theta1", "-1e9"],
+        ["sweep", "{spec}"],
+    ],
+)
+def test_completion_a_double_cannot_hold_is_usage_error(runner, tmp_path, args):
+    spec = write_spec(tmp_path, {"theta1": [1e9, 1e16], "p": [0.5]})
+    result = runner.invoke(main, [arg.replace("{spec}", spec) for arg in args])
+    assert_one_line_usage_error(result)
+    assert "too large" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -533,30 +672,133 @@ def bad_sweep_specs(draw):
     return spec
 
 
-def assert_no_number_printed(result):
-    assert_one_line_usage_error(result)
-    assert "p_success" not in result.output
-    assert not any(line.count(",") == len(SWEEP_COLUMNS) - 1 for line in result.output.splitlines())
+#: Values no field should turn into a plausible number: JSON's odd corners,
+#: text that float() or the wire formats half accept, unicode and structure.
+HOSTILE = st.one_of(
+    BAD_NUMBERS,
+    BAD_TEXT,
+    st.none(),
+    st.sampled_from(
+        [10**400, -(10**400), 5e-324, -5e-324, -0.0, -1.0, 1e308, "1e400", "30deg", "-1e16rad", "", " ", "\u00e9",
+         "\u0661", "\x00", "\ud800", "jf:M=1e400", "jf:M=2,condition=(1,1,1)", "generic:alpha=1e400,beta=0"]
+    ),
+    st.floats(),
+    st.integers(-3, 3),
+    st.text(max_size=6),
+    st.lists(st.none() | st.booleans() | st.integers(-2, 2) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.none() | st.integers(-2, 2), max_size=2),
+)
+
+#: Values a run field may accept, so that some draws run and print a result.
+ANGLE_VALUES = st.floats(-7.0, 7.0) | st.sampled_from(["30deg", "-45deg", "0.5236rad", "1e6", 1e16])
+PLAUSIBLE_RUN = {
+    "scheme": st.sampled_from([*ANY_SCHEME, "appendix-a", "appendix-b"]),
+    "p": st.floats(0.0, 1.0) | st.sampled_from(["0.5", "1e-12", 1]),
+    "cutoff": st.integers(2, MAX_CUTOFF) | st.just(4.0),
+    "tpam": st.sampled_from(
+        ["generic:alpha=0.6,beta=0.8j", "generic:alpha=0.5,beta=0.5", "jf:M=2,condition=(1,1)", "jf:M=1.5", "fwm:M=5/2"]
+    ),
+    **dict.fromkeys(["theta0", "theta1", "theta2", "phi1", "phi2"], ANGLE_VALUES),
+}
 
 
-@given(config=bad_run_configs())
-@settings(max_examples=60, deadline=None)
-def test_bad_number_in_run_config_never_prints_a_result(config):
+def plausible_or_hostile(draw, plausible):
+    """Mostly a plausible value, so that some draws succeed; else a hostile one."""
+    return draw(HOSTILE) if plausible is None or draw(st.integers(0, 3)) == 0 else draw(plausible)
+
+
+@st.composite
+def hostile_run_configs(draw):
+    """(config, must_fail): half the configs hold one bad number
+    (:func:`bad_run_configs`); known and unknown fields come on top."""
+    must_fail = draw(st.booleans())
+    config = draw(bad_run_configs()) if must_fail else {}
+    names = draw(st.lists(st.sampled_from([*PLAUSIBLE_RUN, "thetal", "P", "", "config"]), unique=True, max_size=4))
+    for name in names:
+        config.setdefault(name, plausible_or_hostile(draw, PLAUSIBLE_RUN.get(name)))
+    return config, must_fail
+
+
+def sorted_values(elements):
+    return st.lists(elements, min_size=1, max_size=3).map(sorted)
+
+
+ANGLE_AXIS = sorted_values(st.floats(-4.0, 4.0)) | st.builds(
+    lambda start, stop, steps, unit: {"start": start, "stop": stop, "steps": steps, "unit": unit},
+    st.floats(-90.0, 90.0), st.floats(-90.0, 90.0), st.integers(1, 3), st.sampled_from(["deg", "rad"]),
+)
+PLAUSIBLE_SWEEP = {
+    "theta0": ANGLE_AXIS,
+    "theta1": ANGLE_AXIS | st.just([1e9, 1e16]),
+    "p": sorted_values(st.floats(0.0, 1.0)),
+    "beta": st.lists(st.floats(-1.0, 1.0) | st.just([0.3, 0.4]) | st.just("0.1+0.2j"), min_size=1, max_size=2),
+    "case": st.sampled_from(["sum_plus", "sum_minus", "diff_plus", "diff_minus", "violated"]),
+}
+
+
+@st.composite
+def hostile_sweep_specs(draw):
+    """(spec, must_fail) with the same mix as :func:`hostile_run_configs`."""
+    must_fail = draw(st.booleans())
+    spec = draw(bad_sweep_specs()) if must_fail else {}
+    names = draw(st.lists(st.sampled_from([*PLAUSIBLE_SWEEP, "thetal", "steps", ""]), unique=True, max_size=4))
+    for name in names:
+        spec.setdefault(name, plausible_or_hostile(draw, PLAUSIBLE_SWEEP.get(name)))
+    return spec, must_fail
+
+
+def numbers_in(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from numbers_in(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+def assert_one_line_or_exit_0(result, must_fail):
+    """No exception but ``SystemExit`` escapes; a failure exits 2 with one line."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code in ((2,) if must_fail else (0, 2)), result.output
+    if result.exit_code:
+        assert_one_line_usage_error(result)
+
+
+@given(draw=hostile_run_configs())
+@settings(max_examples=150, deadline=None)
+def test_bad_number_in_run_config_never_prints_a_result(draw):
+    config, must_fail = draw
     runner = CliRunner()
     with runner.isolated_filesystem():
         with open("config.json", "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        assert_no_number_printed(runner.invoke(main, ["run", "--config", "config.json"]))
+        result = runner.invoke(main, ["run", "--config", "config.json"])
+    assert_one_line_or_exit_0(result, must_fail)
+    if result.exit_code == 0:
+        out = json.loads(result.stdout)["result"]
+        assert all(math.isfinite(x) for x in numbers_in(out))
+        assert 0.0 <= out["p_success"] <= 1.0 and 0.0 <= out["fidelity"] <= 1.0
+        assert math.isclose(math.fsum(out["branch_log"].values()), out["p_success"], rel_tol=1e-12)
 
 
-@given(spec=bad_sweep_specs())
-@settings(max_examples=60, deadline=None)
-def test_bad_number_in_sweep_spec_never_prints_a_row(spec):
+@given(draw=hostile_sweep_specs())
+@settings(max_examples=150, deadline=None)
+def test_bad_number_in_sweep_spec_never_prints_a_row(draw):
+    spec, must_fail = draw
     runner = CliRunner()
     with runner.isolated_filesystem():
         with open("spec.json", "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
-        assert_no_number_printed(runner.invoke(main, ["sweep", "spec.json"]))
+        result = runner.invoke(main, ["sweep", "spec.json"])
+    assert_one_line_or_exit_0(result, must_fail)
+    if result.exit_code == 0:
+        header, *lines = result.stdout.splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), map(float, line.split(","))))
+            for column, value in row.items():
+                assert math.isnan(value) == (column == "p_success_over_p2" and row["p"] == 0.0), (column, row)
+            assert 0.0 <= row["p_success"] <= 1.0 and 0.0 <= row["fidelity"] <= 1.0
 
 
 # ---------------------------------------------------------------------------
