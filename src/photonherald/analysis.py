@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .elements import BeamSplitterParams, splitter_block
 from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, fock_state
-from .schemes import MAIN, Circuit, SchemeConfig, SourceSpec, build_circuit, run_main_scheme
+from .schemes import MAIN, Circuit, SchemeConfig, SourceSpec, build_circuit, reduce_through_bs0, run_main_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
@@ -333,8 +333,9 @@ def jf_length_scan(
 
 #: Largest grid a sweep accepts, checked before any axis is built.  On a
 #: 2-CPU host a README-shaped grid runs at 60k-90k points per second, but
-#: each (theta0, p) pair costs a front-splitter reduction, so a grid spread
-#: over theta0 and p runs at about 2.5k, and this limit takes 40 s there.
+#: each (theta0, p) pair costs a front-splitter reduction of about 0.1 ms,
+#: so a grid spread over theta0 and p runs at about 7k, and this limit
+#: takes about 14 s there.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -451,11 +452,13 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     """Evaluate the main scheme at every grid point; deterministic row order.
 
     Grid order is theta0-major, then theta1, beta, p.  Each axis value goes
-    through :func:`manifold_config` once.  Each stage of the circuit from
-    :func:`build_circuit` is built once per axis value it depends on, as a
-    dense block on every input photon-number sector (the splitters per
-    theta1, the absorber per beta), and numpy products cover the whole
-    theta1 x beta product; the sector weights come once per (theta0, p).
+    through :func:`manifold_config` once, and :func:`build_circuit` runs
+    once, for the stages.  Each stage is built once per axis value it
+    depends on, as a dense block on every input photon-number sector (the
+    splitters per theta1, the absorber per beta), and numpy products cover
+    the whole theta1 x beta product.  The sector weights of each (theta0, p)
+    pair are the photon-number distribution of its
+    :func:`reduce_through_bs0` mixture, the inputs a single run starts from.
     After every stage the amplitudes a single run would prune are set to 0,
     so rows agree with ``run_main_scheme`` to rounding, and its exact zeros
     stay 0.
@@ -467,14 +470,16 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     by_theta1 = [config(theta1=theta1) for theta1 in spec.theta1]
     absorbers = [config(beta=beta).tpam for beta in spec.beta]
     front = [config(theta0=theta0).bs0 for theta0 in spec.theta0]
-    by_p = [config(p=p) for p in spec.p]
-    circuits = [build_circuit(replace(cfg, bs0=bs0)) for bs0 in front for cfg in by_p]
-    (mode,) = circuits[0].inputs.register.labels
-    weights = [circuit.inputs.number_distribution(mode) for circuit in circuits]
+    sources = [config(p=p).source.p for p in spec.p]
+    # The circuit's inputs are the front-splitter mixture of the first (theta0, p) pair.
+    circuit = build_circuit(by_theta1[0])
+    pairs = [(bs0, p) for bs0 in front for p in sources][1:]
+    reduced = [circuit.inputs, *(reduce_through_bs0(p, bs0.theta, bs0.phi, cutoff=cutoff) for bs0, p in pairs)]
+    weights = [inputs.number_distribution("B") for inputs in reduced]
     sectors = sorted(set().union(*weights))
     w = np.array([[weight.get(n, 0.0) for n in sectors] for weight in weights])
-    heralds = np.array([_sector_heralds(circuits[0], n, by_theta1, absorbers) for n in sectors])
-    p_success, on_one = np.einsum("kls,sxtb->xktbl", w.reshape(len(front), len(by_p), -1), heralds)
+    heralds = np.array([_sector_heralds(circuit, n, by_theta1, absorbers) for n in sectors])
+    p_success, on_one = np.einsum("kls,sxtb->xktbl", w.reshape(len(front), len(sources), -1), heralds)
     p2 = np.square(spec.p)
     ratio = np.divide(p_success, p2, out=np.full_like(p_success, math.nan), where=p2 > 0.0)
     fidelity = np.divide(on_one, p_success, out=np.zeros_like(p_success), where=p_success > 0.0)

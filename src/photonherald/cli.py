@@ -42,7 +42,7 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from .analysis import SWEEP_COLUMNS, SweepSpec, manifold_config, sweep_rows
+from .analysis import SWEEP_COLUMNS, SweepSpec, _whole, manifold_config, sweep_rows
 from .fock import DEFAULT_CUTOFF, FockError
 from .schemes import DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeConfig, SchemeResult, run_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam
@@ -195,13 +195,23 @@ def format_tpam_spec(tpam: GenericTpam | FwmTpamSpec) -> str:
     return f"jf:M={m_text},condition=({i},{j})"
 
 
+def _cutoff(ctx: click.Context, param: click.Parameter, value: str) -> int:
+    """The ``--cutoff`` text as a whole number in [2, MAX_CUTOFF], read as a
+    config file's cutoff is read, so ``6.0`` is 6 here too."""
+    cutoff = _whole("cutoff", value)
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff must lie in [2, {MAX_CUTOFF}], got {value!r}")
+    return cutoff
+
+
 CUTOFF_OPTION = click.option(
     "--cutoff",
-    type=click.IntRange(2, MAX_CUTOFF),
-    default=DEFAULT_CUTOFF,
+    metavar="INTEGER",
+    default=str(DEFAULT_CUTOFF),
+    callback=_cutoff,
     show_default=True,
     envvar="FOCK_CUTOFF",
-    help="Per-mode photon cutoff (env: FOCK_CUTOFF).",
+    help=f"Per-mode photon cutoff, a whole number in 2..{MAX_CUTOFF} (env: FOCK_CUTOFF).",
 )
 
 

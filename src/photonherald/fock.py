@@ -467,23 +467,20 @@ def _states_close(a: PureState, b: PureState, atol: float) -> bool:
     return all(abs(a.amplitude(k) - b.amplitude(k)) <= atol for k in kets)
 
 
-def partial_trace_discard(state: PureState | Ensemble, mode: str) -> Ensemble:
+def partial_trace_discard(state: PureState, mode: str) -> Ensemble:
     """Trace out one mode, returning the reduced state as an ensemble.
 
-    Grouping each state's kets by the discarded mode's occupation yields
-    orthogonal components; their squared norms are the branch weights of the
-    reduced density matrix.
+    Grouping the kets by the discarded mode's occupation yields orthogonal
+    components; their squared norms are the branch weights of the reduced
+    density matrix.
     """
     i = state.register.index(mode)
     reg = state.register.without(mode)
-    components: list[PureState] = []
-    for psi in state.states if isinstance(state, Ensemble) else (state,):
-        groups: dict[int, dict[FockKet, complex]] = {}
-        for ket, amp in psi._amps.items():
-            occ = ket.occupations[:i] + ket.occupations[i + 1 :]
-            groups.setdefault(ket.occupations[i], {})[FockKet(occ, ket.medium)] = amp
-        components.extend(PureState._of(reg, amps, psi.norm()) for _, amps in sorted(groups.items()))
-    return Ensemble._of(reg, components).consolidated()
+    groups: dict[int, dict[FockKet, complex]] = {}
+    for ket, amp in state._amps.items():
+        occ = ket.occupations[:i] + ket.occupations[i + 1 :]
+        groups.setdefault(ket.occupations[i], {})[FockKet(occ, ket.medium)] = amp
+    return Ensemble._of(reg, (PureState._of(reg, amps, state.norm()) for _, amps in sorted(groups.items()))).consolidated()
 
 
 def fidelity_to_single_photon(state: PureState | Ensemble) -> float:

@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 from .elements import BeamSplitterParams, apply_beam_splitter
 from .fock import (
     DEFAULT_CUTOFF,
     Ensemble,
+    FockKet,
     ModeRegister,
     PureState,
     fidelity_to_single_photon,
@@ -82,14 +82,6 @@ VARIANTS = (MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT)
 #: two photons in a mode, so every cutoff from 2 up gives the same results and
 #: a larger one buys nothing; the ceiling only keeps absurd input out.
 MAX_CUTOFF = 16
-
-#: Bound of the ``reduce_through_bs0`` cache.  A sweep calls it once per
-#: (theta0, p) pair; the memo pays off where single runs repeat a front
-#: splitter.  A pass of both ``verify`` suites hits it about 110 times (about
-#: 50 each in formula-simulator-agreement and tpam-global-phase-invariance,
-#: 11 in paper-values) against about 208 misses.
-BS0_CACHE_SIZE = 256
-
 
 @dataclass(frozen=True, slots=True)
 class SourceSpec:
@@ -197,40 +189,52 @@ def input_mixture(
     )
 
 
-@lru_cache(maxsize=BS0_CACHE_SIZE)
 def reduce_through_bs0(
-    p: float,
-    theta0: float = math.pi / 4,
-    phi0: float = 0.0,
-    *,
-    cutoff: int = DEFAULT_CUTOFF,
-    discard: bool = True,
+    p: float, theta0: float = math.pi / 4, phi0: float = 0.0, *, cutoff: int = DEFAULT_CUTOFF, discard: bool = True
 ) -> Ensemble:
     """Interfere two source copies at the front splitter and drop one output.
 
-    Returns the reduced mixture on mode ``B``.  At theta0 = pi/4 the weights
-    are (p^2/2, p(1-p), p^2/2 - p + 1) on |2>, |1>, |0> — photon bunching
-    pushes the one-photon weight down and the two-photon weight up, which is
-    exactly what the absorber downstream feeds on.
+    Returns the reduced mixture on mode ``B``, one branch ``|n>`` per photon
+    number.  At theta0 = pi/4 the weights are (p^2/2, p(1-p), p^2/2 - p + 1)
+    on |2>, |1>, |0> — photon bunching pushes the one-photon weight down and
+    the two-photon weight up, which is exactly what the absorber downstream
+    feeds on.
 
-    With ``discard=False`` the joint two-mode ensemble on (A, B) is returned
-    instead (used by the doubled variant, which processes both outputs).
-
-    Results are memoized on the arguments, and a repeated call returns the
-    same ensemble object; like every state here, treat it as read-only.
+    Each product ket |a, b> of the sources, with amplitude sqrt(P_a) sqrt(P_b)
+    (P_1 = p, P_0 = 1 - p; a zero one is dropped), goes through the splitter
+    as one branch of the joint state on (A, B); with ``discard=False`` that
+    joint ensemble is returned (the doubled variant processes both outputs).
+    The splitter conserves photon number, so each branch holds one total N
+    and B's reduced state is diagonal: ``|n>`` takes B's weight of n
+    photons, with the phase of the first joint amplitude that leaves n
+    photons in B.
     """
+    source = SourceSpec(p)
     bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
-    joint = Ensemble._of(
-        ModeRegister(("A", "B"), cutoff),
-        (
-            apply_beam_splitter(tensor(a, b), bs0)
-            for a in input_mixture(p, "A", cutoff=cutoff).states
-            for b in input_mixture(p, "B", cutoff=cutoff).states
-        ),
-    )
+    register = ModeRegister(("A", "B"), cutoff)
+    root = {1: math.sqrt(source.p), 0: math.sqrt(1.0 - source.p)}
+    products = (PureState._of(register, {FockKet((a, b)): complex(root[a] * root[b])}, 0.0) for a in (1, 0) for b in (1, 0))
+    joint = Ensemble._of(register, (apply_beam_splitter(psi, bs0) for psi in products))
     if not discard:
         return joint
-    return partial_trace_discard(joint, "A")
+    weights = joint.number_distribution("B")
+    first: dict[int, complex] = {}
+    for ket, amp in (term for state in joint.states for term in state.terms()):
+        first.setdefault(ket.occupations[1], amp)
+    reduced = register.without("A")
+    return Ensemble._of(
+        reduced, (PureState._of(reduced, {FockKet((n,)): _with_weight(amp, weights[n])}, 0.0) for n, amp in first.items())
+    )
+
+
+def _with_weight(amp: complex, weight: float) -> complex:
+    """``amp`` rescaled to squared magnitude ``weight``, as
+    :meth:`Ensemble.consolidated` rescales a group's first state; where
+    ``|amp|^2`` is not a normal double, from ``|amp|`` itself, which stays finite."""
+    own = abs(amp) ** 2
+    if weight == own:
+        return amp
+    return amp * (math.sqrt(weight / own) if own >= sys.float_info.min else math.sqrt(weight) / abs(amp))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from photonherald import (
     manifold_completion,
     manifold_config,
     optimize_ps,
-    reduce_through_bs0,
     run_main_scheme,
     simulate_manifold_point,
     sweep_rows,
@@ -346,8 +345,16 @@ def test_sweep_rows_equal_uncached_single_runs():
     )
     rows = sweep_rows(spec)
     for row in rows:
-        reduce_through_bs0.cache_clear()
         assert_row_matches_single_run(row, spec.case)
+
+
+@pytest.mark.parametrize("theta0", [1e-9, math.pi / 2 - 1e-9])
+@pytest.mark.parametrize("p", [1e-150, 1.5e-154])
+def test_sweep_row_matches_single_run_where_front_amplitudes_square_to_subnormals(p, theta0):
+    (row,) = sweep_rows(SweepSpec(theta0=(theta0,), p=(p,)))
+    assert math.isfinite(row["p_success"])
+    assert math.isfinite(run_main_scheme(manifold_config(p=p, theta0=theta0)).p_success)
+    assert_row_matches_single_run(row, CaseId.SUM_PLUS)
 
 
 @pytest.mark.parametrize("cutoff", [2, 4])

@@ -283,6 +283,23 @@ def test_bad_config_cutoff_is_usage_error(runner, tmp_path, cutoff):
     assert_one_line_usage_error(run_config(runner, tmp_path, {"cutoff": cutoff}))
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "{spec}"], ["verify", "--suite", "invariants"]])
+def test_cutoff_flag_and_env_read_a_whole_float_as_a_config_file_does(runner, tmp_path, command):
+    spec = write_spec(tmp_path, {"theta1": [0.5], "p": [0.5]})
+    args = [arg.replace("{spec}", spec) for arg in command]
+
+    def output(result):
+        assert result.exit_code == 0, result.output
+        return {**json.loads(result.output), "timestamp": None} if command == ["run"] else result.output
+
+    whole = output(invoke(runner, *args, "--cutoff", "6"))
+    assert output(invoke(runner, *args, "--cutoff", "6.0")) == whole
+    assert output(invoke(runner, *args, env={"FOCK_CUTOFF": "6.0"})) == whole
+    for bad in ("1", "17", "4.5", "1e9", "nan"):
+        assert_one_line_usage_error(runner.invoke(main, [*args, "--cutoff", bad]))
+        assert_one_line_usage_error(runner.invoke(main, args, env={"FOCK_CUTOFF": bad}))
+
+
 def test_cutoff_above_ceiling_is_usage_error(runner):
     too_big = str(MAX_CUTOFF + 1)
     assert_one_line_usage_error(runner.invoke(main, ["run", "--cutoff", too_big]))
@@ -540,6 +557,7 @@ def test_splitter_flag_on_conversion_scheme_is_usage_error(runner, scheme, flag)
 FIELD_VALUES = [
     ("scheme", "appendix-a", "imaginary"),
     ("p", "0.25", "2"),
+    ("cutoff", "6.0", "4.5"),
     ("tpam", "jf:M=3", "jf:M=1/0"),
     ("theta0", "30deg", "abc"),
     ("theta1", "0.5236rad", "nan"),

@@ -18,17 +18,21 @@ from photonherald import (
     FwmParams,
     FwmTpamSpec,
     GenericTpam,
+    ModeRegister,
     SchemeConfig,
     SourceSpec,
+    apply_beam_splitter,
     build_circuit,
     input_mixture,
     manifold_config,
+    partial_trace_discard,
     reduce_through_bs0,
     run_doubled_scheme,
     run_filter_split_scheme,
     run_main_scheme,
     run_pair_herald_scheme,
     run_scheme,
+    tensor,
 )
 
 # simulator benchmarks, frozen from independently computed closed forms
@@ -102,19 +106,39 @@ def test_front_splitter_joint_mode_keeps_both_outputs():
 @pytest.mark.parametrize(
     "p,theta0,phi0,cutoff", [(1.0, math.pi / 4, 0.0, 4), (0.37, 0.6, 1.3, 2), (0.86, 1.1, -0.4, 5)]
 )
-def test_memoized_front_splitter_matches_uncached(p, theta0, phi0, cutoff, discard):
-    reduce_through_bs0.cache_clear()
-    first = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
-    again = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
-    assert again is first
-    assert reduce_through_bs0.cache_info().hits == 1
-    fresh = reduce_through_bs0.__wrapped__(p, theta0, phi0, cutoff=cutoff, discard=discard)
-    assert first.register == fresh.register
-    assert len(first) == len(fresh)
-    for (w, state), (w_fresh, state_fresh) in zip(first, fresh):
-        assert w == w_fresh
-        assert state.register == state_fresh.register
-        assert list(state.terms()) == list(state_fresh.terms())
+def test_front_splitter_matches_composed_elements(p, theta0, phi0, cutoff, discard):
+    # The reduction written out from generic ops: both source mixtures, their
+    # tensor products through the splitter, each joint state traced, then
+    # the branches merged per state up to norm and phase.
+    bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
+    joint = [
+        apply_beam_splitter(tensor(a, b), bs0)
+        for a in input_mixture(p, "A", cutoff=cutoff).states
+        for b in input_mixture(p, "B", cutoff=cutoff).states
+    ]
+    want = Ensemble._of(ModeRegister(("A", "B"), cutoff), joint)
+    if discard:
+        traced = [branch for psi in joint for branch in partial_trace_discard(psi, "A").states]
+        want = Ensemble._of(ModeRegister(("B",), cutoff), traced).consolidated()
+    got = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
+    assert got.register == want.register
+    assert len(got) == len(want)
+    for state, expected in zip(got.states, want.states):
+        assert state.register == expected.register
+        assert repr(list(state.terms())) == repr(list(expected.terms()))
+
+
+@pytest.mark.parametrize("theta0", [1e-9, math.pi / 2 - 1e-9])
+@pytest.mark.parametrize("p", [1e-150, 1.5e-154])
+def test_front_splitter_is_one_finite_branch_per_number_where_squares_are_subnormal(p, theta0):
+    # The first joint amplitude with no photon in B is about p * theta0, whose
+    # square is subnormal or 0: rescaling it by its square would overflow,
+    # and branches of such states cannot be compared to be merged.
+    reduced = reduce_through_bs0(p, theta0)
+    numbers = [ket.occupations for state in reduced.states for ket, _ in state.terms()]
+    assert len(numbers) == len(set(numbers)) == len(reduced)
+    assert all(math.isfinite(amp.real) and math.isfinite(amp.imag) for s in reduced.states for _, amp in s.terms())
+    assert reduced.total_weight() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

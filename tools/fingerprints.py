@@ -1,0 +1,89 @@
+"""Fingerprints of photonherald's physics output, printed as one JSON object.
+
+Usage, from the root of a checkout::
+
+    python3 tools/fingerprints.py
+
+It prints the sha256 of
+
+* the CSV that ``photonherald sweep`` writes for the README example spec;
+* the stdout of ``photonherald verify`` for both suites at seeds 1 and 2,
+  next to each exit code (paper-values exits 1: criterion 09 fails by design);
+* the newline join of ``json.dumps(result.to_dict(), sort_keys=True)`` over
+  the first 1500 runs of the benchmark's scheme-mix workload at seed 13;
+* the newline join of ``repr(rows)`` over the first 12 calls of its
+  sweep-grid workload at seed 77.
+
+Run it in two checkouts and compare the outputs: equal objects mean equal
+bytes on all of these inputs.  The package comes from the checkout's
+``src/`` and the inputs from ``perfbench/workloads.py``, which is only
+imported.  The command-line runs go through fresh interpreters, without
+``FOCK_CUTOFF``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402  (needs the paths above)
+
+#: The spec of the ``photonherald sweep`` example in the README.
+README_SWEEP_SPEC = {
+    "theta1": {"start": 10, "stop": 50, "steps": 41, "unit": "deg"},
+    "beta": [0, [0.3, 0.4], "0.1+0.2j"],
+    "p": [0.5, 1.0],
+}
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
+
+
+def cli(*args: str) -> subprocess.CompletedProcess:
+    """``photonherald ARGS`` in a fresh interpreter on this checkout's ``src/``;
+    stdout stays bytes, so the sweep's CRLF line ends are hashed as written."""
+    env = {k: v for k, v in os.environ.items() if k != "FOCK_CUTOFF"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    cmd = [sys.executable, "-c", workloads.CliCold.ENTRY, *args]
+    return subprocess.run(cmd, capture_output=True, env=env, cwd=ROOT, timeout=600)
+
+
+def first_results(workload, calls: int) -> list:
+    return [workload.call(x) for x in itertools.islice(workload.ops(), calls)]
+
+
+def fingerprints() -> dict[str, object]:
+    out: dict[str, object] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps(README_SWEEP_SPEC), encoding="utf-8")
+        sweep = cli("sweep", str(spec))
+    if sweep.returncode != 0:
+        raise SystemExit(f"photonherald sweep failed: {sweep.stderr.decode().strip()}")
+    out["readme_sweep_csv_sha256"] = sha256(sweep.stdout)
+    for suite, seed in itertools.product(("paper-values", "invariants"), (1, 2)):
+        verify = cli("verify", "--suite", suite, "--seed", str(seed))
+        out[f"verify_{suite}_seed{seed}_stdout_sha256"] = sha256(verify.stdout)
+        out[f"verify_{suite}_seed{seed}_exit"] = verify.returncode
+    mix = first_results(workloads.SchemeMix(13), 1500)
+    out["scheme_mix_1500_seed13_to_dict_sha256"] = sha256(
+        "\n".join(json.dumps(result.to_dict(), sort_keys=True) for result in mix)
+    )
+    grids = first_results(workloads.SweepGrid(77), 12)
+    out["sweep_grid_12_seed77_sha256"] = sha256("\n".join(repr(rows) for rows in grids))
+    return out
+
+
+if __name__ == "__main__":
+    print(json.dumps(fingerprints(), indent=2))
