@@ -23,6 +23,7 @@ absorber, which only sets the prefactor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -30,9 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .elements import BeamSplitterParams, splitter_block
+from .elements import BeamSplitterParams, splitter_blocks
 from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, fock_state
-from .schemes import MAIN, Circuit, SchemeConfig, SourceSpec, build_circuit, reduce_through_bs0, run_main_scheme
+from .schemes import MAIN, Circuit, SchemeConfig, SourceSpec, _with_weight, build_circuit, run_main_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
@@ -108,7 +109,7 @@ def classify_constraint(
 def _case_id(case: ConstraintCase | CaseId | str) -> CaseId:
     if isinstance(case, ConstraintCase):
         return case.case_id
-    return CaseId(case)
+    return case if isinstance(case, CaseId) else CaseId(case)
 
 
 def manifold_completion(theta1: float, case: ConstraintCase | CaseId | str) -> tuple[float, float, float]:
@@ -195,16 +196,7 @@ def manifold_config(
             misses the branch by more than ``ANGLE_TOL`` in double precision.
     """
     theta1 = _number("theta1", theta1)
-    completion = manifold_completion(theta1, case)
-    if theta2 is None:
-        # On the sum (diff) branches theta1 + theta2 (theta1 - theta2) is
-        # +-pi/2; for a huge theta1 the rounding of theta2 loses that.
-        off = math.cos(theta1 + completion[0] if completion[1] == 0.0 else theta1 - completion[0])
-        if abs(off) > ANGLE_TOL:
-            raise ValueError(
-                f"theta1 = {theta1!r} is too large to complete theta2 onto {_case_id(case).value} "
-                f"in double precision (the branch cosine is {off:.3g}, not 0)"
-            )
+    completion = _completed(theta1, case) if theta2 is None else manifold_completion(theta1, case)
     theta2, phi1, phi2 = (
         default if value is None else _number(name, value)
         for name, value, default in zip(("theta2", "phi1", "phi2"), (theta2, phi1, phi2), completion)
@@ -218,6 +210,22 @@ def manifold_config(
         variant=variant,
         cutoff=_whole("cutoff", cutoff),
     )
+
+
+def _completed(theta1: float, case: ConstraintCase | CaseId | str) -> tuple[float, float, float]:
+    """:func:`manifold_completion`, checked to hold in double precision.
+
+    On the sum (diff) branches theta1 + theta2 (theta1 - theta2) is +-pi/2;
+    for a huge theta1 the rounding of theta2 loses that.
+    """
+    completion = manifold_completion(theta1, case)
+    off = math.cos(theta1 + completion[0] if completion[1] == 0.0 else theta1 - completion[0])
+    if abs(off) > ANGLE_TOL:
+        raise ValueError(
+            f"theta1 = {theta1!r} is too large to complete theta2 onto {_case_id(case).value} "
+            f"in double precision (the branch cosine is {off:.3g}, not 0)"
+        )
+    return completion
 
 
 def simulate_manifold_point(
@@ -332,10 +340,11 @@ def jf_length_scan(
 
 
 #: Largest grid a sweep accepts, checked before any axis is built.  On a
-#: 2-CPU host a README-shaped grid runs at 60k-90k points per second, but
-#: each (theta0, p) pair costs a front-splitter reduction of about 0.1 ms,
-#: so a grid spread over theta0 and p runs at about 7k, and this limit
-#: takes about 14 s there.
+#: 2-CPU host a README-shaped grid runs at about 100k points per second and
+#: a 100 x 100 theta0 x p grid at about 200k.  Each theta1 value costs its
+#: splitter rows and each beta value its absorber block, some microseconds
+#: each, so this limit takes longest, about 10 s, on one long theta1 axis,
+#: whose rows overflow the ``_mixing_row`` cache.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -451,107 +460,134 @@ def _parse_beta(raw: object) -> complex:
 def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[str, float]]:
     """Evaluate the main scheme at every grid point; deterministic row order.
 
-    Grid order is theta0-major, then theta1, beta, p.  Each axis value goes
-    through :func:`manifold_config` once, and :func:`build_circuit` runs
-    once, for the stages.  Each stage is built once per axis value it
-    depends on, as a dense block on every input photon-number sector (the
-    splitters per theta1, the absorber per beta), and numpy products cover
-    the whole theta1 x beta product.  The sector weights of each (theta0, p)
-    pair are the photon-number distribution of its
-    :func:`reduce_through_bs0` mixture, the inputs a single run starts from.
-    After every stage the amplitudes a single run would prune are set to 0,
-    so rows agree with ``run_main_scheme`` to rounding, and its exact zeros
-    stay 0.
+    Grid order is theta0-major, then theta1, beta, p.  The first value of
+    each axis goes through :func:`manifold_config`, for the cutoff and the
+    stages of :func:`build_circuit`; every axis value then gets the checks
+    :func:`manifold_config` makes of it, once.  Each stage is built once per
+    axis value it depends on, as one block-diagonal matrix on the input
+    photon-number sectors 0, 1 and 2 (the splitters per theta1, the absorber
+    per beta), and numpy products cover the whole theta1 x beta product.
+    The sector weights come per axis too, from the front splitter's blocks
+    per theta0 and the sources' amplitudes per p, combined as
+    :func:`reduce_through_bs0` combines them; no (theta0, p) pair costs a
+    reduction.  After every stage the amplitudes a single run would prune
+    are set to 0, so rows agree with ``run_main_scheme`` to rounding, and
+    its exact zeros stay 0.
     """
-
-    def config(theta1=spec.theta1[0], beta=spec.beta[0], p=spec.p[0], theta0=spec.theta0[0]) -> SchemeConfig:
-        return manifold_config(theta1, spec.case, p=p, beta=beta, theta0=theta0, cutoff=cutoff)
-
-    by_theta1 = [config(theta1=theta1) for theta1 in spec.theta1]
-    absorbers = [config(beta=beta).tpam for beta in spec.beta]
-    front = [config(theta0=theta0).bs0 for theta0 in spec.theta0]
-    sources = [config(p=p).source.p for p in spec.p]
-    # The circuit's inputs are the front-splitter mixture of the first (theta0, p) pair.
-    circuit = build_circuit(by_theta1[0])
-    pairs = [(bs0, p) for bs0 in front for p in sources][1:]
-    reduced = [circuit.inputs, *(reduce_through_bs0(p, bs0.theta, bs0.phi, cutoff=cutoff) for bs0, p in pairs)]
-    weights = [inputs.number_distribution("B") for inputs in reduced]
-    sectors = sorted(set().union(*weights))
-    w = np.array([[weight.get(n, 0.0) for n in sectors] for weight in weights])
-    heralds = np.array([_sector_heralds(circuit, n, by_theta1, absorbers) for n in sectors])
-    p_success, on_one = np.einsum("kls,sxtb->xktbl", w.reshape(len(front), len(sources), -1), heralds)
+    first = manifold_config(spec.theta1[0], spec.case, p=spec.p[0], beta=spec.beta[0], theta0=spec.theta0[0], cutoff=cutoff)
+    theta1 = [_number("theta1", theta1) for theta1 in spec.theta1]
+    completed = [_completed(theta1, spec.case) for theta1 in theta1]
+    bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(theta1, completed)]
+    bs2 = [(theta2, phi2) for theta2, _, phi2 in completed]
+    heralds = _sector_heralds(build_circuit(first), bs1, bs2, [_unitary_tpam(beta) for beta in spec.beta])
+    weights = _sector_weights([_number("theta0", v) for v in spec.theta0], [SourceSpec(_number("p", v)).p for v in spec.p])
+    p_success, on_one = np.einsum("kln,xtbn->xktbl", weights, heralds)
     p2 = np.square(spec.p)
     ratio = np.divide(p_success, p2, out=np.full_like(p_success, math.nan), where=p2 > 0.0)
     fidelity = np.divide(on_one, p_success, out=np.zeros_like(p_success), where=p_success > 0.0)
-    p_success, ratio, fidelity = p_success.tolist(), ratio.tolist(), fidelity.tolist()
+    values = zip(p_success.ravel().tolist(), ratio.ravel().tolist(), fidelity.ravel().tolist())
+    points = itertools.product(spec.theta0, zip(spec.theta1, completed), spec.beta, spec.p)
     return [
         {
             "theta0_rad": theta0,
             "theta1_rad": theta1,
-            "theta2_rad": cfg.bs2.theta,
+            "theta2_rad": theta2,
             "beta_re": beta.real,
             "beta_im": beta.imag,
             "p": p,
-            "p_success": p_success[k][t][b][i],
-            "p_success_over_p2": ratio[k][t][b][i],
-            "fidelity": fidelity[k][t][b][i],
+            "p_success": p_success,
+            "p_success_over_p2": ratio,
+            "fidelity": fidelity,
         }
-        for k, theta0 in enumerate(spec.theta0)
-        for t, (theta1, cfg) in enumerate(zip(spec.theta1, by_theta1))
-        for b, beta in enumerate(spec.beta)
-        for i, p in enumerate(spec.p)
+        for (theta0, (theta1, (theta2, _, _)), beta, p), (p_success, ratio, fidelity) in zip(points, values)
     ]
 
 
-def _sector_heralds(
-    circuit: Circuit, n: int, by_theta1: list[SchemeConfig], absorbers: list[GenericTpam]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Herald probability, and its part with one photon left in the output,
-    of the main circuit fed ``|n>`` at unit weight, per (theta1, beta).
+#: The product kets |a, b> of the two sources, in the order
+#: :func:`reduce_through_bs0` sends them through the front splitter.
+_PRODUCTS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
-    The circuit attaches the output mode and a medium, then runs two
-    splitters, BS1 and BS2 in that order, around the absorber.  Sector n
-    holds the kets ``|k, n-k>`` on the ground medium and, on each excited
-    level, ``|k, n-2-k>``: the absorber took two photons.  Amplitudes carry
-    the axes (theta1, beta, ket).
+
+def _sector_weights(theta0: list[float], p: list[float]) -> np.ndarray:
+    """B's photon-number weights after the front splitter, ``w[theta0, p, n]``
+    for n = 0, 1, 2: the weights of the branches of :func:`reduce_through_bs0`.
+
+    Each product |a, b> has amplitude sqrt(P_a) sqrt(P_b) per p and goes
+    through the splitter's block of a + b photons per theta0.  As in the
+    reduction, the amplitudes a single run prunes are dropped, the squares
+    of the rest are summed over the products in order, and the branch |n>
+    is the first kept amplitude rescaled to that sum; its square is the
+    weight.
     """
-    (_, vacuum, medium_dims), *stages, (_, outcomes, _, _) = circuit.stages
-    register = ModeRegister(circuit.inputs.register.labels + vacuum.register.labels, vacuum.register.cutoff, medium_dims)
-    groups = [(level, n - 2 * (level > 0)) for level in range(medium_dims) if n - 2 * (level > 0) >= 0]
+    # sqrt(P_a) sqrt(P_b) of each product |a, b>, per p, with P_0 = 1 - p and P_1 = p.
+    inputs = np.sqrt([[1.0 - value, value] for value in p])[:, np.array(_PRODUCTS)].prod(axis=-1).T[:, None, :, None]
+    # The front splitter's blocks of 0, 1 and 2 photons per theta0; the block of n starts at n(n+1)/2.
+    front = splitter_blocks([(theta, 0.0) for theta in theta0], range(3))
+    blocks = [front[:, start : start + n + 1, start : start + n + 1] for n, start in enumerate((0, 1, 3))]
+    # Product |a, b> leaves n photons in B where the splitter puts a + b - n in A.
+    rows = [[[block[a + b - n, a] if n <= a + b else 0 for n in range(3)] for block in blocks[a + b]] for a, b in _PRODUCTS]
+    amps = inputs * np.array(rows)[:, :, None, :]
+    # |z| and its square as Python takes them, with the C library's hypot and pow: numpy's complex abs,
+    # and its square of a double, can differ in the last bit.
+    size = np.hypot(amps.real, amps.imag)
+    kept = size > PRUNE_THRESHOLD * np.sqrt(abs(inputs) ** 2)
+    first = np.take_along_axis(amps, kept.argmax(axis=0)[None], axis=0)[0]
+    total = sum(np.where(kept, np.reshape([s**2 for s in size.ravel().tolist()], size.shape), 0.0))
+    weights = [abs(_with_weight(a, w)) ** 2 for a, w in zip(first.ravel().tolist(), total.ravel().tolist())]
+    return np.reshape(weights, total.shape)
+
+
+#: Most (theta1, beta) pairs the sweep engine holds amplitudes for at once,
+#: which bounds its memory on a large grid; a README-shaped grid is one chunk.
+_CHUNK = 4096
+
+
+def _sector_heralds(
+    circuit: Circuit, bs1: list[tuple[float, float]], bs2: list[tuple[float, float]], absorbers: list[GenericTpam]
+) -> np.ndarray:
+    """Herald probability, and its part with one photon left in the output,
+    of the main circuit fed ``|n>`` at unit weight: ``h[x, theta1, beta, n]``
+    for n = 0, 1, 2, with x = 0 the herald and x = 1 that part.
+
+    The circuit attaches the output mode and a medium, then runs BS1 and
+    BS2, at the ``(theta, phi)`` of ``bs1`` and ``bs2``, around the absorber.
+    Sector n holds the kets ``|k, n-k>`` on the ground medium and, on each
+    excited level, ``|k, n-2-k>``: the absorber took two photons.  The three
+    sectors run as one pass on the union of their kets, each stage one
+    block-diagonal matrix, with amplitudes on the axes (theta1, beta, n, ket),
+    in chunks of at most ``_CHUNK`` (theta1, beta) pairs.
+    """
+    # Attach, BS1, absorber, BS2, and the herald's one outcome.
+    (_, vacuum, medium_dims), _, (_, _, mode, excited), _, (_, ((_, counts, _),), _, _) = circuit.stages
+    # The input is the front splitter's output B; the circuit attaches the rest.
+    register = ModeRegister(("B", *vacuum.register.labels), vacuum.register.cutoff, medium_dims)
+    # Sector 2 first: each sum over a sector's kets then adds them in the order it would alone.
+    groups = [(level, n - 2 * (level > 0)) for n in (2, 1, 0) for level in range(medium_dims) if n - 2 * (level > 0) >= 0]
     basis = [FockKet((k, total - k), level) for level, total in groups for k in range(total + 1)]
     index = {ket: i for i, ket in enumerate(basis)}
-    amps = np.zeros(len(basis), dtype=complex)
-    amps[index[FockKet((n, 0))]] = 1.0
-    splitters = iter(([cfg.bs1 for cfg in by_theta1], [cfg.bs2 for cfg in by_theta1]))
-    for stage in stages:
-        match stage:
-            case ("split", _):
-                params = next(splitters)
-                matrix = np.zeros((len(params), 1, len(basis), len(basis)), dtype=complex)
-                start = 0
-                for _, total in groups:
-                    block = slice(start, start + total + 1)
-                    matrix[:, 0, block, block] = [splitter_block(bs.theta, bs.phi, total) for bs in params]
-                    start += total + 1
-            case ("absorb", GenericTpam(), absorbed, level):
-                matrix = np.zeros((1, len(absorbers), len(basis), len(basis)), dtype=complex)
-                for b, tpam in enumerate(absorbers):
-                    for j, ket in enumerate(basis):
-                        state = fock_state(register, ket.occupations, ket.medium)
-                        for out, amp in apply_generic_tpam(state, absorbed, tpam, excited_level=level).terms():
-                            matrix[0, b, index[out], j] = amp
-            case _:
-                raise ValueError(f"the sweep engine has no block for stage {stage[0]!r}")
-        amps = _pruned((matrix @ amps[..., None])[..., 0], amps)
-    heralded = on_one = 0.0
-    for _, counts, _ in outcomes:
-        measured = {register.index(m): c for m, c in counts}
-        keep = [all(ket.occupations[i] == c for i, c in measured.items()) for ket in basis]
-        one = [[o for i, o in enumerate(ket.occupations) if i not in measured] == [1] for ket in basis]
-        probs = abs(_pruned(np.where(keep, amps, 0.0), amps)) ** 2
-        heralded += probs.sum(axis=-1)
-        on_one += probs[..., one].sum(axis=-1)
-    return heralded, on_one
+    measured = {register.index(m): c for m, c in counts}
+    keep = [all(ket.occupations[i] == c for i, c in measured.items()) for ket in basis]
+    one = [[o for i, o in enumerate(ket.occupations) if i not in measured] == [1] for ket in basis]
+    kets = [fock_state(register, ket.occupations, ket.medium) for ket in basis]
+    inputs = np.eye(len(basis), dtype=complex)[[index[FockKet((n, 0))] for n in range(3)]]
+    heralds = np.zeros((2, len(bs1), len(absorbers), 3))
+    for b in range(0, len(absorbers), _CHUNK):
+        chunk = absorbers[b : b + _CHUNK]
+        absorber = np.zeros((1, len(chunk), 1, len(basis), len(basis)), dtype=complex)
+        for i, tpam in enumerate(chunk):
+            for j, ket in enumerate(kets):
+                for out, amp in apply_generic_tpam(ket, mode, tpam, excited_level=excited).terms():
+                    absorber[0, i, 0, index[out], j] = amp
+        step = max(1, _CHUNK // len(chunk))
+        for t in range(0, len(bs1), step):
+            blocks = splitter_blocks(bs1[t : t + step] + bs2[t : t + step], [total for _, total in groups])
+            split1, split2 = blocks.reshape(2, -1, 1, 1, len(basis), len(basis))
+            amps = inputs
+            for matrix in (split1, absorber, split2):
+                amps = _pruned((matrix @ amps[..., None])[..., 0], amps)
+            probs = abs(_pruned(np.where(keep, amps, 0.0), amps)) ** 2
+            heralds[:, t : t + step, b : b + _CHUNK] = probs.sum(axis=-1), probs[..., one].sum(axis=-1)
+    return heralds
 
 
 def _pruned(amps: np.ndarray, before: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ keeps a bounded amount of memory.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -28,7 +29,7 @@ from .fock import DEFAULT_CUTOFF, CutoffOverflowError, FockKet, PureState
 __all__ = [
     "BeamSplitterParams",
     "apply_beam_splitter",
-    "splitter_block",
+    "splitter_blocks",
     "unitarity_check",
 ]
 
@@ -125,18 +126,25 @@ def apply_beam_splitter(state: PureState, params: BeamSplitterParams) -> PureSta
     return PureState._of(reg, out, state.norm())
 
 
-def splitter_block(theta: float, phi: float, n: int) -> np.ndarray:
-    """The splitter on the n-photon states ``|k, n-k>`` of its two modes.
+def splitter_blocks(angles: list[tuple[float, float]], totals: list[int] | range) -> np.ndarray:
+    """The splitter at each ``(theta, phi)`` of ``angles`` as one
+    block-diagonal matrix per angle pair; axes (angle, out, in).
 
-    Returns the (n+1) x (n+1) matrix whose column k holds the output
-    amplitudes of ``|k, n-k>`` and whose row m is ``|m, n-m>``: the rows
-    :func:`apply_beam_splitter` applies, as one dense block.
+    The diagonal holds, in the order of ``totals``, the block of each photon
+    number n: the (n+1) x (n+1) matrix whose column k holds the output
+    amplitudes of ``|k, n-k>`` and whose row m is ``|m, n-m>``, the rows
+    :func:`apply_beam_splitter` applies.
     """
-    block = np.zeros((n + 1, n + 1), dtype=complex)
-    for k in range(n + 1):
-        for m1, amp in _mixing_row(theta, phi, k, n - k):
-            block[m1, k] = amp
-    return block
+    *starts, dim = itertools.accumulate((n + 1 for n in totals), initial=0)
+    # Each column k of the block at start s reads the row of |k, n-k>, whose entries (m, amp) go to row s + m.
+    columns = [(start * dim + start + k, k, n - k) for start, n in zip(starts, totals) for k in range(n + 1)]
+    rows = [_mixing_row(theta, phi, n1, n2) for theta, phi in angles for _, n1, n2 in columns]
+    m1, amps = zip(*itertools.chain.from_iterable(rows))
+    offsets = (np.arange(len(angles))[:, None] * dim * dim + [offset for offset, _, _ in columns]).ravel()
+    blocks = np.zeros(len(angles) * dim * dim, dtype=complex)
+    index = np.repeat(offsets, np.fromiter(map(len, rows), np.intp, len(rows))) + dim * np.fromiter(m1, np.intp, len(m1))
+    blocks[index] = np.fromiter(amps, complex, len(amps))
+    return blocks.reshape(len(angles), dim, dim)
 
 
 def unitarity_check(params: BeamSplitterParams, cutoff: int = DEFAULT_CUTOFF) -> float:
@@ -146,11 +154,6 @@ def unitarity_check(params: BeamSplitterParams, cutoff: int = DEFAULT_CUTOFF) ->
     diagonal (the splitter conserves that total, so this is the space it
     acts on without truncation) and returns ``max |U^dag U - I|``.
     """
-    dim = (cutoff + 1) * (cutoff + 2) // 2
-    u = np.zeros((dim, dim), dtype=complex)
-    start = 0
-    for n in range(cutoff + 1):
-        u[start : start + n + 1, start : start + n + 1] = splitter_block(params.theta, params.phi, n)
-        start += n + 1
-    dev = u.conj().T @ u - np.eye(dim)
+    (u,) = splitter_blocks([(params.theta, params.phi)], range(cutoff + 1))
+    dev = u.conj().T @ u - np.eye(len(u))
     return float(np.max(np.abs(dev)))

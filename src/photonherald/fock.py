@@ -29,6 +29,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -415,9 +416,15 @@ class Ensemble:
         return dist
 
     def normalized_weights(self) -> "Ensemble":
+        """The ensemble with weights summing to 1.  A total below the smallest
+        normal double has lost most of its bits, so there the amplitudes are
+        first scaled by the largest of them."""
         total = self.total_weight()
         if total <= 0.0:
             raise ValueError("cannot normalize an empty ensemble")
+        if total < sys.float_info.min:
+            largest = max(abs(a) for s in self.states for a in s._amps.values())
+            return Ensemble._of(self.register, (s.scaled(1.0 / largest) for s in self.states)).normalized_weights()
         return Ensemble._of(self.register, (s.scaled(1.0 / math.sqrt(total)) for s in self.states))
 
     def consolidated(self, atol: float = _CONSOLIDATE_ATOL) -> "Ensemble":

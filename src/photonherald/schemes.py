@@ -291,15 +291,13 @@ def _evolve(state: PureState, stages) -> tuple[PureState, ...]:
 
 
 class Circuit(NamedTuple):
-    """A scheme as data: its input mixture, its stages, its fixed details."""
+    """A scheme as data: its stages and its fixed details."""
 
-    inputs: Ensemble
     stages: tuple
     details: dict[str, object]
 
-    def prepare(self, inputs: Ensemble | None = None) -> Ensemble:
-        """Run every stage before the herald on ``inputs`` (default: all of them)."""
-        inputs = self.inputs if inputs is None else inputs
+    def prepare(self, inputs: Ensemble) -> Ensemble:
+        """Run every stage before the herald on ``inputs``."""
         states = [psi for state in inputs.states for psi in _evolve(state, self.stages[:-1])]
         return Ensemble._of(states[-1].register if states else inputs.register, states)
 
@@ -326,7 +324,7 @@ def _check_absorber(cfg: SchemeConfig) -> None:
 
 
 def build_circuit(cfg: SchemeConfig) -> Circuit:
-    """Describe the scheme of ``cfg`` as its input mixture and one tuple of stages.
+    """Describe the scheme of ``cfg`` as one tuple of stages.
 
     A new circuit is one more branch here, ending in a herald stage.
 
@@ -397,21 +395,22 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
                     "the same pair event, so only one is counted"
                 ),
             }
-    inputs = reduce_through_bs0(
-        cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cutoff, discard=variant != DOUBLED
-    )
-    return Circuit(inputs, stages, details)
+    return Circuit(stages, details)
 
 
 def _interpret(cfg: SchemeConfig) -> SchemeResult:
-    """Run the circuit of ``cfg`` one input photon-number branch at a time."""
+    """Run the circuit of ``cfg`` one input photon-number branch at a time.
+
+    The inputs are the front-splitter mixture: B alone, or A and B for doubled.
+    """
     circuit = build_circuit(cfg)
+    inputs = reduce_through_bs0(cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff, discard=cfg.variant != DOUBLED)
     *stages, (_, outcomes, report, mirror) = circuit.stages
     clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
     p_success = 0.0
     branch_log: dict[int, float] = {}
     kept: list[PureState] = []
-    for state in circuit.inputs.states:
+    for state in inputs.states:
         (pre,) = _evolve(state, stages)
         contribution = 0.0
         for detector, counts, tail in outcomes:

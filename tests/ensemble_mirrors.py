@@ -20,7 +20,15 @@ from photonherald import (
     GenericTpam,
     build_circuit,
     manifold_config,
+    reduce_through_bs0,
 )
+
+
+def inputs_of(cfg):
+    """The front-splitter mixture a run of ``cfg`` starts from: B alone, or A and B for doubled."""
+    return reduce_through_bs0(
+        cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff, discard=cfg.variant != DOUBLED
+    )
 
 
 def _normalized(dist: dict[int, float], total: float) -> dict[int, float]:
@@ -31,7 +39,7 @@ def _normalized(dist: dict[int, float], total: float) -> dict[int, float]:
 
 def _before_herald(p, tpam, *, theta0, cutoff, **splitters):
     cfg = manifold_config(p=p, tpam=tpam, theta0=theta0, cutoff=cutoff, **splitters)
-    return build_circuit(cfg).prepare()
+    return build_circuit(cfg).prepare(inputs_of(cfg))
 
 
 def _click(ens, detector: str, output: str) -> dict[str, object]:

@@ -1,6 +1,7 @@
 """Null-condition classification, closed forms, optimizers, scans, sweeps."""
 
 import math
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from photonherald import (
     manifold_completion,
     manifold_config,
     optimize_ps,
+    reduce_through_bs0,
     run_main_scheme,
     simulate_manifold_point,
     sweep_rows,
@@ -355,6 +357,66 @@ def test_sweep_row_matches_single_run_where_front_amplitudes_square_to_subnormal
     assert math.isfinite(row["p_success"])
     assert math.isfinite(run_main_scheme(manifold_config(p=p, theta0=theta0)).p_success)
     assert_row_matches_single_run(row, CaseId.SUM_PLUS)
+
+
+@pytest.mark.parametrize("theta0", [0.0, 1e-9, 0.3, math.pi / 4, math.pi / 2 - 1e-9, math.pi / 2, 2.0])
+@pytest.mark.parametrize("p", [0.0, 1.5e-154, 1e-150, 1e-12, 0.3, 0.5, 1.0])
+def test_per_axis_sector_weights_are_the_reduced_front_splitter_weights(theta0, p):
+    # Normal weights agree within 1e-15 relative; subnormal ones, where only
+    # a few bits are left, must be the same bits.
+    (got,) = analysis._sector_weights([theta0], [p])[0]
+    want = reduce_through_bs0(p, theta0, 0.0).number_distribution("B")
+    assert set(want) <= {0, 1, 2}
+    for n, weight in enumerate(got):
+        if want.get(n, 0.0) < sys.float_info.min:
+            assert weight == want.get(n, 0.0), (n, got, want)
+        else:
+            assert weight == pytest.approx(want[n], rel=1e-15, abs=0.0), (n, got, want)
+
+
+def test_sweep_rows_do_not_depend_on_how_the_grid_is_chunked(monkeypatch):
+    # A large grid runs in chunks of (theta1, beta) pairs; chunks of 2 cut
+    # both axes here, and every row must keep its bits.
+    spec = SweepSpec(
+        theta0=(0.3, math.pi / 4), theta1=(0.0, 0.2, DEG30, 1.0, 4.0), beta=(0j, 0.5j, 0.6 + 0.8j), p=(1e-150, 0.5)
+    )
+    whole = sweep_rows(spec, cutoff=3)
+    monkeypatch.setattr(analysis, "_CHUNK", 2)
+    assert repr(sweep_rows(spec, cutoff=3)) == repr(whole)
+
+
+SWEEP_AXIS_VALUE = {"theta0": 0.3, "theta1": 0.3, "beta": 0j, "p": 0.0}
+
+
+@pytest.mark.parametrize(
+    "axis,bad",
+    [
+        ("theta0", math.nan),
+        ("theta0", math.inf),
+        ("theta0", True),
+        ("theta1", math.nan),
+        ("theta1", math.inf),
+        ("theta1", True),
+        ("theta1", 1e16),
+        ("p", math.nan),
+        ("p", math.inf),
+        ("p", True),
+        ("p", 1.5),
+        ("p", 1e-160),
+        ("beta", 1.5),
+        ("beta", 0.9 + 0.9j),
+        ("beta", complex(math.nan, 0.0)),
+    ],
+)
+def test_sweep_rows_rejects_a_bad_axis_value_as_manifold_config_does(axis, bad):
+    # The bad value is second on its axis, so the per-axis check sees it,
+    # not the one config built from the first values.
+    with pytest.raises(ValueError) as single:
+        manifold_config(**{axis: bad})
+    spec = SweepSpec(**{axis: (SWEEP_AXIS_VALUE[axis], bad)})
+    with pytest.raises(ValueError) as swept:
+        sweep_rows(spec)
+    assert str(swept.value) == str(single.value)
 
 
 @pytest.mark.parametrize("cutoff", [2, 4])

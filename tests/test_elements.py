@@ -13,7 +13,7 @@ from photonherald import (
     PureState,
     apply_beam_splitter,
     fock_state,
-    splitter_block,
+    splitter_blocks,
     unitarity_check,
 )
 
@@ -79,7 +79,7 @@ def test_unitarity_residual_is_tiny(params):
 @pytest.mark.parametrize("n", range(CUTOFF + 1))
 def test_splitter_block_columns_are_the_splitter_on_each_ket(n):
     theta, phi = 0.7, 1.3
-    block = splitter_block(theta, phi, n)
+    (block,) = splitter_blocks([(theta, phi)], [n])
     assert block.shape == (n + 1, n + 1)
     for k in range(n + 1):
         out = apply_beam_splitter(fock_state(REG, (k, n - k)), bs(theta, phi))

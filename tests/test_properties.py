@@ -5,6 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_mirrors import inputs_of
 from photonherald import (
     DOUBLED,
     FILTER_SPLIT,
@@ -211,9 +212,9 @@ def assert_stored_kets_valid(ensemble):
 @settings(max_examples=80, deadline=None)
 def test_every_intermediate_state_holds_valid_kets(cfg):
     """States built without re-validation still hold only valid, unpruned kets."""
-    circuit = build_circuit(cfg)
+    circuit, inputs = build_circuit(cfg), inputs_of(cfg)
     for k in range(len(circuit.stages)):
-        assert_stored_kets_valid(circuit._replace(stages=circuit.stages[: k + 1]).prepare())
+        assert_stored_kets_valid(circuit._replace(stages=circuit.stages[: k + 1]).prepare(inputs))
     result = run_scheme(cfg)
     if result.conditional_state is not None:
         assert_stored_kets_valid(result.conditional_state)

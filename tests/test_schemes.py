@@ -141,6 +141,16 @@ def test_front_splitter_is_one_finite_branch_per_number_where_squares_are_subnor
     assert reduced.total_weight() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("variant", [MAIN, DOUBLED])
+def test_heralded_state_is_normalized_when_p_success_is_subnormal(variant):
+    # p_success is about 1e-320, a subnormal with a few significant bits, so
+    # dividing by its square root would leave the heralded state off norm 1.
+    result = run_scheme(manifold_config(p=1e-150, theta0=1e-9, tpam=GenericTpam(0.6, 0.8), variant=variant))
+    assert 0.0 < result.p_success < sys.float_info.min
+    branches = result.to_dict()["conditional_state"]["branches"]
+    assert sum(branch["weight"] for branch in branches) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # main interferometric scheme
 
@@ -426,11 +436,12 @@ def test_heralded_branches_do_not_depend_on_branch_weight(kwargs):
     # the same input branches at 1e-16 of their weight: every herald
     # probability scales by 1e-16 and every heralded state is unchanged
     scale = 1e-16
-    circuit = build_circuit(manifold_config(p=1.0, **kwargs))
+    cfg = manifold_config(p=1.0, **kwargs)
+    circuit, inputs = build_circuit(cfg), em.inputs_of(cfg)
     _, outcomes, _, _ = circuit.stages[-1]
-    small = Ensemble(circuit.inputs.register, [(w * scale, s) for w, s in circuit.inputs])
+    small = Ensemble(inputs.register, [(w * scale, s) for w, s in inputs])
     for _, counts, _ in outcomes:
-        ref, got = circuit.prepare(), circuit.prepare(small)
+        ref, got = circuit.prepare(inputs), circuit.prepare(small)
         for mode, n in counts:
             ref, q_ref = ref.condition_number(mode, n)
             got, q_got = got.condition_number(mode, n)
