@@ -33,7 +33,7 @@ import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
 from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, fock_state
-from .schemes import MAIN, Circuit, SchemeConfig, SourceSpec, _with_weight, build_circuit, run_main_scheme
+from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _with_weight, build_circuit, run_main_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
@@ -143,14 +143,6 @@ def closed_form_ps(beta: complex, theta1: float, case: ConstraintCase | CaseId |
     return abs(1.0 - beta) ** 2 * math.cos(theta1) ** 6 * math.sin(theta1) ** 2
 
 
-def _unitary_tpam(beta: complex) -> GenericTpam:
-    mag = abs(beta)
-    if mag > 1.0 + 1e-12:
-        raise ValueError(f"|beta| must be <= 1, got {mag}")
-    alpha = math.sqrt(max(0.0, 1.0 - mag * mag))
-    return GenericTpam(alpha, beta)
-
-
 def _number(name: str, value: object) -> float:
     """``value`` as a finite float; a boolean is not a number here."""
     try:
@@ -175,7 +167,6 @@ def manifold_config(
     case: ConstraintCase | CaseId | str = CaseId.SUM_PLUS,
     *,
     p: float = 1.0,
-    beta: complex = 0j,
     tpam: GenericTpam | FwmTpamSpec | None = None,
     theta0: float = math.pi / 4,
     theta2: float | None = None,
@@ -187,13 +178,16 @@ def manifold_config(
     """The one way to turn manifold parameters into a :class:`SchemeConfig`.
 
     theta2, phi1 and phi2 default to the completion of theta1 on ``case``;
-    giving them leaves the manifold.  The absorber defaults to the unitary
-    generic one with survival amplitude ``beta``.
+    giving them leaves the manifold.  ``tpam`` is the only absorber argument:
+    ``None`` means the variant's entry in :data:`~photonherald.schemes.DEFAULT_TPAM`,
+    and a unitary generic absorber with survival amplitude beta is
+    ``GenericTpam.unitary(beta)``.
 
     Raises:
         ValueError: for a null, non-numeric or non-finite parameter, a
-            fractional cutoff, or a theta1 so large that its completed theta2
-            misses the branch by more than ``ANGLE_TOL`` in double precision.
+            fractional cutoff, a theta1 so large that its completed theta2
+            misses the branch by more than ``ANGLE_TOL`` in double precision,
+            or an absorber the variant cannot run.
     """
     theta1 = _number("theta1", theta1)
     completion = _completed(theta1, case) if theta2 is None else manifold_completion(theta1, case)
@@ -203,7 +197,7 @@ def manifold_config(
     )
     return SchemeConfig(
         source=SourceSpec(_number("p", p)),
-        tpam=_unitary_tpam(beta) if tpam is None else tpam,
+        tpam=DEFAULT_TPAM.get(variant) if tpam is None else tpam,  # SchemeConfig rejects an unknown variant
         bs0=BeamSplitterParams(_number("theta0", theta0)),
         bs1=BeamSplitterParams(theta1, phi1),
         bs2=BeamSplitterParams(theta2, phi2),
@@ -239,7 +233,7 @@ def simulate_manifold_point(
     """Run the full circuit at a manifold point; returns p_success / p^2."""
     if p <= 0.0:
         raise ValueError("p must be positive to report a per-p^2 value")
-    cfg = manifold_config(theta1, case, p=p, beta=beta, cutoff=cutoff)
+    cfg = manifold_config(theta1, case, p=p, tpam=GenericTpam.unitary(beta), cutoff=cutoff)
     return run_main_scheme(cfg).p_success / p**2
 
 
@@ -384,14 +378,12 @@ class SweepSpec:
         if self.case == CaseId.VIOLATED:
             raise ValueError("a sweep snaps every point onto the manifold, so its case cannot be 'violated'")
         _check_grid_size(len(self.theta0) * len(self.theta1) * len(self.beta) * len(self.p))
-        for name in ("theta0", "theta1", "p"):
+        for name in ("theta0", "theta1", "p", "beta"):
             axis = getattr(self, name)
             if len(axis) == 0:
                 raise ValueError(f"sweep axis {name!r} is empty")
-            if any(b < a for a, b in zip(axis, axis[1:])):
+            if name != "beta" and any(b < a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"sweep axis {name!r} must be non-decreasing")
-        if len(self.beta) == 0:
-            raise ValueError("sweep axis 'beta' is empty")
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object]) -> "SweepSpec":
@@ -399,11 +391,11 @@ class SweepSpec:
 
         Each axis is either an explicit list of values or a range object
         ``{"start": x, "stop": y, "steps": n, "unit": "deg"|"rad"}`` (unit
-        applies to the angle axes; default radians).  Beta values may be
-        numbers, ``[re, im]`` pairs, or strings accepted by ``complex()``.
+        applies to the angle axes only, default radians; ``p`` takes none).
+        Beta values may be numbers, ``[re, im]`` pairs, or strings accepted
+        by ``complex()``.
         """
-        known = {"theta0", "theta1", "beta", "p", "case"}
-        unknown = set(data) - known
+        unknown = set(data) - {"theta0", "theta1", "beta", "p", "case"}
         if unknown:
             raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
         axes = {name: _parse_axis(name, data[name]) for name in ("theta0", "theta1", "p") if name in data}
@@ -434,12 +426,12 @@ def _parse_axis(name: str, raw: object) -> tuple[int, Iterable[float]]:
             raise ValueError(f"axis spec needs start/stop/steps, missing {missing}") from None
         if steps < 1:
             raise ValueError("axis spec needs steps >= 1")
+        if name == "p" and "unit" in raw:
+            raise ValueError("'unit' only applies to angle axes, not to 'p'")
         unit = str(raw.get("unit", "rad"))
         scale = math.pi / 180.0 if unit == "deg" else 1.0
         if unit not in ("deg", "rad"):
             raise ValueError(f"unknown unit {unit!r}")
-        if name == "p" and unit == "deg":
-            raise ValueError("'deg' only applies to angle axes")
         if steps == 1:
             return 1, [start * scale]
         inc = (stop - start) / (steps - 1)
@@ -460,13 +452,15 @@ def _parse_beta(raw: object) -> complex:
 def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[str, float]]:
     """Evaluate the main scheme at every grid point; deterministic row order.
 
-    Grid order is theta0-major, then theta1, beta, p.  The first value of
-    each axis goes through :func:`manifold_config`, for the cutoff and the
-    stages of :func:`build_circuit`; every axis value then gets the checks
-    :func:`manifold_config` makes of it, once.  Each stage is built once per
-    axis value it depends on, as one block-diagonal matrix on the input
-    photon-number sectors 0, 1 and 2 (the splitters per theta1, the absorber
-    per beta), and numpy products cover the whole theta1 x beta product.
+    Grid order is theta0-major, then theta1, beta, p.  The first values of
+    theta1, p and theta0 go through :func:`manifold_config`, for the cutoff
+    and the stages of :func:`build_circuit`, which do not depend on beta;
+    every axis value then gets the checks :func:`manifold_config` makes of
+    it, once, and each beta its absorber, ``GenericTpam.unitary(beta)``.
+    Each stage is built once per axis value it depends on, as one
+    block-diagonal matrix on the input photon-number sectors 0, 1 and 2
+    (the splitters per theta1, the absorber per beta), and numpy products
+    cover the whole theta1 x beta product.
     The sector weights come per axis too, from the front splitter's blocks
     per theta0 and the sources' amplitudes per p, combined as
     :func:`reduce_through_bs0` combines them; no (theta0, p) pair costs a
@@ -474,12 +468,12 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     are set to 0, so rows agree with ``run_main_scheme`` to rounding, and
     its exact zeros stay 0.
     """
-    first = manifold_config(spec.theta1[0], spec.case, p=spec.p[0], beta=spec.beta[0], theta0=spec.theta0[0], cutoff=cutoff)
+    first = manifold_config(spec.theta1[0], spec.case, p=spec.p[0], theta0=spec.theta0[0], cutoff=cutoff)
     theta1 = [_number("theta1", theta1) for theta1 in spec.theta1]
     completed = [_completed(theta1, spec.case) for theta1 in theta1]
     bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(theta1, completed)]
     bs2 = [(theta2, phi2) for theta2, _, phi2 in completed]
-    heralds = _sector_heralds(build_circuit(first), bs1, bs2, [_unitary_tpam(beta) for beta in spec.beta])
+    heralds = _sector_heralds(build_circuit(first), bs1, bs2, [GenericTpam.unitary(beta) for beta in spec.beta])
     weights = _sector_weights([_number("theta0", v) for v in spec.theta0], [SourceSpec(_number("p", v)).p for v in spec.p])
     p_success, on_one = np.einsum("kln,xtbn->xktbl", weights, heralds)
     p2 = np.square(spec.p)

@@ -70,13 +70,6 @@ _SPLITTER_FIELDS = ("theta1", "theta2", "phi1", "phi2")
 _ANGLE_FIELDS = ("theta0", *_SPLITTER_FIELDS)
 _CONFIG_FIELDS = ("scheme", "p", "cutoff", "tpam", *_ANGLE_FIELDS)
 
-_DEFAULT_TPAM = {
-    MAIN: "generic:alpha=1,beta=0",
-    DOUBLED: "generic:alpha=1,beta=0",
-    PAIR_HERALD: "jf:M=2,condition=(1,1)",
-    FILTER_SPLIT: "jf:M=1.5,condition=(0,0)",
-}
-
 
 # --------------------------------------------------------------------------
 # Wire-format parsing
@@ -222,9 +215,10 @@ CUTOFF_OPTION = click.option(
 def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
     """Validate a run config mapping (a manifest's, a config file's or the flags').
 
-    Every field is optional; :func:`manifold_config` and ``_DEFAULT_TPAM``
-    hold the defaults.  An angle given as text (every flag is text) goes
-    through :func:`parse_angle`, so ``30deg`` works in a file too.
+    Every field is optional; :func:`manifold_config` holds the defaults, the
+    absorber's in :data:`~photonherald.schemes.DEFAULT_TPAM`.  An angle given
+    as text (every flag is text) goes through :func:`parse_angle`, so
+    ``30deg`` works in a file too.
 
     Raises:
         ValueError: on unknown, null or non-numeric fields, fields the scheme
@@ -250,7 +244,7 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
     for name in _ANGLE_FIELDS:
         if isinstance(fields.get(name), str):
             fields[name] = parse_angle(fields[name])
-    tpam = parse_tpam_spec(str(fields.pop("tpam", _DEFAULT_TPAM[variant])))
+    tpam = parse_tpam_spec(str(fields.pop("tpam"))) if "tpam" in fields else None
     return manifold_config(**fields, tpam=tpam, variant=variant)
 
 

@@ -47,6 +47,8 @@ class BeamSplitterParams:
     mode_pair: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.theta, bool) or isinstance(self.phi, bool):
+            raise ValueError(f"beam splitter angles must be numbers, not booleans, got {self!r}")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError(f"beam splitter angles must be finite, got {self!r}")
 

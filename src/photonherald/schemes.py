@@ -58,6 +58,7 @@ __all__ = [
     "PAIR_HERALD",
     "FILTER_SPLIT",
     "VARIANTS",
+    "DEFAULT_TPAM",
     "SourceSpec",
     "SchemeConfig",
     "SchemeResult",
@@ -78,6 +79,18 @@ PAIR_HERALD = "pair_herald"
 FILTER_SPLIT = "filter_split"
 VARIANTS = (MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT)
 
+#: The absorber of each variant, as the paper runs it and as a config that
+#: names none gets: a fully absorbing generic medium in the interferometers;
+#: for pair-herald a mixer of integer length whose generated fields must show
+#: one photon each, for filter-split one of half-odd length whose fields must
+#: stay empty.  A mixer scheme conditions its fields as its entry here does.
+DEFAULT_TPAM = {
+    MAIN: GenericTpam(1.0, 0.0),
+    DOUBLED: GenericTpam(1.0, 0.0),
+    PAIR_HERALD: FwmTpamSpec(FwmParams(2.0), (1, 1)),
+    FILTER_SPLIT: FwmTpamSpec(FwmParams(1.5), (0, 0)),
+}
+
 #: Largest per-mode cutoff a scheme accepts.  No circuit here holds more than
 #: two photons in a mode, so every cutoff from 2 up gives the same results and
 #: a larger one buys nothing; the ceiling only keeps absurd input out.
@@ -93,6 +106,8 @@ class SourceSpec:
     p: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, bool):
+            raise ValueError(f"source efficiency must be a number, not a boolean, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
         if self.p > 0.0 and self.p * self.p < sys.float_info.min:
@@ -106,6 +121,10 @@ class SchemeConfig:
     ``bs0`` is the front splitter both source copies meet at; ``bs1``/``bs2``
     enclose the absorber arm in the interferometric variants.  Mode wiring is
     done by the schemes themselves, so ``mode_pair`` may be left unset.
+
+    Raises:
+        ValueError: for an unknown variant, a cutoff outside [2, MAX_CUTOFF],
+            or an absorber the variant cannot run, so every config runs.
     """
 
     source: SourceSpec
@@ -124,6 +143,7 @@ class SchemeConfig:
                 f"scheme circuits need an integer cutoff in [2, {MAX_CUTOFF}] "
                 f"(two-photon inputs), got {self.cutoff!r}"
             )
+        _check_absorber(self)
 
 
 @dataclass(frozen=True)
@@ -303,9 +323,13 @@ class Circuit(NamedTuple):
 
 
 def _check_absorber(cfg: SchemeConfig) -> None:
-    tpam, variant = cfg.tpam, cfg.variant
+    """The variant/absorber rule.  Main and doubled take a generic absorber or
+    a mixer of positive integer length; pair-herald and filter-split need a
+    mixer of integer or half-odd length, conditioned as their
+    :data:`DEFAULT_TPAM` entry is."""
+    tpam, variant, default = cfg.tpam, cfg.variant, DEFAULT_TPAM[cfg.variant]
     if isinstance(tpam, GenericTpam):
-        if variant in (PAIR_HERALD, FILTER_SPLIT):
+        if isinstance(default, FwmTpamSpec):
             raise ValueError(f"variant {variant!r} requires a four-wave-mixing TPAM")
         return
     length = tpam.params.length_multiple
@@ -315,10 +339,9 @@ def _check_absorber(cfg: SchemeConfig) -> None:
         fits, need = tpam.params.is_integer_length and round(length) >= 1, "a positive integer length: one photon passes"
     if not fits:
         raise ValueError(f"variant {variant!r} needs a four-wave mixer of {need}; got length_multiple={length}")
-    expected = {PAIR_HERALD: (1, 1), FILTER_SPLIT: (0, 0)}.get(variant, tpam.condition)
-    if tpam.condition != expected:
+    if isinstance(default, FwmTpamSpec) and tpam.condition != default.condition:
         raise ValueError(
-            f"variant {variant!r} conditions the generated fields on {expected}; "
+            f"variant {variant!r} conditions the generated fields on {default.condition}; "
             f"the absorber spec asks for {tpam.condition}"
         )
 
@@ -326,12 +349,9 @@ def _check_absorber(cfg: SchemeConfig) -> None:
 def build_circuit(cfg: SchemeConfig) -> Circuit:
     """Describe the scheme of ``cfg`` as one tuple of stages.
 
-    A new circuit is one more branch here, ending in a herald stage.
-
-    Raises:
-        ValueError: if the absorber does not suit the variant.
+    A new circuit is one more branch here, ending in a herald stage.  The
+    config's absorber suits its variant: :class:`SchemeConfig` checks that.
     """
-    _check_absorber(cfg)
     tpam, cutoff, variant = cfg.tpam, cfg.cutoff, cfg.variant
 
     def vacuum(*labels: str) -> PureState:
@@ -486,7 +506,7 @@ def run_pair_herald_scheme(
     single-conversion branch, leaving exactly one pump photon behind.
     p_success = p^2 |alpha1|^2 / 2 at a balanced front splitter.
     """
-    tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), (1, 1))
+    tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), DEFAULT_TPAM[PAIR_HERALD].condition)
     bs0 = BeamSplitterParams(theta0, phi0)
     return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=PAIR_HERALD, cutoff=cutoff))
 
@@ -515,7 +535,7 @@ def run_filter_split_scheme(
     monitored output counts toward p_success (summing both would
     double-count).
     """
-    tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), (0, 0))
+    tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), DEFAULT_TPAM[FILTER_SPLIT].condition)
     bs0 = BeamSplitterParams(theta0, phi0)
     return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=FILTER_SPLIT, cutoff=cutoff))
 

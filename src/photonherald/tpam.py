@@ -112,6 +112,13 @@ class GenericTpam:
                 f"{abs(self.alpha)**2 + abs(self.beta)**2:.6f}"
             )
 
+    @classmethod
+    def unitary(cls, beta: complex) -> "GenericTpam":
+        """The lossless absorber with survival amplitude ``beta``: alpha = sqrt(1 - |beta|^2)."""
+        if (mag := abs(beta)) > 1.0 + 1e-12:
+            raise ValueError(f"|beta| must be <= 1, got {mag}")
+        return cls(math.sqrt(max(0.0, 1.0 - mag * mag)), beta)
+
     @property
     def loss(self) -> float:
         """Probability weight of the unmodeled loss branch (0 when unitary)."""
@@ -188,6 +195,8 @@ class FwmParams:
     def __post_init__(self) -> None:
         if isinstance(self.length_multiple, Fraction):
             object.__setattr__(self, "length_multiple", float(self.length_multiple))
+        if isinstance(self.length_multiple, bool) or isinstance(self.pump_phase, bool):
+            raise ValueError(f"mixer parameters must be numbers, not booleans, got {self!r}")
         if not (math.isfinite(self.length_multiple) and math.isfinite(self.pump_phase)):
             raise ValueError(f"mixer parameters must be finite, got {self!r}")
         if not self.length_multiple > 0:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     VALID_CASES,
-    _unitary_tpam,
     closed_form_ps,
     golden_section_maximize,
     jf_length_scan,
@@ -155,7 +154,7 @@ def paper_value_checks(
     worst = 0.0
     for beta in (1.0, 0.4130, 0.0, -1.0):
         for p in (0.5, 1.0):
-            sim = run_main_scheme(manifold_config(p=p, beta=beta, cutoff=cutoff)).p_success
+            sim = run_main_scheme(manifold_config(p=p, tpam=GenericTpam.unitary(beta), cutoff=cutoff)).p_success
             worst = max(worst, abs(sim - abs(1.0 - beta) ** 2 * p * p / 16.0))
     checks.append(
         CheckResult("balanced-success-formula", worst, 0.0, 1e-10, "8 (beta, p) points")
@@ -176,7 +175,7 @@ def paper_value_checks(
     _, ps_star = optimize_ps(-1.0)
     checks.append(CheckResult("strong-phase-optimum", ps_star, 0.4219, 1e-4))
     doubled = run_doubled_scheme(
-        manifold_config(math.pi / 6, beta=-1.0, variant=DOUBLED, cutoff=cutoff)
+        manifold_config(math.pi / 6, tpam=GenericTpam.unitary(-1.0), variant=DOUBLED, cutoff=cutoff)
     ).p_success
     checks.append(CheckResult("doubled-scheme-0.84375", doubled, 0.84375, 1e-10))
 
@@ -305,7 +304,7 @@ def invariant_checks(
     worst = 0.0
     for _ in range(draws // 2):
         beta = rng.uniform(0.0, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        base = _unitary_tpam(beta)
+        base = GenericTpam.unitary(beta)
         shifted = GenericTpam(base.alpha, base.beta, global_phase=rng.uniform(0.0, 2.0 * math.pi))
         theta1 = rng.uniform(0.0, 2.0 * math.pi)
         p = rng.uniform(0.2, 1.0)

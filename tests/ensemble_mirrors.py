@@ -5,6 +5,10 @@ circuit up to its herald detectors (:meth:`Circuit.prepare`), then reads the
 detector distributions from that ensemble, so the sparse ensemble machinery
 and the dense density-matrix oracle can be compared outcome by outcome — not
 just on the heralding probability that the ``run_*`` entry points report.
+
+An absorber given as ``None`` (both generic coefficients, or the mixer
+length) leaves the config without one, so the scheme runs the absorber of its
+``DEFAULT_TPAM`` entry.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ def _normalized(dist: dict[int, float], total: float) -> dict[int, float]:
     return {n: v / total for n, v in dist.items()}
 
 
+def _generic(alpha, beta):
+    return None if alpha is None and beta is None else GenericTpam(alpha, beta)
+
+
+def _mixer(length_multiple, pump_phase, condition):
+    return None if length_multiple is None else FwmTpamSpec(FwmParams(length_multiple, pump_phase), condition)
+
+
 def _before_herald(p, tpam, *, theta0, cutoff, **splitters):
     cfg = manifold_config(p=p, tpam=tpam, theta0=theta0, cutoff=cutoff, **splitters)
     return build_circuit(cfg).prepare(inputs_of(cfg))
@@ -62,8 +74,8 @@ def _joint(ens, first: str, second: str, cutoff: int) -> dict[tuple[int, int], f
 
 def ensemble_main_generic(
     p: float,
-    alpha: complex,
-    beta: complex,
+    alpha: complex | None,
+    beta: complex | None,
     theta1: float,
     phi1: float,
     theta2: float,
@@ -73,7 +85,7 @@ def ensemble_main_generic(
     cutoff: int = 4,
 ) -> dict[str, object]:
     ens = _before_herald(
-        p, GenericTpam(alpha, beta), theta0=theta0, cutoff=cutoff,
+        p, _generic(alpha, beta), theta0=theta0, cutoff=cutoff,
         theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2,
     )
     return _click(ens, "B", "C")
@@ -88,11 +100,12 @@ def ensemble_main_fwm(
     theta2: float,
     phi2: float,
     *,
+    pump_phase: float = 0.0,
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
     ens = _before_herald(
-        p, FwmTpamSpec(FwmParams(length_multiple), condition), theta0=theta0, cutoff=cutoff,
+        p, _mixer(length_multiple, pump_phase, condition), theta0=theta0, cutoff=cutoff,
         theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2,
     )
     return _click(ens, "B", "C")
@@ -100,8 +113,8 @@ def ensemble_main_fwm(
 
 def ensemble_doubled_generic(
     p: float,
-    alpha: complex,
-    beta: complex,
+    alpha: complex | None,
+    beta: complex | None,
     theta1: float,
     phi1: float,
     theta2: float,
@@ -111,7 +124,7 @@ def ensemble_doubled_generic(
     cutoff: int = 4,
 ) -> dict[str, object]:
     ens = _before_herald(
-        p, GenericTpam(alpha, beta), theta0=theta0, cutoff=cutoff, variant=DOUBLED,
+        p, _generic(alpha, beta), theta0=theta0, cutoff=cutoff, variant=DOUBLED,
         theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2,
     )
     joint = _joint(ens, "A", "B", cutoff)
@@ -121,12 +134,13 @@ def ensemble_doubled_generic(
 
 def ensemble_pair_herald(
     p: float,
-    length_multiple: float,
+    length_multiple: float | None,
     *,
+    pump_phase: float = 0.0,
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
-    tpam = FwmTpamSpec(FwmParams(length_multiple), (1, 1))
+    tpam = _mixer(length_multiple, pump_phase, (1, 1))
     ens = _before_herald(p, tpam, theta0=theta0, cutoff=cutoff, variant=PAIR_HERALD)
     heralded, _ = ens.condition_number("E1", 1)
     heralded, p_success = heralded.condition_number("E2", 1)
@@ -139,11 +153,12 @@ def ensemble_pair_herald(
 
 def ensemble_filter_split(
     p: float,
-    length_multiple: float,
+    length_multiple: float | None,
     *,
+    pump_phase: float = 0.0,
     theta0: float = math.pi / 4,
     cutoff: int = 4,
 ) -> dict[str, object]:
-    tpam = FwmTpamSpec(FwmParams(length_multiple))
+    tpam = _mixer(length_multiple, pump_phase, (0, 0))
     ens = _before_herald(p, tpam, theta0=theta0, cutoff=cutoff, variant=FILTER_SPLIT)
     return _click(ens, "B", "C")

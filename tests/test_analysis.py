@@ -8,6 +8,7 @@ import pytest
 from photonherald import (
     MAX_SWEEP_POINTS,
     CaseId,
+    GenericTpam,
     SweepSpec,
     classify_constraint,
     closed_form_ps,
@@ -327,7 +328,9 @@ def assert_row_matches_single_run(row, case, cutoff=4):
     """One sweep row against ``run_main_scheme`` at its point: probabilities
     within 1e-13 relative, an exact 0 or NaN kept, fidelity within 1e-13."""
     beta = complex(row["beta_re"], row["beta_im"])
-    cfg = manifold_config(row["theta1_rad"], case, p=row["p"], beta=beta, theta0=row["theta0_rad"], cutoff=cutoff)
+    cfg = manifold_config(
+        row["theta1_rad"], case, p=row["p"], tpam=GenericTpam.unitary(beta), theta0=row["theta0_rad"], cutoff=cutoff
+    )
     result = run_main_scheme(cfg)
     ratio = result.details["p_success_over_p2"]
     for got, want in ((row["p_success"], result.p_success), (row["p_success_over_p2"], math.nan if ratio is None else ratio)):
@@ -410,9 +413,10 @@ SWEEP_AXIS_VALUE = {"theta0": 0.3, "theta1": 0.3, "beta": 0j, "p": 0.0}
 )
 def test_sweep_rows_rejects_a_bad_axis_value_as_manifold_config_does(axis, bad):
     # The bad value is second on its axis, so the per-axis check sees it,
-    # not the one config built from the first values.
+    # not the one config built from the first values.  A beta is checked as
+    # the absorber it makes.
     with pytest.raises(ValueError) as single:
-        manifold_config(**{axis: bad})
+        GenericTpam.unitary(bad) if axis == "beta" else manifold_config(**{axis: bad})
     spec = SweepSpec(**{axis: (SWEEP_AXIS_VALUE[axis], bad)})
     with pytest.raises(ValueError) as swept:
         sweep_rows(spec)

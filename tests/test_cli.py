@@ -541,6 +541,38 @@ def test_boolean_or_unused_bad_sweep_value_is_usage_error(runner, tmp_path, spec
     assert_one_line_usage_error(runner.invoke(main, ["sweep", write_spec(tmp_path, spec)]))
 
 
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        ("sweep", {"beta": []}, "sweep axis 'beta' is empty"),
+        ("sweep", {"theta1": {"start": 0, "stop": 1, "steps": 2, "step": 1}}, "unknown keys in axis spec: ['step']"),
+        ("sweep", {"theta1": {"start": 0, "stop": 1}}, "axis spec needs start/stop/steps, missing 'steps'"),
+        ("sweep", {"theta1": {"start": 0, "stop": 1, "steps": 0}}, "axis spec needs steps >= 1"),
+        ("sweep", {"theta1": {"start": 0, "stop": 1, "steps": 2, "unit": "grad"}}, "unknown unit 'grad'"),
+        ("sweep", {"p": {"start": 0.2, "stop": 1, "steps": 3, "unit": "rad"}}, "'unit' only applies to angle axes"),
+        ("sweep", {"p": {"start": 0.2, "stop": 1, "steps": 3, "unit": "deg"}}, "'unit' only applies to angle axes"),
+        ("sweep", {"beta": [[0.1, 0.2, 0.3]]}, "beta pair must be [re, im]"),
+        ("tpam", "generic:alpha=1),beta=0", "unbalanced brackets"),
+        ("tpam", "jf:M=2,condition=(1,1", "unbalanced brackets"),
+        ("tpam", "generic:alpha=1,beta", "expected key=value, got 'beta'"),
+        ("tpam", "generic:alpha=1,beta=0,gamma=0", "unknown field 'gamma'"),
+        ("tpam", "generic:alpha=one,beta=0", "cannot parse complex coefficients"),
+        ("tpam", "jf:M=2,condition=[1,1]", "condition must look like (i,j)"),
+        ("config", {"config": [0.5]}, "manifest 'config' field must be an object"),
+    ],
+)
+def test_each_input_rejection_is_one_usage_error_line(runner, tmp_path, command, payload, message):
+    # One case per rejecting branch of the sweep spec, absorber and manifest parsers.
+    if command == "sweep":
+        result = runner.invoke(main, ["sweep", write_spec(tmp_path, payload)])
+    elif command == "tpam":
+        result = runner.invoke(main, ["run", "--tpam", payload])
+    else:
+        result = run_config(runner, tmp_path, payload)
+    assert_one_line_usage_error(result)
+    assert message in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # one run path: flags and --config files are validated alike
 

@@ -1,5 +1,6 @@
 """End-to-end heralding circuits and their closed-form benchmark points."""
 
+import dataclasses
 import math
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 import ensemble_mirrors as em
 from photonherald import (
+    DEFAULT_TPAM,
     DOUBLED,
     FILTER_SPLIT,
     MAIN,
@@ -212,9 +214,8 @@ def test_main_with_fwm_absorber_one_cycle():
 
 
 def test_main_rejects_half_odd_fwm():
-    cfg = main_config(tpam=FwmTpamSpec(FwmParams(1.5)))
     with pytest.raises(ValueError):
-        run_main_scheme(cfg)
+        main_config(tpam=FwmTpamSpec(FwmParams(1.5)))
 
 
 def test_main_rejects_wrong_variant():
@@ -401,9 +402,43 @@ def test_run_scheme_passes_mixer_parameters_through():
 
 def test_run_scheme_requires_fwm_for_heralded_conversion_variants():
     for variant in (PAIR_HERALD, FILTER_SPLIT):
-        cfg = main_config(variant=variant)  # generic absorber
         with pytest.raises(ValueError):
-            run_scheme(cfg)
+            main_config(variant=variant)  # generic absorber
+
+
+@pytest.mark.parametrize("variant", [MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT])
+def test_every_variant_runs_with_the_absorber_of_its_default_table_entry(variant):
+    cfg = manifold_config(variant=variant)
+    assert cfg.tpam == DEFAULT_TPAM[variant]
+    assert run_scheme(cfg).p_success > 0.0
+
+
+def test_a_config_its_variant_cannot_run_fails_when_it_is_built():
+    with pytest.raises(ValueError, match="requires a four-wave-mixing TPAM"):
+        SchemeConfig(SourceSpec(0.5), GenericTpam(1, 0), variant=FILTER_SPLIT)
+    with pytest.raises(ValueError, match=r"conditions the generated fields on \(1, 1\)"):
+        SchemeConfig(SourceSpec(0.5), FwmTpamSpec(FwmParams(2.0), (0, 0)), variant=PAIR_HERALD)
+    with pytest.raises(ValueError, match="requires a four-wave-mixing TPAM"):
+        dataclasses.replace(manifold_config(), variant=PAIR_HERALD)
+
+
+@pytest.mark.parametrize(
+    "run,args,kwargs",
+    [
+        (run_pair_herald_scheme, (True, 2.0), {}),
+        (run_pair_herald_scheme, (1.0, True), {}),
+        (run_pair_herald_scheme, (1.0, 2.0), {"pump_phase": False}),
+        (run_pair_herald_scheme, (1.0, 2.0), {"theta0": True}),
+        (run_filter_split_scheme, (False, 1.5), {}),
+        (run_filter_split_scheme, (0.5, 1.5), {"theta0": True}),
+        (run_filter_split_scheme, (0.5, 1.5), {"phi0": False}),
+    ],
+)
+def test_mixer_runners_reject_booleans(run, args, kwargs):
+    # The runners build SourceSpec, FwmParams and BeamSplitterParams
+    # directly, so those types must refuse a boolean as manifold_config does.
+    with pytest.raises(ValueError, match="boolean"):
+        run(*args, **kwargs)
 
 
 def test_result_serialization_round_trips_sorted_sectors():
