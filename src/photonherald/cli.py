@@ -44,7 +44,7 @@ from click.core import ParameterSource
 from . import __version__
 from .analysis import SWEEP_COLUMNS, SweepSpec, _whole, manifold_config, sweep_rows
 from .fock import DEFAULT_CUTOFF, FockError
-from .schemes import DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeConfig, SchemeResult, run_scheme
+from .schemes import DEFAULT_TPAM, DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeConfig, SchemeResult, run_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam
 from .verify import DEFAULT_SEED, invariant_checks, paper_value_checks
 
@@ -186,6 +186,15 @@ def format_tpam_spec(tpam: GenericTpam | FwmTpamSpec) -> str:
     m_text = repr(int(m)) if m == int(m) else repr(m)
     i, j = tpam.condition
     return f"jf:M={m_text},condition=({i},{j})"
+
+
+def _default_tpam_help() -> str:
+    """Each scheme's :data:`~photonherald.schemes.DEFAULT_TPAM` entry in wire
+    form, schemes that share one named together."""
+    tokens: dict[str, list[str]] = {}
+    for variant, tpam in DEFAULT_TPAM.items():
+        tokens.setdefault(format_tpam_spec(tpam), []).append(_CANONICAL_TOKEN[variant])
+    return ", ".join(f"{spec} for {' and '.join(names)}" for spec, names in tokens.items())
 
 
 def _cutoff(ctx: click.Context, param: click.Parameter, value: str) -> int:
@@ -382,8 +391,7 @@ def main() -> None:
 @click.option(
     "--tpam",
     metavar="TPAM",
-    help="Absorber spec [default: generic:alpha=1,beta=0 for main and doubled, jf:M=2,condition=(1,1) "
-    "for pair-herald, jf:M=1.5,condition=(0,0) for filter-split].",
+    help=f"Absorber spec [default: {_default_tpam_help()}].",
 )
 @click.option("--theta0", metavar="ANGLE", help="Front-splitter angle [default: 45deg].")
 @click.option("--theta1", metavar="ANGLE", help="First interferometer splitter angle [default: 45deg].")

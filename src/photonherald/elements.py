@@ -11,7 +11,9 @@ every ket.  Reflectivity is sin^2(theta).  The induced two-mode Fock-basis
 coefficients are computed once per (theta, phi, photon pair) via a binomial
 expansion and memoized in a least-recently-used cache of at most
 :data:`MIXING_ROW_CACHE_SIZE` rows, so a long scan over distinct angles
-keeps a bounded amount of memory.
+keeps a bounded amount of memory.  The expansion's binomials and
+factorials do not depend on the angles, so they are kept once per photon
+pair, and a row for a new angle only multiplies them by the angle's powers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,12 +60,31 @@ class BeamSplitterParams:
         return cls(math.pi / 4, 0.0, mode_pair)
 
     def on(self, first: str, second: str) -> "BeamSplitterParams":
-        return replace(self, mode_pair=(first, second))
+        return BeamSplitterParams(self.theta, self.phi, (first, second))
 
 
 #: Bound of the ``_mixing_row`` cache.  A row is a few hundred bytes; a
 #: README-shaped sweep fills about 450 rows, so the bound does not evict there.
 MIXING_ROW_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=MIXING_ROW_CACHE_SIZE)
+def _expansion(n1: int, n2: int) -> tuple[tuple[tuple[int, ...], ...], float, tuple[float, ...]]:
+    """The angle-free part of the row of |n1, n2>, kept once per photon pair.
+
+    Returns the binomial terms as (m1, comb(n1, j) comb(n2, k), j, n1 - j,
+    k, n2 - k) with m1 = j + k, the input norm sqrt(n1! n2!), and the output
+    norm sqrt(m1! (n1 + n2 - m1)!) of each m1.
+    """
+    total = n1 + n2
+    terms = tuple(
+        (j + k, math.comb(n1, j) * math.comb(n2, k), j, n1 - j, k, n2 - k)
+        for j in range(n1 + 1)
+        for k in range(n2 + 1)
+    )
+    norm_in = math.sqrt(math.factorial(n1) * math.factorial(n2))
+    norm_out = tuple(math.sqrt(math.factorial(m1) * math.factorial(total - m1)) for m1 in range(total + 1))
+    return terms, norm_in, norm_out
 
 
 @lru_cache(maxsize=MIXING_ROW_CACHE_SIZE)
@@ -73,28 +94,18 @@ def _mixing_row(theta: float, phi: float, n1: int, n2: int) -> tuple[tuple[int, 
     Returns ((m1, amplitude), ...) with m2 = n1 + n2 - m1 implied; photon
     number is conserved per ket.  Derived by substituting the rotated
     creation operators into a1+^n1 a2+^n2 |0,0> / sqrt(n1! n2!) and expanding
-    binomially.
+    binomially; the factorials and binomials come from :func:`_expansion`.
     """
     c, s = math.cos(theta), math.sin(theta)
     f12 = cmath.exp(-1j * phi) * s  # coefficient of a2+ inside a1+
     f21 = -cmath.exp(1j * phi) * s  # coefficient of a1+ inside a2+
-    total = n1 + n2
-    row = [0j] * (total + 1)
-    for j in range(n1 + 1):
-        for k in range(n2 + 1):
-            coeff = (
-                math.comb(n1, j)
-                * math.comb(n2, k)
-                * (c**j)
-                * (f12 ** (n1 - j))
-                * (f21**k)
-                * (c ** (n2 - k))
-            )
-            row[j + k] += coeff
-    norm_in = math.sqrt(math.factorial(n1) * math.factorial(n2))
+    terms, norm_in, norm_out = _expansion(n1, n2)
+    row = [0j] * len(norm_out)
+    for m1, comb, j, a, k, b in terms:
+        row[m1] += comb * (c**j) * (f12**a) * (f21**k) * (c**b)
     out = []
     for m1, coeff in enumerate(row):
-        amp = coeff * math.sqrt(math.factorial(m1) * math.factorial(total - m1)) / norm_in
+        amp = coeff * norm_out[m1] / norm_in
         if abs(amp) > 0.0:
             out.append((m1, amp))
     return tuple(out)
@@ -113,18 +124,21 @@ def apply_beam_splitter(state: PureState, params: BeamSplitterParams) -> PureSta
     reg = state.register
     i1 = reg.index(params.mode_pair[0])
     i2 = reg.index(params.mode_pair[1])
+    theta, phi = params.theta, params.phi
     out: dict[FockKet, complex] = {}
     for ket, amp in state._amps.items():
-        n1, n2 = ket.occupations[i1], ket.occupations[i2]
-        if n1 + n2 > reg.cutoff:
+        occ = list(ket.occupations)
+        n1, n2 = occ[i1], occ[i2]
+        total = n1 + n2
+        if total > reg.cutoff:
             raise CutoffOverflowError(
                 f"beam splitter on {params.mode_pair} would exceed cutoff "
-                f"{reg.cutoff} for ket {ket} (combined occupation {n1 + n2})"
+                f"{reg.cutoff} for ket {ket} (combined occupation {total})"
             )
-        for m1, coeff in _mixing_row(params.theta, params.phi, n1, n2):
-            new = ket.with_occupations({i1: m1, i2: n1 + n2 - m1})
-            prev = out.get(new, 0j)
-            out[new] = prev + amp * coeff
+        for m1, coeff in _mixing_row(theta, phi, n1, n2):
+            occ[i1], occ[i2] = m1, total - m1
+            new = FockKet(tuple(occ), ket.medium)
+            out[new] = out.get(new, 0j) + amp * coeff
     return PureState._of(reg, out, state.norm())
 
 

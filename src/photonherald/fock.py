@@ -5,11 +5,15 @@ photon-number cutoff, and the dimension of an optional internal "medium"
 subsystem (the absorber register used by two-photon media, ground state at
 index 0).
 
-A :class:`PureState` is a sparse map ``FockKet -> complex amplitude``.  Mixed
-states are :class:`Ensemble` objects: tuples of unnormalized pure states whose
-squared norms are the branch weights.  Every mixture produced by the circuits
-in this package is diagonal in that decomposition, so the ensemble picture is
-exact — a dense density-matrix representation is never needed at runtime.
+A :class:`FockKet` is a plain tuple ``(occupations, medium)`` with named
+fields, so hashing, equality and ordering run in C.  A :class:`PureState` is a
+sparse map ``FockKet -> complex amplitude``; nothing writes the map after the
+state is built, so a state sums its squared norm on first use and keeps it.
+Mixed states are :class:`Ensemble` objects: tuples of unnormalized pure
+states whose squared norms are the branch weights.  Every mixture produced by
+the circuits in this package is diagonal in that decomposition, so the
+ensemble picture is exact — a dense density-matrix representation is never
+needed at runtime.
 
 Conventions used throughout:
 
@@ -32,6 +36,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "DEFAULT_CUTOFF",
@@ -108,15 +113,21 @@ class ModeRegister:
     def __post_init__(self) -> None:
         if not isinstance(self.labels, tuple):
             object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"mode labels must be unique, got {self.labels!r}")
-        for label in self.labels:
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"mode labels must be non-empty strings, got {label!r}")
+        _check_labels(self.labels)
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        if self.medium_dims < 1:
-            raise ValueError("medium_dims must be at least 1")
+        _check_medium_dims(self.medium_dims)
+
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], cutoff: int, medium_dims: int) -> "ModeRegister":
+        """A register built from parts that already passed the checks of the
+        constructor: derived registers (a mode dropped, two registers joined,
+        a medium attached, modes renamed) skip re-validation."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "labels", labels)
+        object.__setattr__(new, "cutoff", cutoff)
+        object.__setattr__(new, "medium_dims", medium_dims)
+        return new
 
     @property
     def n_modes(self) -> int:
@@ -136,7 +147,7 @@ class ModeRegister:
     def without(self, label: str) -> "ModeRegister":
         """A copy of this register with ``label`` removed."""
         i = self.index(label)
-        return ModeRegister(self.labels[:i] + self.labels[i + 1 :], self.cutoff, self.medium_dims)
+        return ModeRegister._of(self.labels[:i] + self.labels[i + 1 :], self.cutoff, self.medium_dims)
 
     def validate_ket(self, ket: "FockKet") -> None:
         if len(ket.occupations) != self.n_modes:
@@ -150,9 +161,24 @@ class ModeRegister:
             raise ValueError(f"medium index {ket.medium} outside [0, {self.medium_dims}) in {ket}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class FockKet:
-    """A single basis ket: per-mode photon counts plus a medium index."""
+def _check_labels(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"mode labels must be unique, got {labels!r}")
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"mode labels must be non-empty strings, got {label!r}")
+
+
+def _check_medium_dims(medium_dims: int) -> None:
+    if medium_dims < 1:
+        raise ValueError("medium_dims must be at least 1")
+
+
+class FockKet(NamedTuple):
+    """A single basis ket: per-mode photon counts plus a medium index.
+
+    A tuple, so kets order lexicographically on occupations, then medium.
+    """
 
     occupations: tuple[int, ...]
     medium: int = 0
@@ -177,7 +203,7 @@ class PureState:
     immutable values: every operation returns a new state.
     """
 
-    __slots__ = ("register", "_amps")
+    __slots__ = ("register", "_amps", "_n2")
 
     def __init__(
         self,
@@ -193,6 +219,7 @@ class PureState:
                 amps[ket] = amp
         self.register = register
         self._amps = amps
+        self._n2: float | None = None
 
     @classmethod
     def _of(cls, register: ModeRegister, amps: Mapping[FockKet, complex], norm: float) -> "PureState":
@@ -209,19 +236,23 @@ class PureState:
         new = cls.__new__(cls)
         new.register = register
         new._amps = {ket: amp for ket, amp in amps.items() if abs(amp) > floor}
+        new._n2 = None
         return new
 
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[FockKet, complex]]:
         """Deterministically ordered (ket, amplitude) pairs."""
-        return iter(sorted(self._amps.items(), key=lambda kv: kv[0]))
+        return iter(sorted(self._amps.items()))
 
     def amplitude(self, ket: FockKet) -> complex:
         return self._amps.get(ket, 0j)
 
     def squared_norm(self) -> float:
-        return sum(abs(a) ** 2 for a in self._amps.values())
+        """Sum of |amplitude|^2, computed on first use and kept."""
+        if self._n2 is None:
+            self._n2 = sum(abs(a) ** 2 for a in self._amps.values())
+        return self._n2
 
     def norm(self) -> float:
         return math.sqrt(self.squared_norm())
@@ -295,8 +326,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
         raise ValueError("tensor requires matching cutoffs")
     if ra.medium_dims > 1 and rb.medium_dims > 1:
         raise ValueError("at most one tensor factor may carry a medium subsystem")
-    medium_dims = max(ra.medium_dims, rb.medium_dims)
-    reg = ModeRegister(ra.labels + rb.labels, ra.cutoff, medium_dims)
+    reg = ModeRegister._of(ra.labels + rb.labels, ra.cutoff, max(ra.medium_dims, rb.medium_dims))
     out: dict[FockKet, complex] = {}
     for ka, aa in a._amps.items():
         for kb, ab in b._amps.items():
@@ -330,14 +360,16 @@ def with_medium_dims(state: PureState, medium_dims: int) -> PureState:
     """Attach a medium subsystem (in its ground state) to a medium-free state."""
     if state.register.medium_dims != 1:
         raise ValueError("state already carries a medium subsystem")
-    reg = ModeRegister(state.register.labels, state.register.cutoff, medium_dims)
+    _check_medium_dims(medium_dims)
+    reg = ModeRegister._of(state.register.labels, state.register.cutoff, medium_dims)
     return PureState._of(reg, state._amps, 0.0)
 
 
 def relabel_modes(state: PureState, mapping: Mapping[str, str]) -> PureState:
     """Rename modes; occupations and amplitudes are untouched."""
     labels = tuple(mapping.get(lbl, lbl) for lbl in state.register.labels)
-    reg = ModeRegister(labels, state.register.cutoff, state.register.medium_dims)
+    _check_labels(labels)
+    reg = ModeRegister._of(labels, state.register.cutoff, state.register.medium_dims)
     return PureState._of(reg, state._amps, 0.0)
 
 

@@ -442,7 +442,7 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
                 kept.extend(_evolve(detected, tail))
         if mirror:
             clicks[mirror] += Ensemble._of(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
-        sector = sum(next(iter(state.terms()))[0].occupations)
+        sector = sum(next(iter(state._amps)).occupations)  # a branch holds one photon number
         branch_log[sector] = branch_log.get(sector, 0.0) + contribution
         p_success += contribution
     details = dict(circuit.details)

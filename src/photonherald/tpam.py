@@ -102,6 +102,8 @@ class GenericTpam:
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        if any(isinstance(value, bool) for value in (self.alpha, self.beta, self.global_phase)):
+            raise ValueError(f"generic TPAM parameters must be numbers, not booleans, got {self!r}")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         if not all(map(cmath.isfinite, (self.alpha, self.beta, self.global_phase))):

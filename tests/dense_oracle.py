@@ -225,6 +225,7 @@ def dense_main_fwm(
     *,
     theta0: float = math.pi / 4,
     cutoff: int = 4,
+    pump_phase: float = 0.0,
 ) -> dict[str, object]:
     dim = cutoff + 1
     rho = front_splitter(p, theta0, 0.0, dim)           # B
@@ -234,7 +235,7 @@ def dense_main_fwm(
     rho = extend(rho, basis_density(0, dim))            # B, C, E1
     rho = extend(rho, basis_density(0, dim))            # B, C, E1, E2
     dims = [dim, dim, dim, dim]
-    rho = apply_op(rho, fwm_operator(length_multiple, dim), (0, 2, 3), dims)
+    rho = apply_op(rho, fwm_operator(length_multiple, dim, pump_phase), (0, 2, 3), dims)
     rho = project(rho, 3, condition[1])
     rho = project(rho, 2, condition[0])                 # B, C (unnormalized)
     dims = [dim, dim]
@@ -296,13 +297,14 @@ def dense_pair_herald(
     *,
     theta0: float = math.pi / 4,
     cutoff: int = 4,
+    pump_phase: float = 0.0,
 ) -> dict[str, object]:
     dim = cutoff + 1
     rho = front_splitter(p, theta0, 0.0, dim)           # B
     rho = extend(rho, basis_density(0, dim))            # B, E1
     rho = extend(rho, basis_density(0, dim))            # B, E1, E2
     dims = [dim, dim, dim]
-    rho = apply_op(rho, fwm_operator(length_multiple, dim), (0, 1, 2), dims)
+    rho = apply_op(rho, fwm_operator(length_multiple, dim, pump_phase), (0, 1, 2), dims)
     joint: dict[tuple[int, int], float] = {}
     for n_1 in range(dim):
         cut_1 = project(rho, 1, n_1)                    # B, E2
@@ -323,13 +325,14 @@ def dense_filter_split(
     *,
     theta0: float = math.pi / 4,
     cutoff: int = 4,
+    pump_phase: float = 0.0,
 ) -> dict[str, object]:
     dim = cutoff + 1
     rho = front_splitter(p, theta0, 0.0, dim)           # B
     rho = extend(rho, basis_density(0, dim))            # B, E1
     rho = extend(rho, basis_density(0, dim))            # B, E1, E2
     dims = [dim, dim, dim]
-    rho = apply_op(rho, fwm_operator(length_multiple, dim), (0, 1, 2), dims)
+    rho = apply_op(rho, fwm_operator(length_multiple, dim, pump_phase), (0, 1, 2), dims)
     rho = project(rho, 2, 0)
     rho = project(rho, 1, 0)                            # B (unnormalized)
     rho = extend(rho, basis_density(0, dim))            # B, C

@@ -409,6 +409,7 @@ SWEEP_AXIS_VALUE = {"theta0": 0.3, "theta1": 0.3, "beta": 0j, "p": 0.0}
         ("beta", 1.5),
         ("beta", 0.9 + 0.9j),
         ("beta", complex(math.nan, 0.0)),
+        ("beta", True),
     ],
 )
 def test_sweep_rows_rejects_a_bad_axis_value_as_manifold_config_does(axis, bad):

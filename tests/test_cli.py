@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonherald
-from photonherald import MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam
+from photonherald import DEFAULT_TPAM, MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam
 from photonherald.cli import (
+    SCHEME_TOKENS,
     config_hash,
     format_tpam_spec,
     main,
@@ -93,6 +95,19 @@ def test_format_tpam_round_trips():
     ):
         parsed = parse_tpam_spec(text)
         assert parse_tpam_spec(format_tpam_spec(parsed)) == parsed
+
+
+def test_run_tpam_help_states_each_schemes_default_absorber():
+    """The defaults the ``--tpam`` help names, read back with the CLI's own
+    parser, are the schemes' ``DEFAULT_TPAM`` entries."""
+    (option,) = [param for param in main.commands["run"].params if param.name == "tpam"]
+    defaults = re.fullmatch(r"Absorber spec \[default: (.*)\]\.", option.help).group(1)
+    stated = {
+        SCHEME_TOKENS[token]: parse_tpam_spec(spec)
+        for spec, tokens in re.findall(r"(\S+) for ([a-z-]+(?: and [a-z-]+)*)", defaults)
+        for token in tokens.split(" and ")
+    }
+    assert stated == DEFAULT_TPAM
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Linear optics elements against closed-form examples and a matrix oracle."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_oracle as dn
 from photonherald import (
@@ -16,6 +19,7 @@ from photonherald import (
     splitter_blocks,
     unitarity_check,
 )
+from photonherald.elements import _mixing_row
 
 CUTOFF = 4
 REG = ModeRegister(("B", "C"), cutoff=CUTOFF)
@@ -84,6 +88,36 @@ def test_splitter_block_columns_are_the_splitter_on_each_ket(n):
     for k in range(n + 1):
         out = apply_beam_splitter(fock_state(REG, (k, n - k)), bs(theta, phi))
         assert list(block[:, k]) == [out.amplitude(FockKet((m, n - m))) for m in range(n + 1)]
+
+
+def reference_row(theta, phi, n1, n2):
+    """The binomial expansion of the splitter row of |n1, n2>, each factor
+    computed in place, in the order the package multiplies them."""
+    c, s = math.cos(theta), math.sin(theta)
+    f12, f21 = cmath.exp(-1j * phi) * s, -cmath.exp(1j * phi) * s
+    total = n1 + n2
+    row = [0j] * (total + 1)
+    for j in range(n1 + 1):
+        for k in range(n2 + 1):
+            comb = math.comb(n1, j) * math.comb(n2, k)
+            row[j + k] += comb * (c**j) * (f12 ** (n1 - j)) * (f21**k) * (c ** (n2 - k))
+    norm_in = math.sqrt(math.factorial(n1) * math.factorial(n2))
+    out = []
+    for m1, coeff in enumerate(row):
+        amp = coeff * math.sqrt(math.factorial(m1) * math.factorial(total - m1)) / norm_in
+        if abs(amp) > 0.0:
+            out.append((m1, amp))
+    return tuple(out)
+
+
+@given(theta=st.floats(-7.0, 7.0), phi=st.floats(-7.0, 7.0))
+@settings(max_examples=50, deadline=None)
+def test_mixing_rows_equal_the_expansion_to_the_bit(theta, phi):
+    # The rows take their binomials and factorials from a per-pair table;
+    # the arithmetic must stay that of the expansion, so results are equal.
+    for n1 in range(CUTOFF + 1):
+        for n2 in range(CUTOFF + 1 - n1):
+            assert _mixing_row(theta, phi, n1, n2) == reference_row(theta, phi, n1, n2)
 
 
 @pytest.mark.parametrize("theta,phi", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 0.0)])

@@ -15,8 +15,10 @@ from photonherald import (
     fock_state,
     partial_trace_discard,
     project_number,
+    relabel_modes,
     tensor,
     vacuum_state,
+    with_medium_dims,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -45,6 +47,32 @@ def test_register_index_and_unknown_label():
 def test_register_without_removes_one_mode():
     r = reg("A", "B", "C")
     assert r.without("B").labels == ("A", "C")
+
+
+def test_derived_registers_equal_their_checked_constructions():
+    # Dropping, joining, attaching a medium and renaming skip the checks of
+    # the constructor; what they build must still be the register it checks.
+    psi = vacuum_state(reg("A", "B", "C", cutoff=3))
+    medium = vacuum_state(reg("D", cutoff=3, medium_dims=2))
+    derived = {
+        reg("A", "C", cutoff=3): psi.register.without("B"),
+        reg("A", "B", "C", "D", cutoff=3, medium_dims=2): tensor(psi, medium).register,
+        reg("A", "B", "C", cutoff=3, medium_dims=3): with_medium_dims(psi, 3).register,
+        reg("A", "E", "C", cutoff=3): relabel_modes(psi, {"B": "E"}).register,
+    }
+    for checked, built in derived.items():
+        assert built == checked and hash(built) == hash(checked)
+
+
+@pytest.mark.parametrize("mapping", [{"B": "A"}, {"A": "C", "C": "C"}, {"B": ""}, {"B": 7}])
+def test_relabel_to_an_invalid_register_raises(mapping):
+    with pytest.raises(ValueError, match="mode labels must be"):
+        relabel_modes(vacuum_state(reg("A", "B", "C")), mapping)
+
+
+def test_with_medium_dims_rejects_an_empty_medium():
+    with pytest.raises(ValueError, match="medium_dims"):
+        with_medium_dims(vacuum_state(reg("A")), 0)
 
 
 def test_ket_validation_respects_cutoff():

@@ -218,3 +218,26 @@ def test_every_intermediate_state_holds_valid_kets(cfg):
     result = run_scheme(cfg)
     if result.conditional_state is not None:
         assert_stored_kets_valid(result.conditional_state)
+
+
+@given(cfg=scheme_configs())
+@settings(max_examples=80, deadline=None)
+def test_every_stage_keeps_cached_norms_and_ket_order(cfg):
+    """Each state's squared norm is cached on first use, so no stage may
+    change a state after building it; and ``terms()`` runs in
+    (occupations, medium) order, the order every output is written in."""
+    circuit, ensemble = build_circuit(cfg), inputs_of(cfg)
+    seen = []
+    for k in range(len(circuit.stages) - 1):
+        for state in ensemble.states:
+            state.squared_norm()  # cache it before the next stage reads the state
+            seen.append(state)
+        ensemble = circuit._replace(stages=circuit.stages[k : k + 2]).prepare(ensemble)
+    seen.extend(ensemble.states)
+    result = run_scheme(cfg)
+    if result.conditional_state is not None:
+        seen.extend(result.conditional_state.states)
+    for state in seen:
+        assert state.squared_norm() == sum(abs(amp) ** 2 for amp in state._amps.values())
+        kets = [ket for ket, _ in state.terms()]
+        assert kets == sorted(state._amps, key=lambda ket: (ket.occupations, ket.medium))

@@ -8,7 +8,8 @@ any valid length and pump phase, or none, which runs the scheme's
 ``DEFAULT_TPAM`` entry) and the cutoff, and compares each
 ``ensemble_mirrors`` view with its ``dense_oracle`` counterpart at a relative
 tolerance: p_success/p^2, every detector outcome divided by p^2, and the
-normalized conditional distribution.
+normalized conditional distribution.  The oracle's mixers run at the drawn
+pump phase too, so the pump phase is compared, not bounded.
 """
 
 import cmath
@@ -74,11 +75,8 @@ def generic_absorber(draw):
 class Run(NamedTuple):
     """One drawn scheme run: the mirror's and the oracle's call for it.
 
-    ``splitters`` counts the splitters a photon crosses, ``interferes`` says
-    whether a lone photon's herald cancels in an interferometer, and
-    ``leak`` is the double-precision size of a mixer's lone-photon amplitude
-    that is 0 in exact arithmetic (sin(M pi) at integer M, cos(M pi) at
-    half-odd M).
+    ``splitters`` counts the splitters a photon crosses, and ``interferes``
+    says whether a lone photon's herald cancels in an interferometer.
     """
 
     p: float
@@ -86,11 +84,6 @@ class Run(NamedTuple):
     oracle: partial
     splitters: int
     interferes: bool
-    leak: float = 0.0
-
-
-def leak_of(length):
-    return abs(math.cos(length * math.pi)) if length % 1 else abs(math.sin(length * math.pi))
 
 
 def mixer_run(kind, p, length, pump_phase, theta0, cutoff):
@@ -99,10 +92,9 @@ def mixer_run(kind, p, length, pump_phase, theta0, cutoff):
         "pair_herald": (em.ensemble_pair_herald, dn.dense_pair_herald, 1),
         "filter_split": (em.ensemble_filter_split, dn.dense_filter_split, 2),
     }[kind]
-    common = {"theta0": theta0, "cutoff": cutoff}
+    common = {"theta0": theta0, "cutoff": cutoff, "pump_phase": pump_phase}
     actual = DEFAULT_LENGTH[kind] if length is None else length
-    got = partial(mirror, p, length, pump_phase=pump_phase, **common)
-    return Run(p, got, partial(oracle, p, actual, **common), crossed, False, leak_of(actual))
+    return Run(p, partial(mirror, p, length, **common), partial(oracle, p, actual, **common), crossed, False)
 
 
 @st.composite
@@ -129,9 +121,10 @@ def scheme_runs(draw):
     if kind == "main_mixer":
         angles, length = draw(splitter_angles()), draw(INTEGER_LENGTH)
         condition = draw(st.sampled_from([(0, 0), (1, 1)]))
-        got = partial(em.ensemble_main_fwm, p, length, condition, *angles, pump_phase=draw(PHASE), **common)
+        common["pump_phase"] = draw(PHASE)
+        got = partial(em.ensemble_main_fwm, p, length, condition, *angles, **common)
         want = partial(dn.dense_main_fwm, p, length, condition, *angles, **common)
-        return Run(p, got, want, 3, True, leak_of(length))
+        return Run(p, got, want, 3, True)
     length = draw(st.none() | (INTEGER_LENGTH if kind == "pair_herald" else HALF_ODD_LENGTH))
     return mixer_run(kind, p, length, draw(PHASE), theta0, cutoff)
 
@@ -150,18 +143,12 @@ def resolution(run, value):
     of about 1e-6, the oracle cannot resolve a herald of size p^2 to REL.
     Pair-herald and filter-split cancel nothing there: over 600 draws their
     differences stayed below 1e-28 of feed.
-
-    A mixer's lone-photon amplitude ``leak`` is 0 in exact arithmetic.  The
-    oracle runs its mixers at pump phase 0, and on the main circuit that
-    amplitude interferes with a pump-phase-dependent one, moving a value by
-    up to 4 leak sqrt(feed) (sqrt(value) + leak sqrt(feed)).
     """
     feed = 2 * run.p - run.p * run.p
     value = max(value, 0.0)
     splitters = 6 * run.splitters * ORACLE_EPS * math.sqrt(value * feed)
     rounding = ORACLE_ROUNDING * feed if run.interferes else 0.0
-    leak = 4 * run.leak * math.sqrt(feed) * (math.sqrt(value) + run.leak * math.sqrt(feed))
-    return splitters + rounding + leak
+    return splitters + rounding
 
 
 def assert_close_over_p2(run, got, want, label):

@@ -98,6 +98,20 @@ def test_non_finite_coefficients_rejected(kwargs):
         GenericTpam(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GenericTpam(True, False),
+        lambda: GenericTpam(0.6, 0.8, global_phase=True),
+        lambda: GenericTpam.unitary(True),
+    ],
+)
+def test_boolean_coefficients_rejected(make):
+    # complex(True) is 1+0j, so a boolean would otherwise pass as a coefficient.
+    with pytest.raises(ValueError, match="boolean"):
+        make()
+
+
 def test_loss_property():
     assert GenericTpam(alpha=0.6, beta=0.8).loss == pytest.approx(0.0, abs=1e-12)
     assert GenericTpam(alpha=0.0, beta=0.5).loss == pytest.approx(0.75, abs=1e-12)
