@@ -3,8 +3,8 @@
 Simulates small linear-optical circuits — beam splitters, two-photon
 absorbers, four-wave mixers, number-resolving detectors — on truncated
 multimode Fock spaces, and provides the closed-form success probabilities,
-constraint classification, sweeps, and optimizers for the heralding schemes
-built from them.
+the null-condition manifold, sweeps, and optimizers for the heralding
+schemes built from them.
 """
 
 from . import analysis, elements, fock, schemes, tpam

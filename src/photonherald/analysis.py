@@ -39,10 +39,8 @@ from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_c
 __all__ = [
     "ANGLE_TOL",
     "CaseId",
-    "ConstraintCase",
     "SweepSpec",
     "ScanRow",
-    "classify_constraint",
     "manifold_completion",
     "closed_form_ps",
     "manifold_config",
@@ -63,83 +61,38 @@ _PEAK = 27.0 / 256.0
 
 
 class CaseId(str, Enum):
+    """The four null-condition branches."""
+
     SUM_PLUS = "sum_plus"
     SUM_MINUS = "sum_minus"
     DIFF_PLUS = "diff_plus"
     DIFF_MINUS = "diff_minus"
-    VIOLATED = "violated"
 
 
-VALID_CASES = (CaseId.SUM_PLUS, CaseId.SUM_MINUS, CaseId.DIFF_PLUS, CaseId.DIFF_MINUS)
+def manifold_completion(theta1: float, case: CaseId | str) -> tuple[float, float, float]:
+    """Given theta1 and a branch, return (theta2, phi1, phi2) on the manifold.
 
-
-@dataclass(frozen=True, slots=True)
-class ConstraintCase:
-    """Which null-condition branch a configuration satisfies.
-
-    ``nu`` is the integer phase winding (phi1 - phi2)/pi, ``None`` when
-    violated.
+    Raises:
+        ValueError: for a name that is no branch.
     """
-
-    case_id: CaseId
-    nu: int | None = None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.case_id is not CaseId.VIOLATED
-
-
-def classify_constraint(
-    phi1: float, phi2: float, theta1: float, theta2: float, tol: float = ANGLE_TOL
-) -> ConstraintCase:
-    """Classify splitter parameters against the null-condition manifold."""
-    delta = phi1 - phi2
-    nu = round(delta / math.pi)
-    if abs(delta - nu * math.pi) > tol:
-        return ConstraintCase(CaseId.VIOLATED)
-    angle = theta1 + theta2 if nu % 2 == 0 else theta1 - theta2
-    if abs(math.cos(angle)) > tol:
-        return ConstraintCase(CaseId.VIOLATED)
-    plus = math.sin(angle) > 0.0
-    if nu % 2 == 0:
-        return ConstraintCase(CaseId.SUM_PLUS if plus else CaseId.SUM_MINUS, nu)
-    return ConstraintCase(CaseId.DIFF_PLUS if plus else CaseId.DIFF_MINUS, nu)
-
-
-def _case_id(case: ConstraintCase | CaseId | str) -> CaseId:
-    if isinstance(case, ConstraintCase):
-        return case.case_id
-    return case if isinstance(case, CaseId) else CaseId(case)
-
-
-def manifold_completion(theta1: float, case: ConstraintCase | CaseId | str) -> tuple[float, float, float]:
-    """Given theta1 and a branch, return (theta2, phi1, phi2) on the manifold."""
-    cid = _case_id(case)
+    cid = CaseId(case)
     if cid is CaseId.SUM_PLUS:
         return math.pi / 2 - theta1, 0.0, 0.0
     if cid is CaseId.SUM_MINUS:
         return -math.pi / 2 - theta1, 0.0, 0.0
     if cid is CaseId.DIFF_PLUS:
         return theta1 - math.pi / 2, math.pi, 0.0
-    if cid is CaseId.DIFF_MINUS:
-        return theta1 + math.pi / 2, math.pi, 0.0
-    raise ValueError("cannot complete a violated constraint")
+    return theta1 + math.pi / 2, math.pi, 0.0
 
 
-def closed_form_ps(beta: complex, theta1: float, case: ConstraintCase | CaseId | str) -> float:
-    """Success probability per p^2 on the given constraint branch.
+def closed_form_ps(beta: complex, theta1: float) -> float:
+    """Success probability per p^2 on the null-condition manifold.
 
-    All four valid branches give ``|1-beta|^2 cos^6(theta1) sin^2(theta1)``:
-    on the manifold the click probability depends on the angles only through
-    the splitter ahead of the absorber.
-
-    Raises:
-        ValueError: for the violated case — there is no closed form off the
-            manifold, run the simulator instead.
+    Every branch gives ``|1-beta|^2 cos^6(theta1) sin^2(theta1)``: on the
+    manifold the click probability depends on the angles only through the
+    splitter ahead of the absorber.  Off the manifold there is no closed
+    form; run the simulator instead.
     """
-    cid = _case_id(case)
-    if cid is CaseId.VIOLATED:
-        raise ValueError("no closed form off the null-condition manifold")
     return abs(1.0 - beta) ** 2 * math.cos(theta1) ** 6 * math.sin(theta1) ** 2
 
 
@@ -164,7 +117,7 @@ def _whole(name: str, value: object) -> int:
 
 def manifold_config(
     theta1: float = math.pi / 4,
-    case: ConstraintCase | CaseId | str = CaseId.SUM_PLUS,
+    case: CaseId | str = CaseId.SUM_PLUS,
     *,
     p: float = 1.0,
     tpam: GenericTpam | FwmTpamSpec | None = None,
@@ -206,7 +159,7 @@ def manifold_config(
     )
 
 
-def _completed(theta1: float, case: ConstraintCase | CaseId | str) -> tuple[float, float, float]:
+def _completed(theta1: float, case: CaseId | str) -> tuple[float, float, float]:
     """:func:`manifold_completion`, checked to hold in double precision.
 
     On the sum (diff) branches theta1 + theta2 (theta1 - theta2) is +-pi/2;
@@ -216,7 +169,7 @@ def _completed(theta1: float, case: ConstraintCase | CaseId | str) -> tuple[floa
     off = math.cos(theta1 + completion[0] if completion[1] == 0.0 else theta1 - completion[0])
     if abs(off) > ANGLE_TOL:
         raise ValueError(
-            f"theta1 = {theta1!r} is too large to complete theta2 onto {_case_id(case).value} "
+            f"theta1 = {theta1!r} is too large to complete theta2 onto {CaseId(case).value} "
             f"in double precision (the branch cosine is {off:.3g}, not 0)"
         )
     return completion
@@ -225,7 +178,7 @@ def _completed(theta1: float, case: ConstraintCase | CaseId | str) -> tuple[floa
 def simulate_manifold_point(
     beta: complex,
     theta1: float,
-    case: ConstraintCase | CaseId | str,
+    case: CaseId | str,
     *,
     p: float = 1.0,
     cutoff: int = DEFAULT_CUTOFF,
@@ -257,23 +210,16 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9) -> tuple
     return x, f(x)
 
 
-def optimize_ps(
-    beta: complex,
-    case: ConstraintCase | CaseId | str = CaseId.SUM_PLUS,
-    *,
-    grid_points: int = 1441,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Maximize the closed form over theta1 in [0, 2 pi).
+def optimize_ps(beta: complex, *, grid_points: int = 1441, tol: float = 1e-9) -> tuple[float, float]:
+    """Maximize the closed form, the same on every branch, over theta1 in [0, 2 pi).
 
     Coarse grid scan followed by golden-section refinement around the best
     grid point.  Returns (theta1_star, ps_star); the argmax lands on one of
     the symmetric optima {30, 150, 210, 330} degrees for every beta != 1.
     """
-    cid = _case_id(case)
 
     def f(theta1: float) -> float:
-        return closed_form_ps(beta, theta1, cid)
+        return closed_form_ps(beta, theta1)
 
     step = 2.0 * math.pi / grid_points
     best_i = max(range(grid_points), key=lambda i: f(i * step))
@@ -375,8 +321,7 @@ class SweepSpec:
     case: CaseId = CaseId.SUM_PLUS
 
     def __post_init__(self) -> None:
-        if self.case == CaseId.VIOLATED:
-            raise ValueError("a sweep snaps every point onto the manifold, so its case cannot be 'violated'")
+        object.__setattr__(self, "case", CaseId(self.case))
         _check_grid_size(len(self.theta0) * len(self.theta1) * len(self.beta) * len(self.p))
         for name in ("theta0", "theta1", "p", "beta"):
             axis = getattr(self, name)
@@ -406,7 +351,7 @@ class SweepSpec:
         kwargs: dict[str, object] = {name: tuple(values) for name, (_, values) in axes.items()}
         kwargs["beta"] = tuple(_parse_beta(v) for v in beta)
         if "case" in data:
-            kwargs["case"] = CaseId(str(data["case"]))
+            kwargs["case"] = str(data["case"])
         return cls(**kwargs)
 
 

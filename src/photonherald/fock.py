@@ -22,12 +22,11 @@ Conventions used throughout:
   numerical dust, and a small branch keeps what its normalized state would.
 * Ket iteration order is deterministic (lexicographic on occupations, then the
   medium index), which keeps every downstream output byte-stable.
-* Conditioning (:func:`project_number`, :meth:`Ensemble.condition_number`)
-  returns the *unnormalized* kept component together with its squared norm.
-  For a normalized input that squared norm is the outcome probability.
-  Ensembles never renormalize: maps, conditions and traces keep each branch
-  unnormalized, so its squared norm is the joint probability of everything
-  it has passed.
+* Conditioning (:func:`project_number`) returns the *unnormalized* kept
+  component together with its squared norm.  For a normalized input that
+  squared norm is the outcome probability.  Maps, projections and traces
+  keep each ensemble branch unnormalized, so its squared norm is the joint
+  probability of everything it has passed.
 """
 
 from __future__ import annotations
@@ -67,9 +66,6 @@ DEFAULT_CUTOFF = 4
 #: Amplitudes at or below this magnitude, relative to the norm of the state
 #: an op acted on, are discarded when states are built.
 PRUNE_THRESHOLD = 1e-14
-
-#: Squared-norm threshold under which a state counts as numerically zero.
-_ZERO_NORM = PRUNE_THRESHOLD**2
 
 #: Amplitude tolerance when deciding two branches are the same state
 #: (up to a global phase) during ensemble consolidation.
@@ -257,9 +253,6 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(self.squared_norm())
 
-    def is_zero(self) -> bool:
-        return not self._amps
-
     def __len__(self) -> int:
         return len(self._amps)
 
@@ -272,12 +265,6 @@ class PureState:
     def scaled(self, factor: complex) -> "PureState":
         """This state times ``factor``; scaling prunes nothing but exact zeros."""
         return PureState._of(self.register, {k: a * factor for k, a in self._amps.items()}, 0.0)
-
-    def normalized(self) -> "PureState":
-        n2 = self.squared_norm()
-        if n2 <= _ZERO_NORM:
-            raise ValueError("cannot normalize a numerically zero state")
-        return self.scaled(1.0 / math.sqrt(n2))
 
 
 def fock_state(
@@ -382,60 +369,24 @@ class Ensemble:
     conditioning the total weight is the accumulated joint probability of
     the accepted outcomes.
 
-    ``Ensemble(register, [(weight, state), ...])`` is the checked
-    constructor; it scales each state to norm ``sqrt(weight)``.
-    :attr:`branches` and iteration give the (weight, normalized state) view.
+    ``Ensemble(register, states)`` wraps states already on ``register``
+    without re-checking them; :attr:`branches` gives the (weight, normalized
+    state) view.
     """
 
     __slots__ = ("register", "states")
 
-    def __init__(
-        self, register: ModeRegister, branches: Iterable[tuple[float, PureState]] = ()
-    ) -> None:
-        states: list[PureState] = []
-        for weight, state in branches:
-            if state.register != register:
-                raise ValueError("all ensemble branches must share one register")
-            w = float(weight)
-            if w < -1e-12:
-                raise ValueError(f"negative branch weight {w}")
-            if w > 0.0 and not state.is_zero():
-                states.append(state.scaled(math.sqrt(w / state.squared_norm())))
+    def __init__(self, register: ModeRegister, states: Iterable[PureState]) -> None:
         self.register = register
         self.states = _live(states)
-
-    @classmethod
-    def _of(cls, register: ModeRegister, states: Iterable[PureState]) -> "Ensemble":
-        """Wrap states on ``register`` without re-checking them."""
-        new = cls.__new__(cls)
-        new.register = register
-        new.states = _live(states)
-        return new
 
     @property
     def branches(self) -> tuple[tuple[float, PureState], ...]:
         """(weight, normalized state) pairs."""
         return tuple((n2, s.scaled(1.0 / math.sqrt(n2))) for s in self.states for n2 in [s.squared_norm()])
 
-    def total_weight(self) -> float:
-        return sum(s.squared_norm() for s in self.states)
-
     def __len__(self) -> int:
         return len(self.states)
-
-    def __iter__(self) -> Iterator[tuple[float, PureState]]:
-        return iter(self.branches)
-
-    def condition_number(self, mode: str, n: int) -> tuple["Ensemble", float]:
-        """Condition every branch on ``n`` photons in ``mode``.
-
-        Returns the surviving ensemble (measured mode dropped, weights the
-        joint probabilities) and its total weight, the accepted probability.
-        """
-        kept = Ensemble._of(
-            self.register.without(mode), (project_number(s, mode, n)[0] for s in self.states)
-        )
-        return kept, kept.total_weight()
 
     def number_distribution(self, mode: str) -> dict[int, float]:
         """Probability of each photon count in ``mode`` (by branch weight)."""
@@ -451,13 +402,13 @@ class Ensemble:
         """The ensemble with weights summing to 1.  A total below the smallest
         normal double has lost most of its bits, so there the amplitudes are
         first scaled by the largest of them."""
-        total = self.total_weight()
+        total = sum(s.squared_norm() for s in self.states)
         if total <= 0.0:
             raise ValueError("cannot normalize an empty ensemble")
         if total < sys.float_info.min:
             largest = max(abs(a) for s in self.states for a in s._amps.values())
-            return Ensemble._of(self.register, (s.scaled(1.0 / largest) for s in self.states)).normalized_weights()
-        return Ensemble._of(self.register, (s.scaled(1.0 / math.sqrt(total)) for s in self.states))
+            return Ensemble(self.register, (s.scaled(1.0 / largest) for s in self.states)).normalized_weights()
+        return Ensemble(self.register, (s.scaled(1.0 / math.sqrt(total)) for s in self.states))
 
     def consolidated(self, atol: float = _CONSOLIDATE_ATOL) -> "Ensemble":
         """Merge branches whose states are equal up to norm and global phase.
@@ -477,7 +428,7 @@ class Ensemble:
                     break
             else:
                 groups.append([direction, state, n2, n2])
-        return Ensemble._of(
+        return Ensemble(
             self.register,
             (s if total == own else s.scaled(math.sqrt(total / own)) for _, s, own, total in groups),
         )
@@ -519,7 +470,7 @@ def partial_trace_discard(state: PureState, mode: str) -> Ensemble:
     for ket, amp in state._amps.items():
         occ = ket.occupations[:i] + ket.occupations[i + 1 :]
         groups.setdefault(ket.occupations[i], {})[FockKet(occ, ket.medium)] = amp
-    return Ensemble._of(reg, (PureState._of(reg, amps, state.norm()) for _, amps in sorted(groups.items()))).consolidated()
+    return Ensemble(reg, (PureState._of(reg, amps, state.norm()) for _, amps in sorted(groups.items()))).consolidated()
 
 
 def fidelity_to_single_photon(state: PureState | Ensemble) -> float:

@@ -41,7 +41,6 @@ from .fock import (
     ModeRegister,
     PureState,
     fidelity_to_single_photon,
-    fock_state,
     partial_trace_discard,
     project_number,
     relabel_modes,
@@ -64,7 +63,6 @@ __all__ = [
     "SchemeResult",
     "Circuit",
     "build_circuit",
-    "input_mixture",
     "reduce_through_bs0",
     "run_main_scheme",
     "run_doubled_scheme",
@@ -197,18 +195,6 @@ def _ensemble_to_jsonable(ens: Ensemble | None) -> dict[str, object] | None:
     return {"modes": list(ens.register.labels), "branches": branches}
 
 
-def input_mixture(
-    p: float, label: str = "B", *, cutoff: int = DEFAULT_CUTOFF
-) -> Ensemble:
-    """The source output: {p: |1>, 1-p: |0>} on a single mode."""
-    spec = SourceSpec(p)  # range check
-    reg = ModeRegister((label,), cutoff)
-    return Ensemble(
-        reg,
-        [(spec.p, fock_state(reg, (1,))), (1.0 - spec.p, fock_state(reg, (0,)))],
-    )
-
-
 def reduce_through_bs0(
     p: float, theta0: float = math.pi / 4, phi0: float = 0.0, *, cutoff: int = DEFAULT_CUTOFF, discard: bool = True
 ) -> Ensemble:
@@ -234,7 +220,7 @@ def reduce_through_bs0(
     register = ModeRegister(("A", "B"), cutoff)
     root = {1: math.sqrt(source.p), 0: math.sqrt(1.0 - source.p)}
     products = (PureState._of(register, {FockKet((a, b)): complex(root[a] * root[b])}, 0.0) for a in (1, 0) for b in (1, 0))
-    joint = Ensemble._of(register, (apply_beam_splitter(psi, bs0) for psi in products))
+    joint = Ensemble(register, (apply_beam_splitter(psi, bs0) for psi in products))
     if not discard:
         return joint
     weights = joint.number_distribution("B")
@@ -242,7 +228,7 @@ def reduce_through_bs0(
     for ket, amp in (term for state in joint.states for term in state.terms()):
         first.setdefault(ket.occupations[1], amp)
     reduced = register.without("A")
-    return Ensemble._of(
+    return Ensemble(
         reduced, (PureState._of(reduced, {FockKet((n,)): _with_weight(amp, weights[n])}, 0.0) for n, amp in first.items())
     )
 
@@ -316,10 +302,10 @@ class Circuit(NamedTuple):
     stages: tuple
     details: dict[str, object]
 
-    def prepare(self, inputs: Ensemble) -> Ensemble:
-        """Run every stage before the herald on ``inputs``."""
-        states = [psi for state in inputs.states for psi in _evolve(state, self.stages[:-1])]
-        return Ensemble._of(states[-1].register if states else inputs.register, states)
+    def prepare(self, state: PureState) -> PureState:
+        """``state``, one input branch, after every stage before the herald."""
+        (prepared,) = _evolve(state, self.stages[:-1])
+        return prepared
 
 
 def _check_absorber(cfg: SchemeConfig) -> None:
@@ -425,13 +411,13 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
     """
     circuit = build_circuit(cfg)
     inputs = reduce_through_bs0(cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff, discard=cfg.variant != DOUBLED)
-    *stages, (_, outcomes, report, mirror) = circuit.stages
+    _, outcomes, report, mirror = circuit.stages[-1]
     clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
     p_success = 0.0
     branch_log: dict[int, float] = {}
     kept: list[PureState] = []
     for state in inputs.states:
-        (pre,) = _evolve(state, stages)
+        pre = circuit.prepare(state)
         contribution = 0.0
         for detector, counts, tail in outcomes:
             detected = _act(("detect", counts), pre)
@@ -441,7 +427,7 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
             if q > 0.0:
                 kept.extend(_evolve(detected, tail))
         if mirror:
-            clicks[mirror] += Ensemble._of(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
+            clicks[mirror] += Ensemble(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
         sector = sum(next(iter(state._amps)).occupations)  # a branch holds one photon number
         branch_log[sector] = branch_log.get(sector, 0.0) + contribution
         p_success += contribution
@@ -451,7 +437,7 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
     conditional: Ensemble | None = None
     fidelity = 0.0
     if p_success > 0.0 and kept:
-        conditional = Ensemble._of(kept[-1].register, kept).normalized_weights().consolidated()
+        conditional = Ensemble(kept[-1].register, kept).normalized_weights().consolidated()
         fidelity = fidelity_to_single_photon(conditional)
     p = cfg.source.p
     details |= {"p": p, "p_success_over_p2": p_success / p**2 if p > 0 else None, "variant": cfg.variant}

@@ -121,15 +121,6 @@ class GenericTpam:
             raise ValueError(f"|beta| must be <= 1, got {mag}")
         return cls(math.sqrt(max(0.0, 1.0 - mag * mag)), beta)
 
-    @property
-    def loss(self) -> float:
-        """Probability weight of the unmodeled loss branch (0 when unitary)."""
-        return max(0.0, 1.0 - abs(self.alpha) ** 2 - abs(self.beta) ** 2)
-
-    @property
-    def is_unitary(self) -> bool:
-        return self.loss <= 1e-9
-
 
 def apply_generic_tpam(
     state: PureState, mode: str, tpam: GenericTpam, *, excited_level: int = 1

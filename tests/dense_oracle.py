@@ -345,3 +345,21 @@ def dense_filter_split(
         "p_success": p_success,
         "conditional": _normalized(number_distribution(heralded, 0), p_success),
     }
+
+
+# --------------------------------------------------------------------------
+# null-condition manifold
+
+
+def null_branch(theta1: float, theta2: float, phi1: float, phi2: float, tol: float = 1e-10) -> str | None:
+    """The null-condition branch the splitter parameters sit on, or ``None`` off it.
+
+    The phases must differ by nu*pi; then cos(theta1 + theta2) = 0 for even
+    nu (a ``sum`` branch) or cos(theta1 - theta2) = 0 for odd nu (a ``diff``
+    branch), and the sign of that angle's sine names ``plus`` or ``minus``.
+    """
+    nu = round((phi1 - phi2) / math.pi)
+    angle = theta1 + theta2 if nu % 2 == 0 else theta1 - theta2
+    if abs(phi1 - phi2 - nu * math.pi) > tol or abs(math.cos(angle)) > tol:
+        return None
+    return f"{'sum' if nu % 2 == 0 else 'diff'}_{'plus' if math.sin(angle) > 0.0 else 'minus'}"

@@ -1,8 +1,9 @@
 """Ensemble-path views of the scheme circuits for the dense-oracle comparison tests.
 
-Each function builds a :class:`SchemeConfig` and runs the package's own
-circuit up to its herald detectors (:meth:`Circuit.prepare`), then reads the
-detector distributions from that ensemble, so the sparse ensemble machinery
+Each function builds a :class:`SchemeConfig` and runs each input branch
+through the package's own circuit up to its herald detectors
+(:meth:`Circuit.prepare`), then reads the detector distributions from the
+ensemble of those branches, so the sparse ensemble machinery
 and the dense density-matrix oracle can be compared outcome by outcome — not
 just on the heralding probability that the ``run_*`` entry points report.
 
@@ -19,11 +20,13 @@ from photonherald import (
     DOUBLED,
     FILTER_SPLIT,
     PAIR_HERALD,
+    Ensemble,
     FwmParams,
     FwmTpamSpec,
     GenericTpam,
     build_circuit,
     manifold_config,
+    project_number,
     reduce_through_bs0,
 )
 
@@ -33,6 +36,20 @@ def inputs_of(cfg):
     return reduce_through_bs0(
         cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff, discard=cfg.variant != DOUBLED
     )
+
+
+def prepared(circuit, states):
+    """The ensemble of ``states``, each run through every stage of ``circuit`` before its herald."""
+    branches = [circuit.prepare(state) for state in states]
+    return Ensemble(branches[0].register, branches)
+
+
+def condition_on(ens, mode: str, n: int):
+    """Every branch of ``ens`` conditioned on ``n`` photons in ``mode``: the
+    surviving ensemble (measured mode dropped) and its total weight, the
+    joint probability of the outcome."""
+    kept = Ensemble(ens.register.without(mode), [project_number(state, mode, n)[0] for state in ens.states])
+    return kept, sum(state.squared_norm() for state in kept.states)
 
 
 def _normalized(dist: dict[int, float], total: float) -> dict[int, float]:
@@ -51,11 +68,11 @@ def _mixer(length_multiple, pump_phase, condition):
 
 def _before_herald(p, tpam, *, theta0, cutoff, **splitters):
     cfg = manifold_config(p=p, tpam=tpam, theta0=theta0, cutoff=cutoff, **splitters)
-    return build_circuit(cfg).prepare(inputs_of(cfg))
+    return prepared(build_circuit(cfg), inputs_of(cfg).states)
 
 
 def _click(ens, detector: str, output: str) -> dict[str, object]:
-    conditioned, p_success = ens.condition_number(detector, 1)
+    conditioned, p_success = condition_on(ens, detector, 1)
     return {
         "detector": ens.number_distribution(detector),
         "p_success": p_success,
@@ -66,9 +83,9 @@ def _click(ens, detector: str, output: str) -> dict[str, object]:
 def _joint(ens, first: str, second: str, cutoff: int) -> dict[tuple[int, int], float]:
     joint: dict[tuple[int, int], float] = {}
     for n_1 in range(cutoff + 1):
-        ens_1, _ = ens.condition_number(first, n_1)
+        ens_1, _ = condition_on(ens, first, n_1)
         for n_2 in range(cutoff + 1):
-            joint[(n_1, n_2)] = ens_1.condition_number(second, n_2)[1]
+            joint[(n_1, n_2)] = condition_on(ens_1, second, n_2)[1]
     return joint
 
 
@@ -142,8 +159,8 @@ def ensemble_pair_herald(
 ) -> dict[str, object]:
     tpam = _mixer(length_multiple, pump_phase, (1, 1))
     ens = _before_herald(p, tpam, theta0=theta0, cutoff=cutoff, variant=PAIR_HERALD)
-    heralded, _ = ens.condition_number("E1", 1)
-    heralded, p_success = heralded.condition_number("E2", 1)
+    heralded, _ = condition_on(ens, "E1", 1)
+    heralded, p_success = condition_on(heralded, "E2", 1)
     return {
         "joint": _joint(ens, "E1", "E2", cutoff),
         "p_success": p_success,

@@ -1,4 +1,4 @@
-"""Null-condition classification, closed forms, optimizers, scans, sweeps."""
+"""The null-condition manifold, closed forms, optimizers, scans, sweeps."""
 
 import math
 import sys
@@ -10,7 +10,6 @@ from photonherald import (
     CaseId,
     GenericTpam,
     SweepSpec,
-    classify_constraint,
     closed_form_ps,
     golden_section_maximize,
     jf_length_scan,
@@ -23,7 +22,7 @@ from photonherald import (
     sweep_rows,
 )
 from photonherald import analysis
-from photonherald.analysis import VALID_CASES
+from dense_oracle import null_branch
 
 PEAK = 27.0 / 256.0
 BETA_ONE_CYCLE = 0.41302457983158963
@@ -31,55 +30,43 @@ DEG30 = math.pi / 6
 
 
 # ---------------------------------------------------------------------------
-# constraint classification
+# null-condition manifold
 
 
-def test_classify_sum_plus():
-    case = classify_constraint(0.0, 0.0, math.pi / 6, math.pi / 3)
-    assert case.case_id is CaseId.SUM_PLUS
-    assert case.nu == 0
-    assert case.is_valid
+@pytest.mark.parametrize(
+    "theta1,theta2,phi1,phi2,branch",
+    [
+        (math.pi / 6, math.pi / 3, 0.0, 0.0, "sum_plus"),
+        (2 * math.pi / 3, math.pi / 6, 0.0, math.pi, "diff_plus"),
+        (math.pi / 6, -math.pi / 2 - math.pi / 6, 0.0, 0.0, "sum_minus"),
+        (math.pi / 6, math.pi / 3, 0.0, 0.1, None),
+        (0.5, 0.6, 0.0, 0.0, None),
+    ],
+)
+def test_null_branch_check_names_the_branch_or_the_violation(theta1, theta2, phi1, phi2, branch):
+    assert null_branch(theta1, theta2, phi1, phi2) == branch
 
 
-def test_classify_diff_plus():
-    case = classify_constraint(0.0, math.pi, 2 * math.pi / 3, math.pi / 6)
-    assert case.case_id is CaseId.DIFF_PLUS
-    assert case.nu == -1
-
-
-def test_classify_sum_minus():
-    case = classify_constraint(0.0, 0.0, math.pi / 6, -math.pi / 2 - math.pi / 6)
-    assert case.case_id is CaseId.SUM_MINUS
-
-
-def test_classify_phase_violation():
-    assert not classify_constraint(0.0, 0.1, math.pi / 6, math.pi / 3).is_valid
-
-
-def test_classify_angle_violation():
-    assert not classify_constraint(0.0, 0.0, 0.5, 0.6).is_valid
-
-
-@pytest.mark.parametrize("case", VALID_CASES)
+@pytest.mark.parametrize("case", tuple(CaseId))
 @pytest.mark.parametrize("theta1", [0.3, math.pi / 6, 1.0, 1.4])
 def test_completion_classifies_back_to_itself(case, theta1):
     theta2, phi1, phi2 = manifold_completion(theta1, case)
-    assert classify_constraint(phi1, phi2, theta1, theta2).case_id is case
+    assert null_branch(theta1, theta2, phi1, phi2) == case
 
 
 def test_completion_of_violated_case_raises():
     with pytest.raises(ValueError):
-        manifold_completion(0.5, CaseId.VIOLATED)
+        manifold_completion(0.5, "violated")
 
 
-@pytest.mark.parametrize("case", VALID_CASES)
+@pytest.mark.parametrize("case", tuple(CaseId))
 def test_completion_a_double_cannot_hold_is_rejected(case):
     # At 1e16 the rounded completion puts theta1 +- theta2 at 2, not +-pi/2;
     # at 1e6 the rounding error (about 6e-11) is still inside ANGLE_TOL.
     with pytest.raises(ValueError, match="too large"):
         manifold_config(1e16, case)
     theta2, phi1, phi2 = manifold_completion(1e6, case)
-    assert classify_constraint(phi1, phi2, 1e6, theta2).case_id is case
+    assert null_branch(1e6, theta2, phi1, phi2) == case
     assert manifold_config(1e6, case).bs2.theta == theta2
     assert manifold_config(1e16, case, theta2=0.3).bs2.theta == 0.3
 
@@ -89,26 +76,16 @@ def test_completion_a_double_cannot_hold_is_rejected(case):
 
 
 def test_closed_form_at_thirty_degrees():
-    assert closed_form_ps(0.0, DEG30, CaseId.SUM_PLUS) == pytest.approx(PEAK, abs=1e-15)
+    assert closed_form_ps(0.0, DEG30) == pytest.approx(PEAK, abs=1e-15)
 
 
 def test_closed_form_transparent_absorber_is_null():
-    assert closed_form_ps(1.0, 0.8, CaseId.SUM_PLUS) == 0.0
+    assert closed_form_ps(1.0, 0.8) == 0.0
 
 
 def test_closed_form_one_cycle_mixer():
-    got = closed_form_ps(BETA_ONE_CYCLE, DEG30, CaseId.DIFF_MINUS)
+    got = closed_form_ps(BETA_ONE_CYCLE, DEG30)
     assert got == pytest.approx(0.03633821830004222, abs=1e-14)
-
-
-def test_closed_form_same_on_every_branch():
-    vals = {closed_form_ps(0.3 - 0.2j, 0.7, case) for case in VALID_CASES}
-    assert len(vals) == 1
-
-
-def test_closed_form_violated_raises():
-    with pytest.raises(ValueError):
-        closed_form_ps(0.0, 0.5, CaseId.VIOLATED)
 
 
 def test_closed_form_reflection_identity():
@@ -121,17 +98,17 @@ def test_closed_form_reflection_identity():
                 * math.sin(math.pi / 2 - theta1) ** 6
                 * math.cos(math.pi / 2 - theta1) ** 2
             )
-            assert closed_form_ps(beta, theta1, CaseId.SUM_MINUS) == pytest.approx(
+            assert closed_form_ps(beta, theta1) == pytest.approx(
                 mirrored, abs=1e-14
             )
 
 
 def test_formula_matches_simulator_everywhere():
-    for case in VALID_CASES:
+    for case in CaseId:
         for theta1 in (0.3, DEG30, 0.9, 1.3):
             for beta in (0.0, -1.0, BETA_ONE_CYCLE, 0.25 + 0.55j):
                 simulated = simulate_manifold_point(beta, theta1, case)
-                assert simulated == pytest.approx(closed_form_ps(beta, theta1, case), abs=1e-10)
+                assert simulated == pytest.approx(closed_form_ps(beta, theta1), abs=1e-10)
 
 
 def test_simulator_benchmark_points():
@@ -180,10 +157,11 @@ def test_optimum_with_complex_absorber():
     assert ps_star == pytest.approx(PEAK * abs(1.0 - beta) ** 2, abs=1e-10)
 
 
-def test_optimum_branch_independent():
-    for case in VALID_CASES:
-        _, ps_star = optimize_ps(0.0, case)
-        assert ps_star == pytest.approx(PEAK, abs=1e-10)
+@pytest.mark.parametrize("case", tuple(CaseId))
+def test_optimum_is_reached_on_every_branch(case):
+    theta_star, ps_star = optimize_ps(0.0)
+    assert simulate_manifold_point(0.0, theta_star, case) == pytest.approx(ps_star, abs=1e-10)
+    assert ps_star == pytest.approx(PEAK, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +297,7 @@ def test_sweep_rows_grid_order_and_manifold_snap():
     for r in rows:
         assert r["fidelity"] == pytest.approx(1.0, abs=1e-12)
         assert r["p_success_over_p2"] == pytest.approx(
-            closed_form_ps(0.0, r["theta1_rad"], CaseId.SUM_PLUS), abs=1e-12
+            closed_form_ps(0.0, r["theta1_rad"]), abs=1e-12
         )
     assert rows[-1]["p_success"] == pytest.approx(1.0 / 16.0, abs=1e-12)
 
@@ -425,7 +403,7 @@ def test_sweep_rows_rejects_a_bad_axis_value_as_manifold_config_does(axis, bad):
 
 
 @pytest.mark.parametrize("cutoff", [2, 4])
-@pytest.mark.parametrize("case", VALID_CASES)
+@pytest.mark.parametrize("case", tuple(CaseId))
 def test_sweep_rows_match_single_runs_on_edge_grid(case, cutoff):
     # Null angles, a vanishing source and a fully reflecting front splitter:
     # rows where single runs prune every herald amplitude to exactly 0, or
@@ -443,8 +421,14 @@ def test_sweep_rows_match_single_runs_on_edge_grid(case, cutoff):
         assert_row_matches_single_run(row, case, cutoff)
 
 
-def test_sweep_spec_rejects_violated_case():
-    with pytest.raises(ValueError, match="violated"):
-        SweepSpec(case=CaseId.VIOLATED)
-    with pytest.raises(ValueError, match="violated"):
-        SweepSpec.from_mapping({"case": "violated"})
+@pytest.mark.parametrize("case", ["violated", "bogus"])
+def test_sweep_spec_rejects_a_case_that_is_no_branch(case):
+    with pytest.raises(ValueError, match=case):
+        SweepSpec(case=case)
+    with pytest.raises(ValueError, match=case):
+        SweepSpec.from_mapping({"case": case})
+
+
+def test_sweep_spec_holds_its_case_as_a_branch():
+    assert SweepSpec(case="sum_minus").case is CaseId.SUM_MINUS
+    assert SweepSpec.from_mapping({"case": "diff_plus"}).case is CaseId.DIFF_PLUS

@@ -112,16 +112,11 @@ def test_terms_are_deterministically_ordered():
     assert kets == sorted(kets)
 
 
-def test_normalized_unit_norm():
-    r = reg("B")
-    psi = PureState(r, {FockKet((0,)): 3.0, FockKet((2,)): 4.0}).normalized()
-    assert psi.squared_norm() == pytest.approx(1.0, abs=1e-15)
-    assert abs(psi.amplitude(FockKet((2,)))) == pytest.approx(0.8, abs=1e-15)
-
-
-def test_normalizing_zero_state_raises():
-    with pytest.raises(ValueError):
-        PureState(reg("B")).normalized()
+def test_scaling_by_the_inverse_norm_gives_a_unit_state():
+    psi = PureState(reg("B"), {FockKet((0,)): 3.0, FockKet((2,)): 4.0})
+    unit = psi.scaled(1 / psi.norm())
+    assert unit.squared_norm() == pytest.approx(1.0, abs=1e-15)
+    assert abs(unit.amplitude(FockKet((2,)))) == pytest.approx(0.8, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,7 @@ def test_project_removes_measured_mode():
 def test_project_mismatch_gives_zero_probability():
     kept, prob = project_number(fock_state(reg("B"), (1,)), "B", 2)
     assert prob == 0.0
-    assert kept.is_zero()
+    assert len(kept) == 0
 
 
 def test_projection_probability_is_squared_amplitude():
@@ -293,45 +288,32 @@ def test_fidelity_sums_over_medium_levels():
 # ensembles
 
 
-def test_ensemble_rejects_negative_weights():
-    r = reg("B")
-    with pytest.raises(ValueError):
-        Ensemble(r, [(-0.1, vacuum_state(r))])
+def weighted(weight, state):
+    """``state`` scaled to squared norm ``weight``, a branch of that weight."""
+    return state.scaled(math.sqrt(weight / state.squared_norm()))
 
 
-def test_ensemble_drops_zero_weight_branches():
+def total_weight(ens):
+    return sum(w for w, _ in ens.branches)
+
+
+def test_ensemble_drops_branches_without_weight():
     r = reg("B")
-    ens = Ensemble(r, [(0.0, vacuum_state(r)), (0.7, fock_state(r, (1,)))])
+    ens = Ensemble(r, [weighted(0.0, vacuum_state(r)), weighted(0.7, fock_state(r, (1,)))])
     assert len(ens) == 1
-    assert ens.total_weight() == pytest.approx(0.7)
+    assert total_weight(ens) == pytest.approx(0.7)
 
 
 def test_ensemble_keeps_tiny_weight_branches():
     r = reg("B")
     plus = PureState(r, {FockKet((0,)): INV_SQRT2, FockKet((1,)): INV_SQRT2})
-    ens = Ensemble(r, [(1e-30, fock_state(r, (1,))), (1e-40, plus), (1.0, vacuum_state(r))])
+    ens = Ensemble(r, [weighted(1e-30, fock_state(r, (1,))), weighted(1e-40, plus), vacuum_state(r)])
     assert len(ens) == 3
-    assert [w for w, _ in ens] == pytest.approx([1e-30, 1e-40, 1.0], rel=1e-12)
-    assert all(s.squared_norm() == pytest.approx(1.0, abs=1e-14) for _, s in ens)
-    merged = Ensemble(r, [(1e-30, plus), (1e-30, plus.scaled(-1j))]).consolidated()
+    assert [w for w, _ in ens.branches] == pytest.approx([1e-30, 1e-40, 1.0], rel=1e-12)
+    assert all(s.squared_norm() == pytest.approx(1.0, abs=1e-14) for _, s in ens.branches)
+    merged = Ensemble(r, [weighted(1e-30, plus), weighted(1e-30, plus.scaled(-1j))]).consolidated()
     assert len(merged) == 1
-    assert merged.total_weight() == pytest.approx(2e-30, rel=1e-12)
-
-
-def test_condition_number_returns_joint_probability():
-    r = reg("B", "C")
-    ens = Ensemble(
-        r,
-        [
-            (0.25, fock_state(r, (1, 1))),
-            (0.75, fock_state(r, (0, 2))),
-        ],
-    )
-    first, p1 = ens.condition_number("B", 1)
-    assert p1 == pytest.approx(0.25)
-    second, p12 = first.condition_number("C", 1)
-    assert p12 == pytest.approx(0.25)
-    assert second.register.n_modes == 0
+    assert total_weight(merged) == pytest.approx(2e-30, rel=1e-12)
 
 
 def test_number_distribution_accounts_for_all_weight():
@@ -339,21 +321,21 @@ def test_number_distribution_accounts_for_all_weight():
     ens = Ensemble(
         r,
         [
-            (0.5, PureState(r, {FockKet((0,)): INV_SQRT2, FockKet((2,)): INV_SQRT2})),
-            (0.3, fock_state(r, (1,))),
+            weighted(0.5, PureState(r, {FockKet((0,)): INV_SQRT2, FockKet((2,)): INV_SQRT2})),
+            weighted(0.3, fock_state(r, (1,))),
         ],
     )
     dist = ens.number_distribution("B")
-    assert sum(dist.values()) == pytest.approx(ens.total_weight(), abs=1e-14)
+    assert sum(dist.values()) == pytest.approx(total_weight(ens), abs=1e-14)
     assert dist[1] == pytest.approx(0.3)
     assert dist[2] == pytest.approx(0.25)
 
 
 def test_normalized_weights_rescale_only():
     r = reg("B")
-    ens = Ensemble(r, [(0.2, vacuum_state(r)), (0.6, fock_state(r, (1,)))])
+    ens = Ensemble(r, [weighted(0.2, vacuum_state(r)), weighted(0.6, fock_state(r, (1,)))])
     normed = ens.normalized_weights()
-    assert normed.total_weight() == pytest.approx(1.0, abs=1e-14)
+    assert total_weight(normed) == pytest.approx(1.0, abs=1e-14)
     assert normed.number_distribution("B")[1] == pytest.approx(0.75, abs=1e-14)
 
 
@@ -361,6 +343,6 @@ def test_consolidated_merges_phase_equal_branches():
     r = reg("B")
     plus = PureState(r, {FockKet((0,)): INV_SQRT2, FockKet((1,)): INV_SQRT2})
     same_up_to_phase = plus.scaled(complex(math.cos(1.1), math.sin(1.1)))
-    ens = Ensemble(r, [(0.4, plus), (0.6, same_up_to_phase)]).consolidated()
+    ens = Ensemble(r, [weighted(0.4, plus), weighted(0.6, same_up_to_phase)]).consolidated()
     assert len(ens) == 1
-    assert ens.total_weight() == pytest.approx(1.0, abs=1e-12)
+    assert total_weight(ens) == pytest.approx(1.0, abs=1e-12)

@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 import dense_oracle as dn
 import ensemble_mirrors as em
-from photonherald import MAX_LENGTH_MULTIPLE, manifold_completion
-from photonherald.analysis import VALID_CASES
+from photonherald import MAX_LENGTH_MULTIPLE, CaseId, manifold_completion
 
 REL = 1e-9
 
@@ -56,7 +55,7 @@ def splitter_angles(draw):
     """(theta1, phi1, theta2, phi2): completed onto a drawn branch, or free."""
     theta1 = draw(THETA1)
     if draw(st.booleans()):
-        theta2, phi1, phi2 = manifold_completion(theta1, draw(st.sampled_from(VALID_CASES)))
+        theta2, phi1, phi2 = manifold_completion(theta1, draw(st.sampled_from(tuple(CaseId))))
         return theta1, phi1, theta2, phi2
     return theta1, draw(PHASE), draw(ANGLE), draw(PHASE)
 

@@ -25,7 +25,7 @@ from photonherald import (
     SourceSpec,
     apply_beam_splitter,
     build_circuit,
-    input_mixture,
+    fock_state,
     manifold_config,
     partial_trace_discard,
     reduce_through_bs0,
@@ -61,19 +61,6 @@ def main_config(p=1.0, tpam=FULL_ABSORBER, theta1=math.pi / 4, theta2=None, vari
 # source and front splitter
 
 
-def test_input_mixture_weights():
-    for p in (0.0, 0.6, 1.0):
-        ens = input_mixture(p)
-        dist = ens.number_distribution("B")
-        assert dist.get(1, 0.0) == pytest.approx(p, abs=1e-15)
-        assert dist.get(0, 0.0) == pytest.approx(1.0 - p, abs=1e-15)
-
-
-def test_input_mixture_rejects_bad_efficiency():
-    with pytest.raises(ValueError):
-        input_mixture(1.2)
-
-
 @pytest.mark.parametrize("p", [0.25, 0.6, 0.86, 1.0])
 def test_front_splitter_bunching_weights(p):
     dist = reduce_through_bs0(p).number_distribution("B")
@@ -101,7 +88,7 @@ def test_front_splitter_unit_sources_bunch_completely():
 def test_front_splitter_joint_mode_keeps_both_outputs():
     joint = reduce_through_bs0(1.0, discard=False)
     assert joint.register.labels == ("A", "B")
-    assert joint.total_weight() == pytest.approx(1.0, abs=1e-12)
+    assert sum(w for w, _ in joint.branches) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("discard", [True, False])
@@ -109,19 +96,19 @@ def test_front_splitter_joint_mode_keeps_both_outputs():
     "p,theta0,phi0,cutoff", [(1.0, math.pi / 4, 0.0, 4), (0.37, 0.6, 1.3, 2), (0.86, 1.1, -0.4, 5)]
 )
 def test_front_splitter_matches_composed_elements(p, theta0, phi0, cutoff, discard):
-    # The reduction written out from generic ops: both source mixtures, their
-    # tensor products through the splitter, each joint state traced, then
-    # the branches merged per state up to norm and phase.
+    # The reduction written out from generic ops: both source mixtures
+    # {p: |1>, 1-p: |0>}, their tensor products through the splitter, each
+    # joint state traced, then the branches merged per state up to norm and phase.
+    def source(label):
+        register = ModeRegister((label,), cutoff)
+        return [fock_state(register, (1,)).scaled(math.sqrt(p)), fock_state(register, (0,)).scaled(math.sqrt(1.0 - p))]
+
     bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
-    joint = [
-        apply_beam_splitter(tensor(a, b), bs0)
-        for a in input_mixture(p, "A", cutoff=cutoff).states
-        for b in input_mixture(p, "B", cutoff=cutoff).states
-    ]
-    want = Ensemble._of(ModeRegister(("A", "B"), cutoff), joint)
+    joint = [apply_beam_splitter(tensor(a, b), bs0) for a in source("A") for b in source("B")]
+    want = Ensemble(ModeRegister(("A", "B"), cutoff), joint)
     if discard:
         traced = [branch for psi in joint for branch in partial_trace_discard(psi, "A").states]
-        want = Ensemble._of(ModeRegister(("B",), cutoff), traced).consolidated()
+        want = Ensemble(ModeRegister(("B",), cutoff), traced).consolidated()
     got = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
     assert got.register == want.register
     assert len(got) == len(want)
@@ -140,7 +127,7 @@ def test_front_splitter_is_one_finite_branch_per_number_where_squares_are_subnor
     numbers = [ket.occupations for state in reduced.states for ket, _ in state.terms()]
     assert len(numbers) == len(set(numbers)) == len(reduced)
     assert all(math.isfinite(amp.real) and math.isfinite(amp.imag) for s in reduced.states for _, amp in s.terms())
-    assert reduced.total_weight() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    assert sum(w for w, _ in reduced.branches) == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("variant", [MAIN, DOUBLED])
@@ -202,6 +189,16 @@ def test_main_off_manifold_single_photon_leaks():
     result = run_main_scheme(main_config(p=0.6, theta1=math.pi / 6, theta2=1.1))
     assert result.branch_log.get(1, 0.0) > 1e-6
     assert result.fidelity < 1.0
+
+
+def test_lone_photon_herald_read_by_verify_is_zero_only_on_the_null_manifold():
+    # verify's single-photon-null check: the one-photon branch's herald over
+    # its weight p(1 - p) = 1/4; a detuned second splitter must show in it
+    def lone(**kwargs):
+        return run_main_scheme(manifold_config(p=0.5, **kwargs)).branch_log[1] / 0.25
+
+    assert lone() == 0.0
+    assert lone(theta2=0.3) > 1e-3
 
 
 def test_main_with_fwm_absorber_one_cycle():
@@ -474,15 +471,15 @@ def test_heralded_branches_do_not_depend_on_branch_weight(kwargs):
     cfg = manifold_config(p=1.0, **kwargs)
     circuit, inputs = build_circuit(cfg), em.inputs_of(cfg)
     _, outcomes, _, _ = circuit.stages[-1]
-    small = Ensemble(inputs.register, [(w * scale, s) for w, s in inputs])
+    small = [state.scaled(math.sqrt(scale)) for state in inputs.states]
     for _, counts, _ in outcomes:
-        ref, got = circuit.prepare(inputs), circuit.prepare(small)
+        ref, got = em.prepared(circuit, inputs.states), em.prepared(circuit, small)
         for mode, n in counts:
-            ref, q_ref = ref.condition_number(mode, n)
-            got, q_got = got.condition_number(mode, n)
+            ref, q_ref = em.condition_on(ref, mode, n)
+            got, q_got = em.condition_on(got, mode, n)
         assert q_got / scale == pytest.approx(q_ref, rel=1e-12, abs=1e-15)
         assert len(got) == len(ref)
-        for (w_ref, s_ref), (w_got, s_got) in zip(ref, got):
+        for (w_ref, s_ref), (w_got, s_got) in zip(ref.branches, got.branches):
             assert w_got / scale == pytest.approx(w_ref, rel=1e-12, abs=1e-15)
             assert [k for k, _ in s_got.terms()] == [k for k, _ in s_ref.terms()]
             for (_, a_got), (_, a_ref) in zip(s_got.terms(), s_ref.terms()):
@@ -529,3 +526,9 @@ def test_source_efficiency_floor_is_where_p_squared_stops_being_normal():
     assert SourceSpec(0.0).p == 0.0
     with pytest.raises(ValueError, match="too small"):
         SourceSpec(floor * (1 - 1e-15))
+
+
+@pytest.mark.parametrize("p", [1.2, -0.1, float("nan")])
+def test_source_efficiency_outside_the_unit_interval_is_rejected(p):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SourceSpec(p)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import dense_oracle as dn
 from photonherald import CaseId, SweepSpec, sweep_rows
-from photonherald.analysis import VALID_CASES
 
 REL = 1e-9
 
@@ -80,7 +79,7 @@ def sweep_specs(draw):
     theta0, p = draw(axis(THETA0, 2)), draw(axis(P, 2))
     if len(theta1) * len(beta) * len(theta0) * len(p) > 12:
         theta0, p = theta0[:1], p[:1]
-    return SweepSpec(theta0=theta0, theta1=theta1, beta=beta, p=p, case=draw(st.sampled_from(VALID_CASES)))
+    return SweepSpec(theta0=theta0, theta1=theta1, beta=beta, p=p, case=draw(st.sampled_from(tuple(CaseId))))
 
 
 @settings(max_examples=30, deadline=None)

@@ -112,12 +112,6 @@ def test_boolean_coefficients_rejected(make):
         make()
 
 
-def test_loss_property():
-    assert GenericTpam(alpha=0.6, beta=0.8).loss == pytest.approx(0.0, abs=1e-12)
-    assert GenericTpam(alpha=0.0, beta=0.5).loss == pytest.approx(0.75, abs=1e-12)
-    assert GenericTpam(alpha=0.6, beta=0.8).is_unitary
-
-
 def test_unitary_tpam_preserves_norm_on_superpositions():
     reg = ModeRegister(("B",), cutoff=4, medium_dims=2)
     psi = PureState(
@@ -126,6 +120,13 @@ def test_unitary_tpam_preserves_norm_on_superpositions():
     )
     out = apply_generic_tpam(psi, "B", GenericTpam(alpha=0.28 + 0.96j, beta=0.0))
     assert out.squared_norm() == pytest.approx(psi.squared_norm(), abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha,beta,kept", [(0.6, 0.8, 1.0), (0.0, 0.5, 0.25), (0.3j, 0.4, 0.25)])
+def test_two_photons_keep_only_the_weight_of_the_coefficients(alpha, beta, kept):
+    # a lossy absorber drops 1 - |alpha|^2 - |beta|^2 of the pair's weight
+    out = apply_generic_tpam(medium_state((2,)), "B", GenericTpam(alpha=alpha, beta=beta))
+    assert out.squared_norm() == pytest.approx(kept, abs=1e-14)
 
 
 def test_global_phase_multiplies_every_rule():
