@@ -175,19 +175,11 @@ def _completed(theta1: float, case: CaseId | str) -> tuple[float, float, float]:
     return completion
 
 
-def simulate_manifold_point(
-    beta: complex,
-    theta1: float,
-    case: CaseId | str,
-    *,
-    p: float = 1.0,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> float:
-    """Run the full circuit at a manifold point; returns p_success / p^2."""
-    if p <= 0.0:
-        raise ValueError("p must be positive to report a per-p^2 value")
-    cfg = manifold_config(theta1, case, p=p, tpam=GenericTpam.unitary(beta), cutoff=cutoff)
-    return run_main_scheme(cfg).p_success / p**2
+def simulate_manifold_point(beta: complex, theta1: float, case: CaseId | str, *, cutoff: int = DEFAULT_CUTOFF) -> float:
+    """Run the main circuit at a manifold point with perfect sources (p = 1);
+    returns p_success, which there is the closed form's p_success / p^2."""
+    cfg = manifold_config(theta1, case, tpam=GenericTpam.unitary(beta), cutoff=cutoff)
+    return run_main_scheme(cfg).p_success
 
 
 def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
@@ -210,7 +202,11 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9) -> tuple
     return x, f(x)
 
 
-def optimize_ps(beta: complex, *, grid_points: int = 1441, tol: float = 1e-9) -> tuple[float, float]:
+#: Points of the coarse theta1 grid :func:`optimize_ps` refines from.
+_GRID_POINTS = 1441
+
+
+def optimize_ps(beta: complex) -> tuple[float, float]:
     """Maximize the closed form, the same on every branch, over theta1 in [0, 2 pi).
 
     Coarse grid scan followed by golden-section refinement around the best
@@ -221,10 +217,10 @@ def optimize_ps(beta: complex, *, grid_points: int = 1441, tol: float = 1e-9) ->
     def f(theta1: float) -> float:
         return closed_form_ps(beta, theta1)
 
-    step = 2.0 * math.pi / grid_points
-    best_i = max(range(grid_points), key=lambda i: f(i * step))
+    step = 2.0 * math.pi / _GRID_POINTS
+    best_i = max(range(_GRID_POINTS), key=lambda i: f(i * step))
     lo, hi = (best_i - 1) * step, (best_i + 1) * step
-    theta_star, ps_star = golden_section_maximize(f, lo, hi, tol)
+    theta_star, ps_star = golden_section_maximize(f, lo, hi)
     return theta_star % (2.0 * math.pi), ps_star
 
 
@@ -238,40 +234,28 @@ class ScanRow:
     composition: str
 
 
-def jf_length_scan(
-    m_values: Iterable[float], condition: tuple[int, int] = (0, 0)
-) -> list[ScanRow]:
-    """Success probability per p^2 as the mixer length steps through m_values.
+def jf_length_scan(m_values: Iterable[float]) -> list[ScanRow]:
+    """Success probability per p^2 of a mixer conditioned on empty generated
+    fields, as its length steps through m_values.
 
-    The composition is inferred per row from the detection condition and the
-    length's parity: condition (0,0) with integer length feeds the
-    interferometric scheme at its optimal angle (27/256 |1-beta|^2);
-    condition (1,1) is the pair-herald scheme (|alpha1|^2 / 2); condition
-    (0,0) with half-odd length is the filter-split scheme (|beta|^2 / 4).
-    Because the interaction phase advances by an irrational multiple of pi
-    per cycle, integer scans fill the phase circle densely and the running
-    max of the interferometric composition climbs toward
-    27/256 * 16/9 = 3/64.
+    The length alone sets the composition of each row: an integer length
+    feeds the interferometric scheme at its optimal angle
+    (27/256 |1-beta|^2), a half-odd length the filter-split scheme
+    (|beta|^2 / 4); any other length raises ``ValueError``.  Because the
+    interaction phase advances by an irrational multiple of pi per cycle,
+    integer scans fill the phase circle densely and the running max of the
+    interferometric composition climbs toward 27/256 * 16/9 = 3/64.
     """
-    condition = (int(condition[0]), int(condition[1]))
     rows: list[ScanRow] = []
     for m in m_values:
         params = FwmParams(float(m))
-        alpha0, alpha1, beta = fwm_coefficients(params)
-        if condition == (1, 1):
-            if not params.is_integer_length:
-                raise ValueError(f"condition (1,1) scan needs integer lengths, got {m}")
-            rows.append(ScanRow(float(m), alpha1, abs(alpha1) ** 2 / 2.0, "pair-herald"))
-        elif condition == (0, 0) and params.is_integer_length:
-            rows.append(
-                ScanRow(float(m), beta, _PEAK * abs(1.0 - beta) ** 2, "interferometer")
-            )
-        elif condition == (0, 0) and params.is_half_odd_length:
+        _, _, beta = fwm_coefficients(params)
+        if params.is_integer_length:
+            rows.append(ScanRow(float(m), beta, _PEAK * abs(1.0 - beta) ** 2, "interferometer"))
+        elif params.is_half_odd_length:
             rows.append(ScanRow(float(m), beta, abs(beta) ** 2 / 4.0, "filter-split"))
         else:
-            raise ValueError(
-                f"no scheme composes condition {condition} with length_multiple {m}"
-            )
+            raise ValueError(f"no scheme composes a mixer of length_multiple {m}: it must be an integer or half-odd")
     return rows
 
 

@@ -410,7 +410,7 @@ class Ensemble:
             return Ensemble(self.register, (s.scaled(1.0 / largest) for s in self.states)).normalized_weights()
         return Ensemble(self.register, (s.scaled(1.0 / math.sqrt(total)) for s in self.states))
 
-    def consolidated(self, atol: float = _CONSOLIDATE_ATOL) -> "Ensemble":
+    def consolidated(self) -> "Ensemble":
         """Merge branches whose states are equal up to norm and global phase.
 
         The first state of each group is kept, scaled to the group's total
@@ -423,7 +423,7 @@ class Ensemble:
             n2 = state.squared_norm()
             direction = _direction(state, n2)
             for group in groups:
-                if _states_close(direction, group[0], atol):
+                if _states_close(direction, group[0]):
                     group[3] += n2
                     break
             else:
@@ -452,9 +452,9 @@ def _direction(state: PureState, n2: float) -> PureState:
     return state.scaled(abs(anchor) / anchor / norm)
 
 
-def _states_close(a: PureState, b: PureState, atol: float) -> bool:
+def _states_close(a: PureState, b: PureState) -> bool:
     kets = set(a._amps) | set(b._amps)
-    return all(abs(a.amplitude(k) - b.amplitude(k)) <= atol for k in kets)
+    return all(abs(a.amplitude(k) - b.amplitude(k)) <= _CONSOLIDATE_ATOL for k in kets)
 
 
 def partial_trace_discard(state: PureState, mode: str) -> Ensemble:

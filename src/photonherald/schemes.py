@@ -476,7 +476,7 @@ def run_doubled_scheme(cfg: SchemeConfig) -> SchemeResult:
 
 def run_pair_herald_scheme(
     p: float,
-    length_multiple: float = 2.0,
+    length_multiple: float,
     *,
     pump_phase: float = 0.0,
     theta0: float = math.pi / 4,
@@ -499,7 +499,7 @@ def run_pair_herald_scheme(
 
 def run_filter_split_scheme(
     p: float,
-    length_multiple: float = 1.5,
+    length_multiple: float,
     *,
     pump_phase: float = 0.0,
     theta0: float = math.pi / 4,

@@ -32,9 +32,9 @@ Two models are provided:
   sqrt(3/2) makes phi an irrational multiple of pi, integer M sweeps fill
   the phase circle densely.
 
-  For odd integer M a single photon re-emerges with a sign flip; by default
-  a compensating phase shifter on the pump mode (built into the channel) is
-  applied so the medium stays transparent to one photon.  At half-odd M
+  For odd integer M a single photon re-emerges with a sign flip; a
+  compensating phase shifter on the pump mode, built into the mixer, undoes
+  it, so the medium stays transparent to one photon.  At half-odd M
   (e.g. 3/2) a single photon converts completely into the generated pair —
   evaluated literally the amplitude is +i at M = 3/2; only its magnitude
   enters any probability reported here.
@@ -52,14 +52,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import (
-    DEFAULT_CUTOFF,
+    PRUNE_THRESHOLD,
     CutoffOverflowError,
     FockKet,
-    ModeRegister,
     PureState,
     UnsupportedPhotonNumberError,
-    fock_state,
-    project_number,
 )
 
 __all__ = [
@@ -177,13 +174,10 @@ class FwmParams:
         pump_phase: phase of the classical pump amplitude; enters the
             two-photon coefficients as e^{i pump_phase} per converted photon
             pair.  Zero keeps beta real positive.
-        compensate_odd_sign: apply the built-in phase shifter that undoes
-            the single-photon sign flip arising at odd integer M.
     """
 
     length_multiple: float
     pump_phase: float = 0.0
-    compensate_odd_sign: bool = True
 
     def __post_init__(self) -> None:
         if isinstance(self.length_multiple, Fraction):
@@ -218,6 +212,21 @@ class FwmParams:
         doubled = 2.0 * self.length_multiple
         return abs(doubled - round(doubled)) <= _INTEGER_TOL and round(doubled) % 2 == 1
 
+    def _terms(self) -> tuple[tuple[tuple[int, int, complex], ...], ...]:
+        """The mixer on n = 0, 1, 2 pump photons with both generated fields
+        empty: per n, the terms (pump photons out, photons in each generated
+        field, amplitude).  At odd integer length the compensating phase
+        shifter multiplies each term by (-1)^(pump photons out): the terms
+        with one pump photon out change sign."""
+        rabi = self.rabi_angle
+        alpha0, alpha1, beta = fwm_coefficients(self)
+        sign = -1.0 if self.is_integer_length and round(self.length_multiple) % 2 == 1 else 1.0
+        return (
+            ((0, 0, 1.0 + 0j),),
+            ((1, 0, complex(math.cos(rabi) * sign)), (0, 1, -1j * math.sin(rabi))),
+            ((0, 2, alpha0), (1, 1, alpha1 * sign), (2, 0, beta)),
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class FwmTpamSpec:
@@ -228,10 +237,10 @@ class FwmTpamSpec:
     condition: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        condition = tuple(int(c) for c in self.condition)
-        if len(condition) != 2 or not all(0 <= c <= 2 for c in condition):
-            raise ValueError(f"condition must be two counts in 0..2, got {self.condition!r}")
-        object.__setattr__(self, "condition", condition)
+        counts = tuple(self.condition) if isinstance(self.condition, (tuple, list)) else ()
+        if len(counts) != 2 or any(isinstance(c, bool) or c not in (0, 1, 2) for c in counts):
+            raise ValueError(f"condition must be two whole counts in 0..2, got {self.condition!r}")
+        object.__setattr__(self, "condition", tuple(int(c) for c in counts))
 
 
 def fwm_coefficients_from_phase(
@@ -259,24 +268,9 @@ def fwm_evolve(
     register cutoff must be at least 2 so the generated pairs fit.
     """
     reg = state.register
-    ip = reg.index(modes[0])
-    i1 = reg.index(modes[1])
-    i2 = reg.index(modes[2])
-    rabi = params.rabi_angle
-    alpha0, alpha1, beta = fwm_coefficients(params)
-    flip = (
-        params.compensate_odd_sign
-        and params.is_integer_length
-        and round(params.length_multiple) % 2 == 1
-    )
-
+    ip, i1, i2 = map(reg.index, modes)
+    terms = params._terms()
     out: dict[FockKet, complex] = {}
-
-    def _add(ket: FockKet, amp: complex) -> None:
-        if flip:
-            amp *= (-1.0) ** ket.occupations[ip]
-        out[ket] = out.get(ket, 0j) + amp
-
     for ket, amp in state._amps.items():
         if ket.occupations[i1] != 0 or ket.occupations[i2] != 0:
             raise ValueError(
@@ -291,15 +285,9 @@ def fwm_evolve(
             raise CutoffOverflowError(
                 "four-wave mixing needs cutoff >= 2 so generated photon pairs fit"
             )
-        if n == 0:
-            _add(ket, amp)
-        elif n == 1:
-            _add(ket, amp * math.cos(rabi))
-            _add(ket.with_occupations({ip: 0, i1: 1, i2: 1}), amp * (-1j) * math.sin(rabi))
-        else:
-            _add(ket.with_occupations({ip: 0, i1: 2, i2: 2}), amp * alpha0)
-            _add(ket.with_occupations({ip: 1, i1: 1, i2: 1}), amp * alpha1)
-            _add(ket, amp * beta)
+        for pump, pairs, factor in terms[n]:
+            new = ket if pump == n else ket.with_occupations({ip: pump, i1: pairs, i2: pairs})
+            out[new] = out.get(new, 0j) + amp * factor
     return PureState._of(reg, out, state.norm())
 
 
@@ -355,24 +343,18 @@ def fwm_conditioned_channel(
 ) -> FwmConditionedChannel:
     """Build the pump-mode channel induced by detecting the generated fields.
 
-    Composes :func:`fwm_evolve` with number projections on both generated
-    modes.  With condition (0,0) and integer length the result realizes the
-    generic absorber with the absorption branch removed: |2> -> beta |2>,
-    |1> -> |1|, |0> -> |0>.
+    Keeps the terms of the mixer whose generated fields hold ``condition``
+    photons, dropping amplitudes at or below :data:`PRUNE_THRESHOLD` as a
+    projection of the mixer's output would.  With condition (0,0) and integer
+    length the result realizes the generic absorber with the absorption
+    branch removed: |2> -> beta |2>, |1> -> |1>, |0> -> |0>.  ``condition``
+    is checked as :class:`FwmTpamSpec` checks it.
     """
-    if not (0 <= condition[0] <= 2 and 0 <= condition[1] <= 2):
-        raise ValueError(f"condition counts must lie in 0..2, got {condition}")
-    scratch = ModeRegister(("w", "e1", "e2"), cutoff=max(2, DEFAULT_CUTOFF))
-    transitions: list[tuple[int, tuple[int, complex]]] = []
-    for n in range(3):
-        evolved = fwm_evolve(fock_state(scratch, (n, 0, 0)), ("w", "e1", "e2"), params)
-        kept, _ = project_number(evolved, "e1", condition[0])
-        kept, _ = project_number(kept, "e2", condition[1])
-        terms = list(kept.terms())
-        if not terms:
-            continue
-        if len(terms) != 1:
-            raise RuntimeError("conditioned four-wave channel produced a non-basis image")
-        ket, amp = terms[0]
-        transitions.append((n, (ket.occupations[0], amp)))
-    return FwmConditionedChannel(params, tuple(condition), tuple(transitions))
+    condition = FwmTpamSpec(params, condition).condition
+    transitions = tuple(
+        (n, (pump, amp))
+        for n, row in enumerate(params._terms())
+        for pump, pairs, amp in row
+        if (pairs, pairs) == condition and abs(amp) > PRUNE_THRESHOLD
+    )
+    return FwmConditionedChannel(params, condition, transitions)

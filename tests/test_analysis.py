@@ -120,11 +120,6 @@ def test_simulator_benchmark_points():
     )
 
 
-def test_simulate_manifold_point_rejects_dead_source():
-    with pytest.raises(ValueError):
-        simulate_manifold_point(0.0, DEG30, CaseId.SUM_PLUS, p=0.0)
-
-
 # ---------------------------------------------------------------------------
 # optimization
 
@@ -185,14 +180,8 @@ def test_scan_running_best_approaches_supremum():
     assert all(r.ps_over_p2 < 3.0 / 64.0 for r in rows)
 
 
-def test_scan_pair_herald_composition():
-    rows = jf_length_scan([2], condition=(1, 1))
-    assert rows[0].composition == "pair-herald"
-    assert rows[0].ps_over_p2 == pytest.approx(0.16250507576175685, abs=1e-12)
-
-
 def test_scan_filter_split_composition():
-    rows = jf_length_scan([1.5, 2.5], condition=(0, 0))
+    rows = jf_length_scan([1.5, 2.5])
     assert [r.composition for r in rows] == ["filter-split", "filter-split"]
     assert rows[0].ps_over_p2 == pytest.approx(0.22910708682504716, abs=1e-12)
 
@@ -205,10 +194,9 @@ def test_scan_filter_split_running_best_approaches_quarter():
 
 
 def test_scan_rejects_impossible_compositions():
-    with pytest.raises(ValueError):
-        jf_length_scan([1.5], condition=(1, 1))
-    with pytest.raises(ValueError):
-        jf_length_scan([1.25], condition=(0, 0))
+    for m in (1.25, 0.75, 2.1):
+        with pytest.raises(ValueError, match="integer or half-odd"):
+            jf_length_scan([2, m])
 
 
 # ---------------------------------------------------------------------------

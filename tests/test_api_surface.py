@@ -1,9 +1,11 @@
-"""Every public name the package defines is used by the package itself."""
+"""Every public name the package defines is used by the package itself, and
+every defaulted parameter is set by some call in the program."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "photonherald"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _is_click_command(node):
@@ -56,3 +58,81 @@ def test_every_public_name_is_used_by_the_package():
         and not any(ref == name and (where != path or not first <= line <= last) for ref, where, line in references)
     ]
     assert not unused, f"public names only tests (or nothing) use: {unused}"
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _signature(function, skip):
+    """(positional parameters after the first ``skip``, defaulted parameters)
+    of ``function``; a method skips its self or cls."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults) :]
+    defaulted += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return positional[skip:], defaulted
+
+
+def _defaulted_parameters(tree):
+    """(callable name, positional parameters, defaulted parameter) of each
+    public function, public method, ``__init__`` and dataclass field with a
+    default; a class and its ``__init__`` or fields are called by the class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and not _is_click_command(node):
+            positional, defaulted = _signature(node, 0)
+            yield from ((node.name, positional, name) for name in defaulted)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if _is_dataclass(node):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            positional = [field.target.id for field in fields]
+            yield from ((node.name, positional, field.target.id) for field in fields if field.value is not None)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                positional, defaulted = _signature(item, 0 if static else 1)
+                called = node.name if item.name == "__init__" else item.name
+                yield from ((called, positional, name) for name in defaulted)
+
+
+def _passes(call, positional, name):
+    """Whether ``call`` may set parameter ``name``."""
+    if any(k.arg == name or k.arg is None for k in call.keywords):
+        return True
+    if name not in positional:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > positional.index(name)
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_every_defaulted_parameter_is_set_by_some_call_in_the_program():
+    # a default no call in src/ or perfbench/ overrides is a code path only
+    # tests take; calls match by name, and *args or **kwargs may set anything
+    sources = sorted(SRC.glob("*.py"))
+    calls = [
+        node
+        for path in sources + sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+    by_name = {}
+    for call in calls:
+        by_name.setdefault(_called_name(call), []).append(call)
+    unset = [
+        f"{path.name} {called}({name})"
+        for path in sources
+        for called, positional, name in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if not any(_passes(call, positional, name) for call in by_name.get(called, ()))
+    ]
+    assert not unset, f"defaulted parameters no call in src/ or perfbench/ sets: {unset}"

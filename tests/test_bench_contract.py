@@ -7,11 +7,15 @@ of a traced function then fails here instead of breaking the traced run.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -72,3 +76,20 @@ def test_run_goes_through_the_traced_cli_layer_once(tmp_path, use_config):
         tracer.uninstall()
     assert result.exit_code == 0, result.output
     assert TRACER.summarize([tracer.dump()], 1)["cli.run_from_config.calls"] == 1
+
+
+def test_cli_import_loads_the_modules_the_traced_run_times():
+    """``perfbench/run.py:_import_times`` reports the median of the cumulative
+    ``-X importtime`` samples of ``photonherald.cli`` and of ``numpy``.  With
+    no numpy sample that median raises, and the traced run exits 3, as it did
+    for a change that kept numpy off this import.  Until ``_import_times``
+    reports 0 for a module the import never loads (planned in ROADMAP.md),
+    both must appear."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import photonherald.cli"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"photonherald.cli", "numpy"} <= imported

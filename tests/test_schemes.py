@@ -1,5 +1,6 @@
 """End-to-end heralding circuits and their closed-form benchmark points."""
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -386,15 +387,17 @@ def test_run_scheme_dispatches_all_variants():
 
 
 def test_run_scheme_passes_mixer_parameters_through():
-    # at odd length the sign compensation flips the heralded amplitude, so
-    # the spec's setting must reach the circuit unchanged
-    def heralded_amplitude(compensate):
-        tpam = FwmTpamSpec(FwmParams(3.0, compensate_odd_sign=compensate), (1, 1))
+    # the pair herald keeps the single-conversion branch, whose amplitude
+    # carries one factor e^{i pump_phase}, so the spec's pump phase must reach
+    # the circuit unchanged
+    def heralded_amplitude(pump_phase):
+        tpam = FwmTpamSpec(FwmParams(3.0, pump_phase), (1, 1))
         state = run_scheme(main_config(p=0.9, tpam=tpam, variant=PAIR_HERALD)).conditional_state
         ((_, branch),) = state.branches
         return branch.amplitude(FockKet((1,)))
 
-    assert heralded_amplitude(False) == pytest.approx(-heralded_amplitude(True), abs=1e-12)
+    assert abs(heralded_amplitude(0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert heralded_amplitude(0.7) == pytest.approx(cmath.exp(0.7j) * heralded_amplitude(0.0), abs=1e-12)
 
 
 def test_run_scheme_requires_fwm_for_heralded_conversion_variants():

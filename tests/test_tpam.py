@@ -1,6 +1,7 @@
 """Two-photon absorbers: the generic rule set and the four-wave-mixing model."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from photonherald import (
     fwm_coefficients_from_phase,
     fwm_conditioned_channel,
     fwm_evolve,
+    project_number,
     with_medium_dims,
 )
 
@@ -203,6 +205,14 @@ def test_fwm_spec_condition_validation():
     assert spec.condition == (1, 1)
     with pytest.raises(ValueError):
         FwmTpamSpec(FwmParams(2), condition=(3, 0))
+    assert FwmTpamSpec(FwmParams(2), condition=[1.0, 1]).condition == (1, 1)
+
+
+@pytest.mark.parametrize("condition", [(1.7, 1), (1, 0.5), (True, True), (1, False), "11", ("1", "1"), (1, 1, 1), (math.nan, 1), 11, None])
+def test_fwm_spec_refuses_a_condition_that_is_not_two_whole_counts(condition):
+    # a truncated (1.7, 1) or (True, True) would run as the pair herald's (1, 1)
+    with pytest.raises(ValueError, match="two whole counts"):
+        FwmTpamSpec(FwmParams(2), condition)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +230,6 @@ def test_single_photon_transparent_at_odd_integer_length():
     # the built-in compensation undoes the sign of cos(pi)
     assert out.amplitude(FockKet((1, 0, 0))) == pytest.approx(1.0, abs=1e-12)
     assert len(out) == 1
-
-
-def test_single_photon_sign_without_compensation():
-    reg, psi = fwm_in(1)
-    out = fwm_evolve(
-        psi, ("W", "E1", "E2"), FwmParams(1, compensate_odd_sign=False)
-    )
-    assert out.amplitude(FockKet((1, 0, 0))) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_single_photon_transparent_at_even_integer_length():
@@ -304,6 +306,20 @@ def test_channel_apply_tracks_lost_norm():
     assert out.squared_norm() == pytest.approx(0.5 * ALPHA1_SQ_TWO_CYCLES, abs=1e-12)
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 1.5, 2.5, 0.3])
+def test_channel_is_the_mixer_projected_on_its_condition(length):
+    params = FwmParams(length, 0.4)
+    for condition in itertools.product(range(3), repeat=2):
+        chan = fwm_conditioned_channel(params, condition)
+        for n in range(3):
+            _, psi = fwm_in(n)
+            kept, _ = project_number(fwm_evolve(psi, ("W", "E1", "E2"), params), "E1", condition[0])
+            kept, _ = project_number(kept, "E2", condition[1])
+            hit = chan.amplitude(n)
+            assert [(ket.occupations, amp) for ket, amp in kept.terms()] == ([] if hit is None else [((hit[0],), hit[1])])
+
+
 def test_channel_rejects_condition_out_of_range():
-    with pytest.raises(ValueError):
-        fwm_conditioned_channel(FwmParams(1), condition=(0, 5))
+    for condition in ((0, 5), (1.5, 0), (True, 1)):
+        with pytest.raises(ValueError, match="two whole counts"):
+            fwm_conditioned_channel(FwmParams(1), condition=condition)

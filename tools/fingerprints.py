@@ -18,7 +18,9 @@ Run it in two checkouts and compare the outputs: equal objects mean equal
 bytes on all of these inputs.  The package comes from the checkout's
 ``src/`` and the inputs from ``perfbench/workloads.py``, which is only
 imported.  The command-line runs go through fresh interpreters, without
-``FOCK_CUTOFF``.
+``FOCK_CUTOFF``; :func:`fingerprints` takes the runner as an argument, so
+``tests/test_fingerprints.py`` computes the same object with the commands
+run in-process.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,32 +53,36 @@ def sha256(data: str | bytes) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
 
 
-def cli(*args: str) -> subprocess.CompletedProcess:
-    """``photonherald ARGS`` in a fresh interpreter on this checkout's ``src/``;
-    stdout stays bytes, so the sweep's CRLF line ends are hashed as written."""
+def fresh_cli(*args: str) -> tuple[int, bytes, bytes]:
+    """``photonherald ARGS`` in a fresh interpreter on this checkout's ``src/``,
+    as (exit code, stdout, stderr); stdout stays bytes, so the sweep's CRLF
+    line ends are hashed as written."""
     env = {k: v for k, v in os.environ.items() if k != "FOCK_CUTOFF"}
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     cmd = [sys.executable, "-c", workloads.CliCold.ENTRY, *args]
-    return subprocess.run(cmd, capture_output=True, env=env, cwd=ROOT, timeout=600)
+    proc = subprocess.run(cmd, capture_output=True, env=env, cwd=ROOT, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def first_results(workload, calls: int) -> list:
     return [workload.call(x) for x in itertools.islice(workload.ops(), calls)]
 
 
-def fingerprints() -> dict[str, object]:
+def fingerprints(cli: Callable[..., tuple[int, bytes, bytes]] = fresh_cli) -> dict[str, object]:
+    """The fingerprints, with ``cli(*args)`` running ``photonherald ARGS`` as
+    :func:`fresh_cli` does."""
     out: dict[str, object] = {}
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"
         spec.write_text(json.dumps(README_SWEEP_SPEC), encoding="utf-8")
-        sweep = cli("sweep", str(spec))
-    if sweep.returncode != 0:
-        raise SystemExit(f"photonherald sweep failed: {sweep.stderr.decode().strip()}")
-    out["readme_sweep_csv_sha256"] = sha256(sweep.stdout)
+        code, stdout, stderr = cli("sweep", str(spec))
+    if code != 0:
+        raise SystemExit(f"photonherald sweep failed: {stderr.decode().strip()}")
+    out["readme_sweep_csv_sha256"] = sha256(stdout)
     for suite, seed in itertools.product(("paper-values", "invariants"), (1, 2)):
-        verify = cli("verify", "--suite", suite, "--seed", str(seed))
-        out[f"verify_{suite}_seed{seed}_stdout_sha256"] = sha256(verify.stdout)
-        out[f"verify_{suite}_seed{seed}_exit"] = verify.returncode
+        code, stdout, _ = cli("verify", "--suite", suite, "--seed", str(seed))
+        out[f"verify_{suite}_seed{seed}_stdout_sha256"] = sha256(stdout)
+        out[f"verify_{suite}_seed{seed}_exit"] = code
     mix = first_results(workloads.SchemeMix(13), 1500)
     out["scheme_mix_1500_seed13_to_dict_sha256"] = sha256(
         "\n".join(json.dumps(result.to_dict(), sort_keys=True) for result in mix)
