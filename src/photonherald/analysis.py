@@ -248,7 +248,7 @@ def jf_length_scan(m_values: Iterable[float]) -> list[ScanRow]:
     """
     rows: list[ScanRow] = []
     for m in m_values:
-        params = FwmParams(float(m))
+        params = FwmParams(m)
         _, _, beta = fwm_coefficients(params)
         if params.is_integer_length:
             rows.append(ScanRow(float(m), beta, _PEAK * abs(1.0 - beta) ** 2, "interferometer"))
@@ -481,8 +481,9 @@ def _sector_heralds(
     in chunks of at most ``_CHUNK`` (theta1, beta) pairs.
     """
     # Attach, BS1, absorber, BS2, and the herald's one outcome.
-    (_, vacuum, medium_dims), _, (_, _, mode, excited), _, (_, ((_, counts, _),), _, _) = circuit.stages
-    # The input is the front splitter's output B; the circuit attaches the rest.
+    (_, vacuum), _, (_, _, mode, excited), _, (_, ((_, counts, _),), _, _) = circuit.stages
+    # The input is the front splitter's output B; the circuit attaches the rest, with the medium.
+    medium_dims = vacuum.register.medium_dims
     register = ModeRegister(("B", *vacuum.register.labels), vacuum.register.cutoff, medium_dims)
     # Sector 2 first: each sum over a sector's kets then adds them in the order it would alone.
     groups = [(level, n - 2 * (level > 0)) for n in (2, 1, 0) for level in range(medium_dims) if n - 2 * (level > 0) >= 0]

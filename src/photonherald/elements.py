@@ -14,6 +14,9 @@ expansion and memoized in a least-recently-used cache of at most
 keeps a bounded amount of memory.  The expansion's binomials and
 factorials do not depend on the angles, so they are kept once per photon
 pair, and a row for a new angle only multiplies them by the angle's powers.
+The angle's cos, sin and phase factors are kept too, per (theta, phi), in a
+small cache of their own: a splitter reads the rows of several photon pairs
+at one angle, and each row would otherwise recompute them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DEFAULT_CUTOFF, CutoffOverflowError, FockKet, PureState
+from .fock import DEFAULT_CUTOFF, CutoffOverflowError, FockKet, PureState, _ket
 
 __all__ = [
     "BeamSplitterParams",
@@ -67,6 +70,10 @@ class BeamSplitterParams:
 #: README-shaped sweep fills about 450 rows, so the bound does not evict there.
 MIXING_ROW_CACHE_SIZE = 4096
 
+#: Bound of the ``_angle_factors`` cache.  A splitter's rows for several
+#: photon pairs are built together, so a few recent angles are enough.
+_ANGLE_CACHE_SIZE = 64
+
 
 @lru_cache(maxsize=MIXING_ROW_CACHE_SIZE)
 def _expansion(n1: int, n2: int) -> tuple[tuple[tuple[int, ...], ...], float, tuple[float, ...]]:
@@ -87,6 +94,13 @@ def _expansion(n1: int, n2: int) -> tuple[tuple[tuple[int, ...], ...], float, tu
     return terms, norm_in, norm_out
 
 
+@lru_cache(maxsize=_ANGLE_CACHE_SIZE)
+def _angle_factors(theta: float, phi: float) -> tuple[float, complex, complex]:
+    """cos(theta), and the coefficients of a2+ inside a1+ and of a1+ inside a2+."""
+    s = math.sin(theta)
+    return math.cos(theta), cmath.exp(-1j * phi) * s, -cmath.exp(1j * phi) * s
+
+
 @lru_cache(maxsize=MIXING_ROW_CACHE_SIZE)
 def _mixing_row(theta: float, phi: float, n1: int, n2: int) -> tuple[tuple[int, complex], ...]:
     """Output amplitudes for the input ket |n1, n2>.
@@ -94,11 +108,10 @@ def _mixing_row(theta: float, phi: float, n1: int, n2: int) -> tuple[tuple[int, 
     Returns ((m1, amplitude), ...) with m2 = n1 + n2 - m1 implied; photon
     number is conserved per ket.  Derived by substituting the rotated
     creation operators into a1+^n1 a2+^n2 |0,0> / sqrt(n1! n2!) and expanding
-    binomially; the factorials and binomials come from :func:`_expansion`.
+    binomially; the factorials and binomials come from :func:`_expansion`,
+    the angle's factors from :func:`_angle_factors`.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    f12 = cmath.exp(-1j * phi) * s  # coefficient of a2+ inside a1+
-    f21 = -cmath.exp(1j * phi) * s  # coefficient of a1+ inside a2+
+    c, f12, f21 = _angle_factors(theta, phi)
     terms, norm_in, norm_out = _expansion(n1, n2)
     row = [0j] * len(norm_out)
     for m1, comb, j, a, k, b in terms:
@@ -137,7 +150,7 @@ def apply_beam_splitter(state: PureState, params: BeamSplitterParams) -> PureSta
             )
         for m1, coeff in _mixing_row(theta, phi, n1, n2):
             occ[i1], occ[i2] = m1, total - m1
-            new = FockKet(tuple(occ), ket.medium)
+            new = _ket((tuple(occ), ket.medium))
             out[new] = out.get(new, 0j) + amp * coeff
     return PureState._of(reg, out, state.norm())
 

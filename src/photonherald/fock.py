@@ -35,6 +35,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 __all__ = [
@@ -179,17 +180,14 @@ class FockKet(NamedTuple):
     occupations: tuple[int, ...]
     medium: int = 0
 
-    def with_occupations(self, counts: Mapping[int, int], medium: int | None = None) -> "FockKet":
-        """This ket with the occupation at each index of ``counts`` replaced
-        (and the medium index, when given)."""
-        occ = list(self.occupations)
-        for index, n in counts.items():
-            occ[index] = n
-        return FockKet(tuple(occ), self.medium if medium is None else medium)
-
     def __str__(self) -> str:
         occ = ",".join(str(n) for n in self.occupations)
         return f"|{occ};m{self.medium}>"
+
+
+#: ``_ket((occupations, medium))`` is ``FockKet(occupations, medium)`` without
+#: the named tuple's Python-level ``__new__``, for the kernels' inner loops.
+_ket = partial(tuple.__new__, FockKet)
 
 
 class PureState:
@@ -294,7 +292,7 @@ def apply_creation(state: PureState, mode: str) -> PureState:
             raise CutoffOverflowError(
                 f"creation on {mode!r} would exceed cutoff {state.register.cutoff} from {ket}"
             )
-        new = ket.with_occupations({i: n + 1})
+        new = _ket((ket.occupations[:i] + (n + 1,) + ket.occupations[i + 1 :], ket.medium))
         out[new] = out.get(new, 0j) + amp * math.sqrt(n + 1)
     return PureState(state.register, out)
 
@@ -318,7 +316,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     for ka, aa in a._amps.items():
         for kb, ab in b._amps.items():
             medium = ka.medium if ra.medium_dims > 1 else kb.medium
-            out[FockKet(ka.occupations + kb.occupations, medium)] = aa * ab
+            out[_ket((ka.occupations + kb.occupations, medium))] = aa * ab
     return PureState._of(reg, out, a.norm() * b.norm())
 
 
@@ -338,7 +336,7 @@ def project_number(state: PureState, mode: str, n: int) -> tuple[PureState, floa
     for ket, amp in state._amps.items():
         if ket.occupations[i] == n:
             occ = ket.occupations[:i] + ket.occupations[i + 1 :]
-            out[FockKet(occ, ket.medium)] = amp
+            out[_ket((occ, ket.medium))] = amp
     kept = PureState._of(reg, out, state.norm())
     return kept, kept.squared_norm()
 
@@ -416,8 +414,11 @@ class Ensemble:
         The first state of each group is kept, scaled to the group's total
         weight.  Keeps ensembles small after partial traces; exact mixtures
         produced by the circuits here only ever have a handful of distinct
-        branches, so the pairwise comparison is cheap.
+        branches, so the pairwise comparison is cheap.  An ensemble of one
+        state is returned as it is.
         """
+        if len(self.states) < 2:
+            return self
         groups: list[list] = []  # [direction, first state, its weight, group weight]
         for state in self.states:
             n2 = state.squared_norm()
@@ -469,7 +470,7 @@ def partial_trace_discard(state: PureState, mode: str) -> Ensemble:
     groups: dict[int, dict[FockKet, complex]] = {}
     for ket, amp in state._amps.items():
         occ = ket.occupations[:i] + ket.occupations[i + 1 :]
-        groups.setdefault(ket.occupations[i], {})[FockKet(occ, ket.medium)] = amp
+        groups.setdefault(ket.occupations[i], {})[_ket((occ, ket.medium))] = amp
     return Ensemble(reg, (PureState._of(reg, amps, state.norm()) for _, amps in sorted(groups.items()))).consolidated()
 
 

@@ -24,6 +24,9 @@ Four executable circuits, all fed by the same imperfect source model
 Every run returns a :class:`SchemeResult` carrying the success probability,
 the conditional (heralded) output state, its fidelity to ``|1>``, and a
 per-input-photon-sector breakdown of where the probability came from.
+Each herald above counts at least one photon, and no stage adds photons,
+so the vacuum input can never herald: a run books its sector as 0.0
+without sending it through the circuit.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
-from .elements import BeamSplitterParams, apply_beam_splitter
+from .elements import BeamSplitterParams, _mixing_row, apply_beam_splitter
 from .fock import (
     DEFAULT_CUTOFF,
+    PRUNE_THRESHOLD,
+    CutoffOverflowError,
     Ensemble,
-    FockKet,
     ModeRegister,
     PureState,
     fidelity_to_single_photon,
@@ -47,6 +52,7 @@ from .fock import (
     tensor,
     vacuum_state,
     with_medium_dims,
+    _ket,
 )
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_conditioned_channel, fwm_evolve
 
@@ -210,27 +216,50 @@ def reduce_through_bs0(
     (P_1 = p, P_0 = 1 - p; a zero one is dropped), goes through the splitter
     as one branch of the joint state on (A, B); with ``discard=False`` that
     joint ensemble is returned (the doubled variant processes both outputs).
-    The splitter conserves photon number, so each branch holds one total N
-    and B's reduced state is diagonal: ``|n>`` takes B's weight of n
-    photons, with the phase of the first joint amplitude that leaves n
-    photons in B.
+    A branch is read straight from the splitter's row of |a, b>, with the
+    arithmetic and the pruning :func:`apply_beam_splitter` applies to the
+    one-ket state.  The splitter conserves photon number, so each branch
+    holds one total N and B's reduced state is diagonal: ``|n>`` takes B's
+    weight of n photons, summed over the branches in order, with the phase
+    of the first joint amplitude that leaves n photons in B.
     """
     source = SourceSpec(p)
     bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
-    register = ModeRegister(("A", "B"), cutoff)
+    register, reduced = _front_registers(cutoff)
     root = {1: math.sqrt(source.p), 0: math.sqrt(1.0 - source.p)}
-    products = (PureState._of(register, {FockKet((a, b)): complex(root[a] * root[b])}, 0.0) for a in (1, 0) for b in (1, 0))
-    joint = Ensemble(register, (apply_beam_splitter(psi, bs0) for psi in products))
+    branches: list[tuple[int, list[tuple[int, complex]]]] = []  # (a + b, [(photons in B, amplitude), ...])
+    for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)):
+        amp = complex(root[a] * root[b])
+        if not amp:
+            continue
+        if a + b > cutoff:
+            raise CutoffOverflowError(
+                f"beam splitter on ('A', 'B') would exceed cutoff {cutoff} "
+                f"for ket |{a},{b};m0> (combined occupation {a + b})"
+            )
+        # SourceSpec keeps p^2 a normal double, so each branch keeps an amplitude whose square is not 0.
+        floor = PRUNE_THRESHOLD * math.sqrt(abs(amp) ** 2)
+        row = _mixing_row(bs0.theta, bs0.phi, a, b)
+        branches.append((a + b, [(a + b - m1, x) for m1, coeff in row if abs(x := 0j + amp * coeff) > floor]))
     if not discard:
-        return joint
-    weights = joint.number_distribution("B")
+        joint = ({_ket(((total - n, n), 0)): x for n, x in kept} for total, kept in branches)
+        return Ensemble(register, (PureState._of(register, amps, 0.0) for amps in joint))
+    weights: dict[int, float] = {}
     first: dict[int, complex] = {}
-    for ket, amp in (term for state in joint.states for term in state.terms()):
-        first.setdefault(ket.occupations[1], amp)
-    reduced = register.without("A")
+    for _, kept in branches:
+        for n, x in kept:
+            weights[n] = weights.get(n, 0.0) + abs(x) ** 2
+            first.setdefault(n, x)
     return Ensemble(
-        reduced, (PureState._of(reduced, {FockKet((n,)): _with_weight(amp, weights[n])}, 0.0) for n, amp in first.items())
+        reduced, (PureState._of(reduced, {_ket(((n,), 0)): _with_weight(x, weights[n])}, 0.0) for n, x in first.items())
     )
+
+
+@lru_cache(maxsize=MAX_CUTOFF + 1, typed=True)
+def _front_registers(cutoff: int) -> tuple[ModeRegister, ModeRegister]:
+    """The front splitter's register on (A, B), and B's once A is dropped."""
+    register = ModeRegister(("A", "B"), cutoff)
+    return register, register.without("A")
 
 
 def _with_weight(amp: complex, weight: float) -> complex:
@@ -247,7 +276,7 @@ def _with_weight(amp: complex, weight: float) -> complex:
 # Circuits as data.  A circuit is a tuple of stages, each a tuple named by
 # its first element:
 #
-#   ("attach", vacuum, medium_dims)      tensor on vacuum modes (and a medium)
+#   ("attach", vacuum)                   tensor on vacuum modes (and a medium)
 #   ("split", bs)                        beam splitter on bs.mode_pair
 #   ("absorb", absorber, mode, level)    generic absorber or mixer channel
 #   ("mix", params, (pump, e1, e2))      four-wave mixer
@@ -267,9 +296,8 @@ def _with_weight(amp: complex, weight: float) -> complex:
 
 def _act(stage: tuple, state: PureState) -> PureState:
     match stage:
-        case ("attach", vacuum, medium_dims):
-            psi = tensor(state, vacuum)
-            return with_medium_dims(psi, medium_dims) if medium_dims > 1 else psi
+        case ("attach", vacuum):
+            return tensor(state, vacuum)
         case ("split", bs):
             return apply_beam_splitter(state, bs)
         case ("absorb", GenericTpam() as tpam, mode, level):
@@ -332,6 +360,13 @@ def _check_absorber(cfg: SchemeConfig) -> None:
         )
 
 
+@lru_cache(maxsize=32)
+def _vacuum(labels: tuple[str, ...], cutoff: int, medium_dims: int) -> PureState:
+    """The vacuum on ``labels``, carrying a ground-state medium of ``medium_dims``
+    levels; an attach stage's constant, built once per circuit shape."""
+    return with_medium_dims(vacuum_state(ModeRegister(labels, cutoff)), medium_dims)
+
+
 def build_circuit(cfg: SchemeConfig) -> Circuit:
     """Describe the scheme of ``cfg`` as one tuple of stages.
 
@@ -340,8 +375,8 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
     """
     tpam, cutoff, variant = cfg.tpam, cfg.cutoff, cfg.variant
 
-    def vacuum(*labels: str) -> PureState:
-        return vacuum_state(ModeRegister(labels, cutoff))
+    def vacuum(*labels: str, medium_dims: int = 1) -> PureState:
+        return _vacuum(labels, cutoff, medium_dims)
 
     details: dict[str, object] = {}
     if variant in (MAIN, DOUBLED):
@@ -358,7 +393,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
 
     if variant == MAIN:
         stages = (
-            ("attach", vacuum("C"), 2 if needs_medium else 1),
+            ("attach", vacuum("C", medium_dims=2 if needs_medium else 1)),
             *interferometer("B", "C"),
             ("herald", (("B", (("B", 1),), ()),), None, None),
         )
@@ -371,7 +406,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
             ("A", (("A", 1), ("B", 0)), (("relabel", {"CA": "C"}), ("trace", "CB"))),
         )
         stages = (
-            ("attach", vacuum("CA", "CB"), 3 if needs_medium else 1),
+            ("attach", vacuum("CA", "CB", medium_dims=3 if needs_medium else 1)),
             *interferometer("A", "CA", 1),
             *interferometer("B", "CB", 2),
             ("herald", one_click, "clicks_by_detector", None),
@@ -379,7 +414,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
     else:
         n1, n2 = tpam.condition
         generated = (("E1", n1), ("E2", n2))
-        mixer = (("attach", vacuum("E1", "E2"), 1), ("mix", tpam.params, ("B", "E1", "E2")))
+        mixer = (("attach", vacuum("E1", "E2")), ("mix", tpam.params, ("B", "E1", "E2")))
         details = {"length_multiple": tpam.params.length_multiple, "condition": [n1, n2]}
         if variant == PAIR_HERALD:
             stages = (*mixer, ("herald", (("E1", generated, ()),), None, None))
@@ -388,7 +423,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
             stages = (
                 *mixer,
                 ("detect", generated),
-                ("attach", vacuum("C"), 1),
+                ("attach", vacuum("C")),
                 ("split", BeamSplitterParams.balanced(("B", "C"))),
                 ("herald", (("B", (("B", 1),), ()),), "click_probability_by_output", "C"),
             )
@@ -408,27 +443,32 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
     """Run the circuit of ``cfg`` one input photon-number branch at a time.
 
     The inputs are the front-splitter mixture: B alone, or A and B for doubled.
+    No stage adds photons, so a herald whose every outcome counts a photon
+    cannot fire on the vacuum branch: that branch is booked with 0.0 in
+    ``branch_log`` and not run.  A herald with an all-zero outcome runs it.
     """
     circuit = build_circuit(cfg)
     inputs = reduce_through_bs0(cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff, discard=cfg.variant != DOUBLED)
     _, outcomes, report, mirror = circuit.stages[-1]
+    vacuum_heralds = any(not any(n for _, n in counts) for _, counts, _ in outcomes)
     clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
     p_success = 0.0
     branch_log: dict[int, float] = {}
     kept: list[PureState] = []
     for state in inputs.states:
-        pre = circuit.prepare(state)
-        contribution = 0.0
-        for detector, counts, tail in outcomes:
-            detected = _act(("detect", counts), pre)
-            q = detected.squared_norm()
-            clicks[detector] += q
-            contribution += q
-            if q > 0.0:
-                kept.extend(_evolve(detected, tail))
-        if mirror:
-            clicks[mirror] += Ensemble(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
         sector = sum(next(iter(state._amps)).occupations)  # a branch holds one photon number
+        contribution = 0.0
+        if sector or vacuum_heralds:
+            pre = circuit.prepare(state)
+            for detector, counts, tail in outcomes:
+                detected = _act(("detect", counts), pre)
+                q = detected.squared_norm()
+                clicks[detector] += q
+                contribution += q
+                if q > 0.0:
+                    kept.extend(_evolve(detected, tail))
+            if mirror:
+                clicks[mirror] += Ensemble(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
         branch_log[sector] = branch_log.get(sector, 0.0) + contribution
         p_success += contribution
     details = dict(circuit.details)

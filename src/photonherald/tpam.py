@@ -50,6 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .fock import (
     PRUNE_THRESHOLD,
@@ -57,6 +58,7 @@ from .fock import (
     FockKet,
     PureState,
     UnsupportedPhotonNumberError,
+    _ket,
 )
 
 __all__ = [
@@ -80,6 +82,9 @@ _INTEGER_TOL = 1e-9
 #: rad: a few times 1e-10 rad at 1e6, but a quarter radian at 1e15, where
 #: cos(M*pi) reads 0.97 for an integer M that must pass a lone photon.
 MAX_LENGTH_MULTIPLE = 1e6
+
+#: Bound of the cache of :meth:`FwmParams._terms`, one table per params.
+_TERMS_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +159,8 @@ def apply_generic_tpam(
                     "two photons reached a TPAM whose medium is already excited; "
                     "the model defines no dynamics for this"
                 )
-            _add(ket.with_occupations({i: 0}, excited_level), amp * tpam.alpha * phase)
+            absorbed = _ket((ket.occupations[:i] + (0,) + ket.occupations[i + 1 :], excited_level))
+            _add(absorbed, amp * tpam.alpha * phase)
             _add(ket, amp * tpam.beta * phase)
         else:
             _add(ket, amp * phase)
@@ -182,8 +188,8 @@ class FwmParams:
     def __post_init__(self) -> None:
         if isinstance(self.length_multiple, Fraction):
             object.__setattr__(self, "length_multiple", float(self.length_multiple))
-        if isinstance(self.length_multiple, bool) or isinstance(self.pump_phase, bool):
-            raise ValueError(f"mixer parameters must be numbers, not booleans, got {self!r}")
+        if isinstance(self.length_multiple, (bool, str)) or isinstance(self.pump_phase, (bool, str)):
+            raise ValueError(f"mixer parameters must be numbers, not booleans or strings, got {self!r}")
         if not (math.isfinite(self.length_multiple) and math.isfinite(self.pump_phase)):
             raise ValueError(f"mixer parameters must be finite, got {self!r}")
         if not self.length_multiple > 0:
@@ -212,12 +218,14 @@ class FwmParams:
         doubled = 2.0 * self.length_multiple
         return abs(doubled - round(doubled)) <= _INTEGER_TOL and round(doubled) % 2 == 1
 
+    @lru_cache(maxsize=_TERMS_CACHE_SIZE)
     def _terms(self) -> tuple[tuple[tuple[int, int, complex], ...], ...]:
         """The mixer on n = 0, 1, 2 pump photons with both generated fields
         empty: per n, the terms (pump photons out, photons in each generated
         field, amplitude).  At odd integer length the compensating phase
         shifter multiplies each term by (-1)^(pump photons out): the terms
-        with one pump photon out change sign."""
+        with one pump photon out change sign.  Kept per params, for the
+        branches of a run that cross one mixer."""
         rabi = self.rabi_angle
         alpha0, alpha1, beta = fwm_coefficients(self)
         sign = -1.0 if self.is_integer_length and round(self.length_multiple) % 2 == 1 else 1.0
@@ -286,7 +294,12 @@ def fwm_evolve(
                 "four-wave mixing needs cutoff >= 2 so generated photon pairs fit"
             )
         for pump, pairs, factor in terms[n]:
-            new = ket if pump == n else ket.with_occupations({ip: pump, i1: pairs, i2: pairs})
+            if pump == n:
+                new = ket
+            else:
+                occ = list(ket.occupations)
+                occ[ip], occ[i1], occ[i2] = pump, pairs, pairs
+                new = _ket((tuple(occ), ket.medium))
             out[new] = out.get(new, 0j) + amp * factor
     return PureState._of(reg, out, state.norm())
 
@@ -333,7 +346,7 @@ class FwmConditionedChannel:
             if hit is None:
                 continue
             n_out, factor = hit
-            new = ket.with_occupations({i: n_out})
+            new = _ket((ket.occupations[:i] + (n_out,) + ket.occupations[i + 1 :], ket.medium))
             out[new] = out.get(new, 0j) + amp * factor
         return PureState._of(state.register, out, state.norm())
 

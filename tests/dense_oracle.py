@@ -148,10 +148,10 @@ def fwm_coeffs(length_multiple: float, pump_phase: float = 0.0) -> tuple[complex
     return alpha0, alpha1, beta
 
 
-def fwm_operator(
-    length_multiple: float, dim: int, pump_phase: float = 0.0, compensate: bool = True
-) -> np.ndarray:
-    """Three-mode mixer on (pump, E1, E2), written from the defining rules."""
+def fwm_operator(length_multiple: float, dim: int, pump_phase: float = 0.0) -> np.ndarray:
+    """Three-mode mixer on (pump, E1, E2), written from the defining rules.
+    At odd integer length a phase shifter on the pump undoes the sign a lone
+    photon picks up: the operator is multiplied by (-1)^(pump photons out)."""
     rabi = length_multiple * math.pi
     alpha0, alpha1, beta = fwm_coeffs(length_multiple, pump_phase)
 
@@ -169,7 +169,7 @@ def fwm_operator(
     is_odd_integer = (
         abs(length_multiple - round(length_multiple)) < 1e-9 and round(length_multiple) % 2 == 1
     )
-    if compensate and is_odd_integer:
+    if is_odd_integer:
         signs = np.array([(-1.0) ** (i // dim**2) for i in range(dim**3)])
         op = signs[:, None] * op
     return op

@@ -199,6 +199,14 @@ def test_scan_rejects_impossible_compositions():
             jf_length_scan([2, m])
 
 
+@pytest.mark.parametrize("m", [True, False, "2", "1.5"])
+def test_scan_refuses_a_length_that_is_a_boolean_or_a_string(m):
+    # Each length reaches FwmParams as given: converted first, True would be
+    # the row of M = 1 and "2" the row of M = 2.
+    with pytest.raises(ValueError, match="not booleans or strings"):
+        jf_length_scan([m])
+
+
 # ---------------------------------------------------------------------------
 # sweep spec parsing
 

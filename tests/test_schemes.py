@@ -6,6 +6,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ensemble_mirrors as em
 from photonherald import (
@@ -15,20 +17,22 @@ from photonherald import (
     MAIN,
     MAX_CUTOFF,
     PAIR_HERALD,
+    VARIANTS,
     BeamSplitterParams,
+    Circuit,
     Ensemble,
     FockKet,
     FwmParams,
     FwmTpamSpec,
     GenericTpam,
     ModeRegister,
+    PureState,
     SchemeConfig,
     SourceSpec,
     apply_beam_splitter,
     build_circuit,
     fock_state,
     manifold_config,
-    partial_trace_discard,
     reduce_through_bs0,
     run_doubled_scheme,
     run_filter_split_scheme,
@@ -37,6 +41,8 @@ from photonherald import (
     run_scheme,
     tensor,
 )
+from photonherald import schemes
+from photonherald.schemes import _with_weight
 
 # simulator benchmarks, frozen from independently computed closed forms
 PS_MAIN_FWM_ONE_CYCLE = 0.03633821830004222
@@ -92,14 +98,21 @@ def test_front_splitter_joint_mode_keeps_both_outputs():
     assert sum(w for w, _ in joint.branches) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("discard", [True, False])
-@pytest.mark.parametrize(
-    "p,theta0,phi0,cutoff", [(1.0, math.pi / 4, 0.0, 4), (0.37, 0.6, 1.3, 2), (0.86, 1.1, -0.4, 5)]
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([1.0, 1.5e-154]) | st.floats(math.log10(1.5e-154), 0.0).map(lambda e: 10.0**e),
+    theta0=st.floats(-2 * math.pi, 2 * math.pi),
+    phi0=st.floats(-2 * math.pi, 2 * math.pi),
+    cutoff=st.integers(2, 5),
+    discard=st.booleans(),
 )
 def test_front_splitter_matches_composed_elements(p, theta0, phi0, cutoff, discard):
     # The reduction written out from generic ops: both source mixtures
-    # {p: |1>, 1-p: |0>}, their tensor products through the splitter, each
-    # joint state traced, then the branches merged per state up to norm and phase.
+    # {p: |1>, 1-p: |0>}, their tensor products through the splitter as one
+    # ensemble, and for the reduced state B's number distribution over it and
+    # the first amplitude (in ket order) per count, rescaled to that weight.
+    # The reduction reads the splitter rows itself, so this holds its
+    # arithmetic, pruning and sums to apply_beam_splitter's, bit for bit.
     def source(label):
         register = ModeRegister((label,), cutoff)
         return [fock_state(register, (1,)).scaled(math.sqrt(p)), fock_state(register, (0,)).scaled(math.sqrt(1.0 - p))]
@@ -108,8 +121,13 @@ def test_front_splitter_matches_composed_elements(p, theta0, phi0, cutoff, disca
     joint = [apply_beam_splitter(tensor(a, b), bs0) for a in source("A") for b in source("B")]
     want = Ensemble(ModeRegister(("A", "B"), cutoff), joint)
     if discard:
-        traced = [branch for psi in joint for branch in partial_trace_discard(psi, "A").states]
-        want = Ensemble(ModeRegister(("B",), cutoff), traced).consolidated()
+        weights = want.number_distribution("B")
+        first = {}
+        for ket, amp in (term for state in want.states for term in state.terms()):
+            first.setdefault(ket.occupations[1], amp)
+        reduced = ModeRegister(("B",), cutoff)
+        branches = [PureState._of(reduced, {FockKet((n,)): _with_weight(a, weights[n])}, 0.0) for n, a in first.items()]
+        want = Ensemble(reduced, branches)
     got = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
     assert got.register == want.register
     assert len(got) == len(want)
@@ -129,6 +147,49 @@ def test_front_splitter_is_one_finite_branch_per_number_where_squares_are_subnor
     assert len(numbers) == len(set(numbers)) == len(reduced)
     assert all(math.isfinite(amp.real) and math.isfinite(amp.imag) for s in reduced.states for _, amp in s.terms())
     assert sum(w for w, _ in reduced.branches) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+
+def _recording_prepare(monkeypatch):
+    """Make ``Circuit.prepare`` record every input branch it receives."""
+    seen, prepare = [], Circuit.prepare
+
+    def recording(circuit, state):
+        seen.append(state)
+        return prepare(circuit, state)
+
+    monkeypatch.setattr(Circuit, "prepare", recording)
+    return seen
+
+
+def _photons(state):
+    return {sum(ket.occupations) for ket, _ in state.terms()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_vacuum_branch_is_booked_but_never_prepared(variant, monkeypatch):
+    # Every herald here counts a photon, which the vacuum input cannot show:
+    # its branch is booked as 0.0 without running the circuit.
+    seen = _recording_prepare(monkeypatch)
+    result = run_scheme(SchemeConfig(SourceSpec(0.6), DEFAULT_TPAM[variant], variant=variant))
+    assert seen and all(0 not in _photons(state) for state in seen)
+    assert sorted(result.branch_log) == [0, 1, 2]
+    assert result.branch_log[0] == 0.0
+    assert result.p_success > 0.0
+
+
+def test_a_herald_on_vacuum_runs_the_vacuum_branch(monkeypatch):
+    # A herald with an all-zero outcome can fire on the vacuum input, so that
+    # branch runs and carries weight: here main, heralding no photon in B.
+    def zero_click(cfg):
+        circuit = build_circuit(cfg)
+        return circuit._replace(stages=(*circuit.stages[:-1], ("herald", (("B", (("B", 0),), ()),), None, None)))
+
+    monkeypatch.setattr(schemes, "build_circuit", zero_click)
+    seen = _recording_prepare(monkeypatch)
+    result = run_scheme(SchemeConfig(SourceSpec(0.6), FULL_ABSORBER))
+    assert any(_photons(state) == {0} for state in seen)
+    # all of B's vacuum weight p^2/2 - p + 1 shows B = 0
+    assert result.branch_log[0] == pytest.approx(0.6 * 0.6 / 2 - 0.6 + 1, rel=1e-12)
 
 
 @pytest.mark.parametrize("variant", [MAIN, DOUBLED])

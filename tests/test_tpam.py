@@ -181,7 +181,12 @@ def test_fwm_params_validation():
         FwmParams(0.0)
     with pytest.raises(ValueError):
         FwmParams(-1.5)
-    for bad in (dict(length_multiple=math.inf), dict(length_multiple=2.0, pump_phase=math.nan)):
+    for bad in (
+        dict(length_multiple=math.inf),
+        dict(length_multiple=2.0, pump_phase=math.nan),
+        dict(length_multiple="2"),
+        dict(length_multiple=2.0, pump_phase="0"),
+    ):
         with pytest.raises(ValueError):
             FwmParams(**bad)
     p = FwmParams(Fraction(3, 2))
