@@ -32,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
-from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, fock_state
-from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _with_weight, build_circuit, run_main_scheme
+from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, _with_weight, fock_state
+from .schemes import _PRODUCTS, DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, build_circuit
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "manifold_completion",
     "closed_form_ps",
     "manifold_config",
-    "simulate_manifold_point",
     "golden_section_maximize",
     "optimize_ps",
     "jf_length_scan",
@@ -175,13 +174,6 @@ def _completed(theta1: float, case: CaseId | str) -> tuple[float, float, float]:
     return completion
 
 
-def simulate_manifold_point(beta: complex, theta1: float, case: CaseId | str, *, cutoff: int = DEFAULT_CUTOFF) -> float:
-    """Run the main circuit at a manifold point with perfect sources (p = 1);
-    returns p_success, which there is the closed form's p_success / p^2."""
-    cfg = manifold_config(theta1, case, tpam=GenericTpam.unitary(beta), cutoff=cutoff)
-    return run_main_scheme(cfg).p_success
-
-
 def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
     """Derivative-free 1-D maximization on [lo, hi] (assumed unimodal there)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -229,9 +221,7 @@ class ScanRow:
     """One row of a medium-length scan."""
 
     length_multiple: float
-    coefficient: complex
     ps_over_p2: float
-    composition: str
 
 
 def jf_length_scan(m_values: Iterable[float]) -> list[ScanRow]:
@@ -251,9 +241,9 @@ def jf_length_scan(m_values: Iterable[float]) -> list[ScanRow]:
         params = FwmParams(m)
         _, _, beta = fwm_coefficients(params)
         if params.is_integer_length:
-            rows.append(ScanRow(float(m), beta, _PEAK * abs(1.0 - beta) ** 2, "interferometer"))
+            rows.append(ScanRow(float(m), _PEAK * abs(1.0 - beta) ** 2))
         elif params.is_half_odd_length:
-            rows.append(ScanRow(float(m), beta, abs(beta) ** 2 / 4.0, "filter-split"))
+            rows.append(ScanRow(float(m), abs(beta) ** 2 / 4.0))
         else:
             raise ValueError(f"no scheme composes a mixer of length_multiple {m}: it must be an integer or half-odd")
     return rows
@@ -426,11 +416,6 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     ]
 
 
-#: The product kets |a, b> of the two sources, in the order
-#: :func:`reduce_through_bs0` sends them through the front splitter.
-_PRODUCTS = ((1, 1), (1, 0), (0, 1), (0, 0))
-
-
 def _sector_weights(theta0: list[float], p: list[float]) -> np.ndarray:
     """B's photon-number weights after the front splitter, ``w[theta0, p, n]``
     for n = 0, 1, 2: the weights of the branches of :func:`reduce_through_bs0`.
@@ -453,10 +438,14 @@ def _sector_weights(theta0: list[float], p: list[float]) -> np.ndarray:
     # |z| and its square as Python takes them, with the C library's hypot and pow: numpy's complex abs,
     # and its square of a double, can differ in the last bit.
     size = np.hypot(amps.real, amps.imag)
-    kept = size > PRUNE_THRESHOLD * np.sqrt(abs(inputs) ** 2)
+    squares = np.reshape([s**2 for s in size.ravel().tolist()], size.shape)
+    # The reduction keeps an amplitude that a single run does not prune and whose square is not 0.
+    kept = (size > PRUNE_THRESHOLD * np.sqrt(abs(inputs) ** 2)) & (squares > 0.0)
     first = np.take_along_axis(amps, kept.argmax(axis=0)[None], axis=0)[0]
-    total = sum(np.where(kept, np.reshape([s**2 for s in size.ravel().tolist()], size.shape), 0.0))
-    weights = [abs(_with_weight(a, w)) ** 2 for a, w in zip(first.ravel().tolist(), total.ravel().tolist())]
+    total = sum(np.where(kept, squares, 0.0))
+    # The kept magnitudes per (theta0, p, n); a zero in place of a dropped one leaves their norm as it is.
+    groups = np.moveaxis(np.where(kept, size, 0.0), 0, -1).reshape(-1, len(_PRODUCTS)).tolist()
+    weights = [abs(_with_weight(a, w, g)) ** 2 for a, w, g in zip(first.ravel().tolist(), total.ravel().tolist(), groups)]
     return np.reshape(weights, total.shape)
 
 

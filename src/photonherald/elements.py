@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DEFAULT_CUTOFF, CutoffOverflowError, FockKet, PureState, _ket
+from .fock import DEFAULT_CUTOFF, CutoffOverflowError, FockKet, PureState, _check_number, _ket
 
 __all__ = [
     "BeamSplitterParams",
@@ -52,8 +52,8 @@ class BeamSplitterParams:
     mode_pair: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.theta, bool) or isinstance(self.phi, bool):
-            raise ValueError(f"beam splitter angles must be numbers, not booleans, got {self!r}")
+        _check_number("beam splitter theta", self.theta)
+        _check_number("beam splitter phi", self.phi)
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError(f"beam splitter angles must be finite, got {self!r}")
 

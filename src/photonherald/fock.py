@@ -17,9 +17,17 @@ needed at runtime.
 
 Conventions used throughout:
 
-* Amplitudes with magnitude at or below :data:`PRUNE_THRESHOLD` times the
-  norm of the state an op acted on are dropped, so states never store
-  numerical dust, and a small branch keeps what its normalized state would.
+* One prune rule: amplitudes with magnitude at or below
+  :data:`PRUNE_THRESHOLD` times a norm are dropped, so states never store
+  numerical dust.  An op prunes relative to the norm of the state it acted
+  on, and ``PureState(register, amplitudes)`` relative to the norm of the
+  amplitudes it is given, so a small branch keeps what its normalized state
+  would.
+* One rule for small weights: a sum of squared magnitudes below the
+  smallest normal double (about 2.2e-308) has lost bits, so where one is
+  not a normal double, norms and rescaling factors come from the magnitudes
+  themselves (``math.hypot``); everywhere else from ``math.sqrt`` of the
+  sum.
 * Ket iteration order is deterministic (lexicographic on occupations, then the
   medium index), which keeps every downstream output byte-stable.
 * Conditioning (:func:`project_number`) returns the *unnormalized* kept
@@ -32,6 +40,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -49,13 +58,11 @@ __all__ = [
     "PureState",
     "Ensemble",
     "fock_state",
-    "vacuum_state",
     "apply_creation",
     "tensor",
     "project_number",
     "partial_trace_discard",
     "fidelity_to_single_photon",
-    "with_medium_dims",
     "relabel_modes",
 ]
 
@@ -65,7 +72,8 @@ __all__ = [
 DEFAULT_CUTOFF = 4
 
 #: Amplitudes at or below this magnitude, relative to the norm of the state
-#: an op acted on, are discarded when states are built.
+#: an op acted on or of the amplitudes a state is built from, are discarded
+#: when states are built.
 PRUNE_THRESHOLD = 1e-14
 
 #: Amplitude tolerance when deciding two branches are the same state
@@ -113,13 +121,14 @@ class ModeRegister:
         _check_labels(self.labels)
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        _check_medium_dims(self.medium_dims)
+        if self.medium_dims < 1:
+            raise ValueError("medium_dims must be at least 1")
 
     @classmethod
     def _of(cls, labels: tuple[str, ...], cutoff: int, medium_dims: int) -> "ModeRegister":
         """A register built from parts that already passed the checks of the
         constructor: derived registers (a mode dropped, two registers joined,
-        a medium attached, modes renamed) skip re-validation."""
+        modes renamed) skip re-validation."""
         new = object.__new__(cls)
         object.__setattr__(new, "labels", labels)
         object.__setattr__(new, "cutoff", cutoff)
@@ -166,9 +175,12 @@ def _check_labels(labels: tuple[str, ...]) -> None:
             raise ValueError(f"mode labels must be non-empty strings, got {label!r}")
 
 
-def _check_medium_dims(medium_dims: int) -> None:
-    if medium_dims < 1:
-        raise ValueError("medium_dims must be at least 1")
+def _check_number(name: str, value: object, kind: type = numbers.Real) -> None:
+    """Raise ``ValueError`` naming the field ``name`` unless ``value`` is a
+    number of ``kind`` (real, or complex); a boolean or a string is not.
+    A float passes before the slower check against ``kind``."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, kind)):
+        raise ValueError(f"{name} must be a {kind.__name__.lower()} number, not booleans or strings, got {value!r}")
 
 
 class FockKet(NamedTuple):
@@ -208,11 +220,9 @@ class PureState:
         amps: dict[FockKet, complex] = {}
         for ket, raw in items:
             register.validate_ket(ket)
-            amp = complex(raw)
-            if abs(amp) > PRUNE_THRESHOLD:
-                amps[ket] = amp
+            amps[ket] = complex(raw)
         self.register = register
-        self._amps = amps
+        self._amps = PureState._of(register, amps, _norm(amps.values(), sum(abs(a) ** 2 for a in amps.values())))._amps
         self._n2: float | None = None
 
     @classmethod
@@ -224,7 +234,8 @@ class PureState:
         state the amplitudes were computed from; amplitudes at or below
         :data:`PRUNE_THRESHOLD` times it are dropped, into a new dict.  The
         cut is relative, so an op on an unnormalized branch keeps what it
-        would keep on the normalized one.
+        would keep on the normalized one.  This is the one prune filter: the
+        constructor prunes through it too.
         """
         floor = PRUNE_THRESHOLD * norm
         new = cls.__new__(cls)
@@ -270,10 +281,6 @@ def fock_state(
 ) -> PureState:
     """The basis state ``|occupations; medium>`` with unit amplitude."""
     return PureState(register, {FockKet(tuple(occupations), medium): 1.0 + 0j})
-
-
-def vacuum_state(register: ModeRegister) -> PureState:
-    return fock_state(register, (0,) * register.n_modes)
 
 
 def apply_creation(state: PureState, mode: str) -> PureState:
@@ -341,15 +348,6 @@ def project_number(state: PureState, mode: str, n: int) -> tuple[PureState, floa
     return kept, kept.squared_norm()
 
 
-def with_medium_dims(state: PureState, medium_dims: int) -> PureState:
-    """Attach a medium subsystem (in its ground state) to a medium-free state."""
-    if state.register.medium_dims != 1:
-        raise ValueError("state already carries a medium subsystem")
-    _check_medium_dims(medium_dims)
-    reg = ModeRegister._of(state.register.labels, state.register.cutoff, medium_dims)
-    return PureState._of(reg, state._amps, 0.0)
-
-
 def relabel_modes(state: PureState, mapping: Mapping[str, str]) -> PureState:
     """Rename modes; occupations and amplitudes are untouched."""
     labels = tuple(mapping.get(lbl, lbl) for lbl in state.register.labels)
@@ -381,7 +379,7 @@ class Ensemble:
     @property
     def branches(self) -> tuple[tuple[float, PureState], ...]:
         """(weight, normalized state) pairs."""
-        return tuple((n2, s.scaled(1.0 / math.sqrt(n2))) for s in self.states for n2 in [s.squared_norm()])
+        return tuple((n2, s.scaled(1.0 / _norm(s._amps.values(), n2))) for s in self.states for n2 in [s.squared_norm()])
 
     def __len__(self) -> int:
         return len(self.states)
@@ -397,16 +395,12 @@ class Ensemble:
         return dist
 
     def normalized_weights(self) -> "Ensemble":
-        """The ensemble with weights summing to 1.  A total below the smallest
-        normal double has lost most of its bits, so there the amplitudes are
-        first scaled by the largest of them."""
+        """The ensemble with weights summing to 1."""
         total = sum(s.squared_norm() for s in self.states)
         if total <= 0.0:
             raise ValueError("cannot normalize an empty ensemble")
-        if total < sys.float_info.min:
-            largest = max(abs(a) for s in self.states for a in s._amps.values())
-            return Ensemble(self.register, (s.scaled(1.0 / largest) for s in self.states)).normalized_weights()
-        return Ensemble(self.register, (s.scaled(1.0 / math.sqrt(total)) for s in self.states))
+        norm = _norm((a for s in self.states for a in s._amps.values()), total)
+        return Ensemble(self.register, (s.scaled(1.0 / norm) for s in self.states))
 
     def consolidated(self) -> "Ensemble":
         """Merge branches whose states are equal up to norm and global phase.
@@ -419,20 +413,48 @@ class Ensemble:
         """
         if len(self.states) < 2:
             return self
-        groups: list[list] = []  # [direction, first state, its weight, group weight]
+        groups: list[list] = []  # [direction, group weight, the group's states]
         for state in self.states:
             n2 = state.squared_norm()
             direction = _direction(state, n2)
             for group in groups:
                 if _states_close(direction, group[0]):
-                    group[3] += n2
+                    group[1] += n2
+                    group[2].append(state)
                     break
             else:
-                groups.append([direction, state, n2, n2])
-        return Ensemble(
-            self.register,
-            (s if total == own else s.scaled(math.sqrt(total / own)) for _, s, own, total in groups),
-        )
+                groups.append([direction, n2, [state]])
+        merged = []
+        for _, total, states in groups:
+            first, own = states[0], states[0].squared_norm()
+            group = (a for s in states for a in s._amps.values())
+            merged.append(first if total == own else first.scaled(_norm(first._amps.values(), own, total, group)))
+        return Ensemble(self.register, merged)
+
+
+def _norm(amps: Iterable[complex], n2: float, weight: float | None = None, group: Iterable[complex] = ()) -> float:
+    """The norm of ``amps``, whose squared magnitudes sum to ``n2``; given a
+    ``weight``, the sum of the squared magnitudes of ``group``, the factor
+    that takes ``amps`` to that squared norm instead.
+
+    The one rule for small weights.  Where ``n2`` is a normal double these
+    are ``math.sqrt(n2)`` and ``math.sqrt(weight / n2)``.  Below that a sum
+    of squares has lost bits, so each norm whose square is not a normal
+    double comes from the magnitudes, as ``math.hypot`` takes them.
+    """
+    if weight is None:
+        return math.sqrt(n2) if n2 >= sys.float_info.min else math.hypot(*map(abs, amps))
+    if n2 >= sys.float_info.min:
+        return math.sqrt(weight / n2)
+    return _norm(group, weight) / _norm(amps, n2)
+
+
+def _with_weight(amp: complex, weight: float, group: Iterable[complex]) -> complex:
+    """``amp`` rescaled to squared magnitude ``weight``, the sum of the
+    squared magnitudes of ``group`` (``amp`` and those merged into it), as
+    :meth:`Ensemble.consolidated` rescales the first state of a group."""
+    own = abs(amp) ** 2
+    return amp if weight == own else amp * _norm((amp,), own, weight, group)
 
 
 def _live(states: Iterable[PureState]) -> tuple[PureState, ...]:
@@ -443,7 +465,7 @@ def _live(states: Iterable[PureState]) -> tuple[PureState, ...]:
 
 def _direction(state: PureState, n2: float) -> PureState:
     """``state`` at unit norm, turned so its largest amplitude is real positive."""
-    norm = math.sqrt(n2)
+    norm = _norm(state._amps.values(), n2)
     best: tuple[float, FockKet] | None = None
     for ket, amp in state._amps.items():
         mag = abs(amp) / norm

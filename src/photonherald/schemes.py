@@ -46,13 +46,14 @@ from .fock import (
     ModeRegister,
     PureState,
     fidelity_to_single_photon,
+    fock_state,
     partial_trace_discard,
     project_number,
     relabel_modes,
     tensor,
-    vacuum_state,
-    with_medium_dims,
+    _check_number,
     _ket,
+    _with_weight,
 )
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_conditioned_channel, fwm_evolve
 
@@ -110,8 +111,7 @@ class SourceSpec:
     p: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.p, bool):
-            raise ValueError(f"source efficiency must be a number, not a boolean, got {self.p!r}")
+        _check_number("source efficiency p", self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
         if self.p > 0.0 and self.p * self.p < sys.float_info.min:
@@ -201,6 +201,12 @@ def _ensemble_to_jsonable(ens: Ensemble | None) -> dict[str, object] | None:
     return {"modes": list(ens.register.labels), "branches": branches}
 
 
+#: The product kets |a, b> of the two sources, in the order the front
+#: splitter takes them: :func:`reduce_through_bs0` sums each count's weight
+#: over them in this order, and so does the sweep engine.
+_PRODUCTS = ((1, 1), (1, 0), (0, 1), (0, 0))
+
+
 def reduce_through_bs0(
     p: float, theta0: float = math.pi / 4, phi0: float = 0.0, *, cutoff: int = DEFAULT_CUTOFF, discard: bool = True
 ) -> Ensemble:
@@ -221,14 +227,15 @@ def reduce_through_bs0(
     one-ket state.  The splitter conserves photon number, so each branch
     holds one total N and B's reduced state is diagonal: ``|n>`` takes B's
     weight of n photons, summed over the branches in order, with the phase
-    of the first joint amplitude that leaves n photons in B.
+    of the first joint amplitude that leaves n photons in B: the branch
+    :meth:`Ensemble.consolidated` would merge them into.
     """
     source = SourceSpec(p)
     bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
     register, reduced = _front_registers(cutoff)
     root = {1: math.sqrt(source.p), 0: math.sqrt(1.0 - source.p)}
     branches: list[tuple[int, list[tuple[int, complex]]]] = []  # (a + b, [(photons in B, amplitude), ...])
-    for a, b in ((1, 1), (1, 0), (0, 1), (0, 0)):
+    for a, b in _PRODUCTS:
         amp = complex(root[a] * root[b])
         if not amp:
             continue
@@ -245,13 +252,14 @@ def reduce_through_bs0(
         joint = ({_ket(((total - n, n), 0)): x for n, x in kept} for total, kept in branches)
         return Ensemble(register, (PureState._of(register, amps, 0.0) for amps in joint))
     weights: dict[int, float] = {}
-    first: dict[int, complex] = {}
+    groups: dict[int, list[complex]] = {}
     for _, kept in branches:
         for n, x in kept:
-            weights[n] = weights.get(n, 0.0) + abs(x) ** 2
-            first.setdefault(n, x)
+            if square := abs(x) ** 2:  # an amplitude that squares to 0 carries no weight, and the ensemble drops its branch
+                weights[n] = weights.get(n, 0.0) + square
+                groups.setdefault(n, []).append(x)
     return Ensemble(
-        reduced, (PureState._of(reduced, {_ket(((n,), 0)): _with_weight(x, weights[n])}, 0.0) for n, x in first.items())
+        reduced, (PureState._of(reduced, {_ket(((n,), 0)): _with_weight(group[0], weights[n], group)}, 0.0) for n, group in groups.items())
     )
 
 
@@ -260,16 +268,6 @@ def _front_registers(cutoff: int) -> tuple[ModeRegister, ModeRegister]:
     """The front splitter's register on (A, B), and B's once A is dropped."""
     register = ModeRegister(("A", "B"), cutoff)
     return register, register.without("A")
-
-
-def _with_weight(amp: complex, weight: float) -> complex:
-    """``amp`` rescaled to squared magnitude ``weight``, as
-    :meth:`Ensemble.consolidated` rescales a group's first state; where
-    ``|amp|^2`` is not a normal double, from ``|amp|`` itself, which stays finite."""
-    own = abs(amp) ** 2
-    if weight == own:
-        return amp
-    return amp * (math.sqrt(weight / own) if own >= sys.float_info.min else math.sqrt(weight) / abs(amp))
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +362,7 @@ def _check_absorber(cfg: SchemeConfig) -> None:
 def _vacuum(labels: tuple[str, ...], cutoff: int, medium_dims: int) -> PureState:
     """The vacuum on ``labels``, carrying a ground-state medium of ``medium_dims``
     levels; an attach stage's constant, built once per circuit shape."""
-    return with_medium_dims(vacuum_state(ModeRegister(labels, cutoff)), medium_dims)
+    return fock_state(ModeRegister(labels, cutoff, medium_dims), (0,) * len(labels))
 
 
 def build_circuit(cfg: SchemeConfig) -> Circuit:

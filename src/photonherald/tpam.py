@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,6 +59,7 @@ from .fock import (
     FockKet,
     PureState,
     UnsupportedPhotonNumberError,
+    _check_number,
     _ket,
 )
 
@@ -104,8 +106,9 @@ class GenericTpam:
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if any(isinstance(value, bool) for value in (self.alpha, self.beta, self.global_phase)):
-            raise ValueError(f"generic TPAM parameters must be numbers, not booleans, got {self!r}")
+        _check_number("generic TPAM alpha", self.alpha, numbers.Complex)
+        _check_number("generic TPAM beta", self.beta, numbers.Complex)
+        _check_number("generic TPAM global_phase", self.global_phase)
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         if not all(map(cmath.isfinite, (self.alpha, self.beta, self.global_phase))):
@@ -130,8 +133,8 @@ def apply_generic_tpam(
     """Send ``mode`` through a generic two-photon absorber.
 
     The state's register must carry a medium subsystem with at least
-    ``excited_level + 1`` levels (use :func:`photonherald.fock.with_medium_dims`
-    first).  Kets whose medium is already excited pass through untouched as
+    ``excited_level + 1`` levels (``ModeRegister(..., medium_dims=...)``).
+    Kets whose medium is already excited pass through untouched as
     long as they hold at most one photon in the mode — that is the
     "entangled consistently from earlier applications" case.  A two-photon
     ket with an excited medium is outside the model and rejected, as is any
@@ -186,10 +189,10 @@ class FwmParams:
     pump_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_number("mixer length_multiple", self.length_multiple)
+        _check_number("mixer pump_phase", self.pump_phase)
         if isinstance(self.length_multiple, Fraction):
             object.__setattr__(self, "length_multiple", float(self.length_multiple))
-        if isinstance(self.length_multiple, (bool, str)) or isinstance(self.pump_phase, (bool, str)):
-            raise ValueError(f"mixer parameters must be numbers, not booleans or strings, got {self!r}")
         if not (math.isfinite(self.length_multiple) and math.isfinite(self.pump_phase)):
             raise ValueError(f"mixer parameters must be finite, got {self!r}")
         if not self.length_multiple > 0:

@@ -33,7 +33,6 @@ from .analysis import (
     jf_length_scan,
     manifold_config,
     optimize_ps,
-    simulate_manifold_point,
 )
 from .elements import BeamSplitterParams, apply_beam_splitter, unitarity_check
 from .fock import (
@@ -346,7 +345,7 @@ def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> 
         theta1 = rng.uniform(0.0, 2.0 * math.pi)
         beta = rng.uniform(0.0, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         predicted = closed_form_ps(beta, theta1)
-        simulated = simulate_manifold_point(beta, theta1, case, cutoff=cutoff)
+        simulated = run_main_scheme(manifold_config(theta1, case, tpam=GenericTpam.unitary(beta), cutoff=cutoff)).p_success
         worst = max(worst, abs(predicted - simulated))
     checks.append(CheckResult("formula-simulator-agreement", worst, 0.0, 1e-10))
 

@@ -46,10 +46,7 @@ from photonherald import (
     run_main_scheme,
     run_pair_herald_scheme,
     run_scheme,
-    tensor,
     unitarity_check,
-    vacuum_state,
-    with_medium_dims,
 )
 
 SEED = 20260815
@@ -92,9 +89,7 @@ def test_criterion_01_front_splitter_reduction():
 
 def test_criterion_02_single_photon_null():
     # one photon through the balanced interferometer: the herald never fires
-    reg_b = ModeRegister(("B",), cutoff=4)
-    reg_c = ModeRegister(("C",), cutoff=4)
-    psi = with_medium_dims(tensor(fock_state(reg_b, (1,)), vacuum_state(reg_c)), 2)
+    psi = fock_state(ModeRegister(("B", "C"), cutoff=4, medium_dims=2), (1, 0))
     psi = apply_beam_splitter(psi, BeamSplitterParams.balanced(("B", "C")))
     psi = apply_generic_tpam(psi, "B", GenericTpam(alpha=1.0, beta=0.0))
     psi = apply_beam_splitter(psi, BeamSplitterParams.balanced(("B", "C")))

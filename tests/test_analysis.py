@@ -18,7 +18,6 @@ from photonherald import (
     optimize_ps,
     reduce_through_bs0,
     run_main_scheme,
-    simulate_manifold_point,
     sweep_rows,
 )
 from photonherald import analysis
@@ -27,6 +26,12 @@ from dense_oracle import null_branch
 PEAK = 27.0 / 256.0
 BETA_ONE_CYCLE = 0.41302457983158963
 DEG30 = math.pi / 6
+
+
+def simulate_manifold_point(beta, theta1, case):
+    """p_success of the main circuit at a manifold point with perfect
+    sources, which there is the closed form's p_success / p^2."""
+    return run_main_scheme(manifold_config(theta1, case, tpam=GenericTpam.unitary(beta))).p_success
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +170,8 @@ def test_optimum_is_reached_on_every_branch(case):
 
 def test_scan_interferometer_composition_values():
     rows = jf_length_scan([1, 4])
-    assert [r.composition for r in rows] == ["interferometer", "interferometer"]
-    assert rows[0].coefficient.real == pytest.approx(BETA_ONE_CYCLE, abs=1e-12)
+    assert [r.length_multiple for r in rows] == [1.0, 4.0]
+    assert rows[0].ps_over_p2 == pytest.approx(PEAK * (1.0 - BETA_ONE_CYCLE) ** 2, abs=1e-12)
     assert rows[0].ps_over_p2 == pytest.approx(0.03633821830004222, abs=1e-12)
     assert rows[1].ps_over_p2 == pytest.approx(0.044563330656564176, abs=1e-12)
 
@@ -182,8 +187,10 @@ def test_scan_running_best_approaches_supremum():
 
 def test_scan_filter_split_composition():
     rows = jf_length_scan([1.5, 2.5])
-    assert [r.composition for r in rows] == ["filter-split", "filter-split"]
+    assert [r.length_multiple for r in rows] == [1.5, 2.5]
     assert rows[0].ps_over_p2 == pytest.approx(0.22910708682504716, abs=1e-12)
+    beta = (2.0 + math.cos(2.5 * math.pi * math.sqrt(1.5))) / 3.0
+    assert rows[1].ps_over_p2 == pytest.approx(beta**2 / 4.0, abs=1e-12)
 
 
 def test_scan_filter_split_running_best_approaches_quarter():

@@ -136,3 +136,24 @@ def test_every_defaulted_parameter_is_set_by_some_call_in_the_program():
         if not any(_passes(call, positional, name) for call in by_name.get(called, ()))
     ]
     assert not unset, f"defaulted parameters no call in src/ or perfbench/ sets: {unset}"
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    # a field of a public dataclass that no ``obj.field`` in src/ reads is
+    # data the program computes and stores for tests alone
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name} {node.name}.{item.target.id}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
+    ]
+    assert not unread, f"dataclass fields src/ never reads: {unread}"

@@ -7,6 +7,7 @@ of a traced function then fails here instead of breaking the traced run.
 import importlib
 import importlib.util
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -16,16 +17,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = load_tracer()
+TRACER = load("perfbench_tracer", TRACER_PATH)
+WORKLOADS = load("perfbench_workloads", WORKLOADS_PATH)
 TRACED = [
     (module, attr, span)
     for module, names in TRACER.SPANS.items()
@@ -47,6 +50,15 @@ def test_every_key_argument_is_a_parameter(span, keys):
     (module, attr), = [(module, attr) for module, attr, name in TRACED if name == span]
     parameters = inspect.signature(traced_function(module, attr)).parameters
     assert set(keys) <= set(parameters)
+
+
+@pytest.mark.parametrize("name,calls", [("sweep-grid", 4), ("scheme-mix", 200), ("verify-suites", 1)])
+def test_in_process_workloads_pass_their_own_gates(name, calls):
+    # the benchmark rejects a change whose results fail a workload's check;
+    # the first calls of the benchmark's seed must fail none of it here
+    workload = WORKLOADS.WORKLOADS[name](1)
+    for x in itertools.islice(workload.ops(), calls):
+        assert workload.check(x, workload.call(x)) == 0, (name, x)
 
 
 def test_mixing_row_cache_is_inspectable():

@@ -1,8 +1,11 @@
 """Core Fock-space mechanics: registers, sparse states, measurement, tracing."""
 
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonherald import (
     CutoffOverflowError,
@@ -17,8 +20,6 @@ from photonherald import (
     project_number,
     relabel_modes,
     tensor,
-    vacuum_state,
-    with_medium_dims,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -26,6 +27,10 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def reg(*labels, cutoff=4, medium_dims=1):
     return ModeRegister(tuple(labels), cutoff=cutoff, medium_dims=medium_dims)
+
+
+def vacuum(register):
+    return fock_state(register, (0,) * register.n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +55,13 @@ def test_register_without_removes_one_mode():
 
 
 def test_derived_registers_equal_their_checked_constructions():
-    # Dropping, joining, attaching a medium and renaming skip the checks of
-    # the constructor; what they build must still be the register it checks.
-    psi = vacuum_state(reg("A", "B", "C", cutoff=3))
-    medium = vacuum_state(reg("D", cutoff=3, medium_dims=2))
+    # Dropping, joining and renaming skip the checks of the constructor;
+    # what they build must still be the register it checks.
+    psi = vacuum(reg("A", "B", "C", cutoff=3))
+    medium = vacuum(reg("D", cutoff=3, medium_dims=2))
     derived = {
         reg("A", "C", cutoff=3): psi.register.without("B"),
         reg("A", "B", "C", "D", cutoff=3, medium_dims=2): tensor(psi, medium).register,
-        reg("A", "B", "C", cutoff=3, medium_dims=3): with_medium_dims(psi, 3).register,
         reg("A", "E", "C", cutoff=3): relabel_modes(psi, {"B": "E"}).register,
     }
     for checked, built in derived.items():
@@ -67,12 +71,12 @@ def test_derived_registers_equal_their_checked_constructions():
 @pytest.mark.parametrize("mapping", [{"B": "A"}, {"A": "C", "C": "C"}, {"B": ""}, {"B": 7}])
 def test_relabel_to_an_invalid_register_raises(mapping):
     with pytest.raises(ValueError, match="mode labels must be"):
-        relabel_modes(vacuum_state(reg("A", "B", "C")), mapping)
+        relabel_modes(vacuum(reg("A", "B", "C")), mapping)
 
 
-def test_with_medium_dims_rejects_an_empty_medium():
+def test_register_rejects_an_empty_medium():
     with pytest.raises(ValueError, match="medium_dims"):
-        with_medium_dims(vacuum_state(reg("A")), 0)
+        reg("A", medium_dims=0)
 
 
 def test_ket_validation_respects_cutoff():
@@ -124,7 +128,7 @@ def test_scaling_by_the_inverse_norm_gives_a_unit_state():
 
 
 def test_creation_from_vacuum():
-    psi = apply_creation(vacuum_state(reg("B")), "B")
+    psi = apply_creation(vacuum(reg("B")), "B")
     assert psi.amplitude(FockKet((1,))) == pytest.approx(1.0)
 
 
@@ -135,7 +139,7 @@ def test_creation_carries_sqrt_factor():
 
 def test_two_creations_build_normalized_two_photon_state():
     # (a^dag)^2 |0> / sqrt(2) = |2>
-    psi = apply_creation(apply_creation(vacuum_state(reg("B")), "B"), "B")
+    psi = apply_creation(apply_creation(vacuum(reg("B")), "B"), "B")
     psi = psi.scaled(1.0 / math.sqrt(2.0))
     assert psi.amplitude(FockKet((2,))) == pytest.approx(1.0)
     assert psi.squared_norm() == pytest.approx(1.0)
@@ -182,7 +186,7 @@ def test_tensor_rejects_two_media():
 
 
 def test_project_vacuum_onto_zero():
-    kept, prob = project_number(vacuum_state(reg("B")), "B", 0)
+    kept, prob = project_number(vacuum(reg("B")), "B", 0)
     assert prob == pytest.approx(1.0)
     assert kept.register.n_modes == 0
 
@@ -230,7 +234,7 @@ def test_projection_completeness():
 
 def test_project_above_cutoff_rejected():
     with pytest.raises(ValueError):
-        project_number(vacuum_state(reg("B", cutoff=2)), "B", 3)
+        project_number(vacuum(reg("B", cutoff=2)), "B", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +255,7 @@ def test_partial_trace_of_entangled_pair():
 
 def test_partial_trace_of_product_state_is_pure():
     psi = tensor(
-        vacuum_state(reg("A")),
+        vacuum(reg("A")),
         PureState(reg("B"), {FockKet((0,)): INV_SQRT2, FockKet((1,)): INV_SQRT2}),
     )
     reduced = partial_trace_discard(psi, "A")
@@ -270,12 +274,12 @@ def test_fidelity_of_single_photon_is_one():
 
 
 def test_fidelity_of_vacuum_is_zero():
-    assert fidelity_to_single_photon(vacuum_state(reg("C"))) == 0.0
+    assert fidelity_to_single_photon(vacuum(reg("C"))) == 0.0
 
 
 def test_fidelity_requires_single_mode():
     with pytest.raises(ValueError):
-        fidelity_to_single_photon(vacuum_state(reg("B", "C")))
+        fidelity_to_single_photon(vacuum(reg("B", "C")))
 
 
 def test_fidelity_sums_over_medium_levels():
@@ -299,7 +303,7 @@ def total_weight(ens):
 
 def test_ensemble_drops_branches_without_weight():
     r = reg("B")
-    ens = Ensemble(r, [weighted(0.0, vacuum_state(r)), weighted(0.7, fock_state(r, (1,)))])
+    ens = Ensemble(r, [weighted(0.0, vacuum(r)), weighted(0.7, fock_state(r, (1,)))])
     assert len(ens) == 1
     assert total_weight(ens) == pytest.approx(0.7)
 
@@ -307,7 +311,7 @@ def test_ensemble_drops_branches_without_weight():
 def test_ensemble_keeps_tiny_weight_branches():
     r = reg("B")
     plus = PureState(r, {FockKet((0,)): INV_SQRT2, FockKet((1,)): INV_SQRT2})
-    ens = Ensemble(r, [weighted(1e-30, fock_state(r, (1,))), weighted(1e-40, plus), vacuum_state(r)])
+    ens = Ensemble(r, [weighted(1e-30, fock_state(r, (1,))), weighted(1e-40, plus), vacuum(r)])
     assert len(ens) == 3
     assert [w for w, _ in ens.branches] == pytest.approx([1e-30, 1e-40, 1.0], rel=1e-12)
     assert all(s.squared_norm() == pytest.approx(1.0, abs=1e-14) for _, s in ens.branches)
@@ -333,7 +337,7 @@ def test_number_distribution_accounts_for_all_weight():
 
 def test_normalized_weights_rescale_only():
     r = reg("B")
-    ens = Ensemble(r, [weighted(0.2, vacuum_state(r)), weighted(0.6, fock_state(r, (1,)))])
+    ens = Ensemble(r, [weighted(0.2, vacuum(r)), weighted(0.6, fock_state(r, (1,)))])
     normed = ens.normalized_weights()
     assert total_weight(normed) == pytest.approx(1.0, abs=1e-14)
     assert normed.number_distribution("B")[1] == pytest.approx(0.75, abs=1e-14)
@@ -346,3 +350,42 @@ def test_consolidated_merges_phase_equal_branches():
     ens = Ensemble(r, [weighted(0.4, plus), weighted(0.6, same_up_to_phase)]).consolidated()
     assert len(ens) == 1
     assert total_weight(ens) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_constructor_prunes_relative_to_the_given_norm():
+    # One prune rule: a state built from small amplitudes keeps what its
+    # normalized state would, and drops dust relative to its own norm.
+    r = reg("B")
+    assert PureState(r, {FockKet((1,)): 1e-20}).amplitude(FockKet((1,))) == 1e-20
+    assert len(PureState(r, {FockKet((0,)): 1e-20, FockKet((1,)): 1e-35})) == 1
+
+
+# Magnitudes whose squares run from below the smallest normal double (about
+# 2.2e-308) into the normal range.
+SMALL = st.floats(-160.0, -150.0).map(lambda e: 10.0**e)
+PHASE = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m1=SMALL, m2=SMALL, phase=PHASE)
+def test_consolidated_merges_small_phase_equal_branches(m1, m2, phase):
+    r = reg("B")
+    one = fock_state(r, (1,))
+    a1, a2 = one.scaled(m1 * cmath.exp(1j * phase)), one.scaled(m2 * cmath.exp(1j * phase))
+    merged = Ensemble(r, [a1, a2]).consolidated()
+    assert len(merged) == 1
+    first = a1.amplitude(FockKet((1,)))
+    want = math.hypot(abs(first), abs(a2.amplitude(FockKet((1,)))))
+    got = merged.states[0].amplitude(FockKet((1,)))
+    assert abs(got - want * (first / abs(first))) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(magnitudes=st.lists(SMALL, min_size=1, max_size=3), phase=PHASE)
+def test_small_branches_normalize_to_unit_norm_and_weight(magnitudes, phase):
+    r = reg("B")
+    states = [fock_state(r, (n,)).scaled(m * cmath.exp(1j * phase)) for n, m in enumerate(magnitudes)]
+    ens = Ensemble(r, states)
+    assert len(ens) == len(states)
+    assert all(abs(state.squared_norm() - 1.0) <= 1e-12 for _, state in ens.branches)
+    assert abs(sum(state.squared_norm() for state in ens.normalized_weights().states) - 1.0) <= 1e-12

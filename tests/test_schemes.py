@@ -6,7 +6,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ensemble_mirrors as em
@@ -26,13 +26,14 @@ from photonherald import (
     FwmTpamSpec,
     GenericTpam,
     ModeRegister,
-    PureState,
     SchemeConfig,
     SourceSpec,
     apply_beam_splitter,
     build_circuit,
     fock_state,
+    jf_length_scan,
     manifold_config,
+    partial_trace_discard,
     reduce_through_bs0,
     run_doubled_scheme,
     run_filter_split_scheme,
@@ -42,7 +43,6 @@ from photonherald import (
     tensor,
 )
 from photonherald import schemes
-from photonherald.schemes import _with_weight
 
 # simulator benchmarks, frozen from independently computed closed forms
 PS_MAIN_FWM_ONE_CYCLE = 0.03633821830004222
@@ -106,13 +106,15 @@ def test_front_splitter_joint_mode_keeps_both_outputs():
     cutoff=st.integers(2, 5),
     discard=st.booleans(),
 )
+@example(p=1.5e-154, theta0=1.0, phi0=0.0, cutoff=2, discard=True)
+@example(p=1.5e-154, theta0=1e-12, phi0=0.0, cutoff=2, discard=True)
 def test_front_splitter_matches_composed_elements(p, theta0, phi0, cutoff, discard):
     # The reduction written out from generic ops: both source mixtures
     # {p: |1>, 1-p: |0>}, their tensor products through the splitter as one
-    # ensemble, and for the reduced state B's number distribution over it and
-    # the first amplitude (in ket order) per count, rescaled to that weight.
-    # The reduction reads the splitter rows itself, so this holds its
-    # arithmetic, pruning and sums to apply_beam_splitter's, bit for bit.
+    # ensemble, and for the reduced state A traced out of every branch and
+    # the branches consolidated.  The reduction reads the splitter rows
+    # itself, so this holds its arithmetic, pruning, sums and rescaling to
+    # apply_beam_splitter's and consolidated()'s, bit for bit.
     def source(label):
         register = ModeRegister((label,), cutoff)
         return [fock_state(register, (1,)).scaled(math.sqrt(p)), fock_state(register, (0,)).scaled(math.sqrt(1.0 - p))]
@@ -121,13 +123,8 @@ def test_front_splitter_matches_composed_elements(p, theta0, phi0, cutoff, disca
     joint = [apply_beam_splitter(tensor(a, b), bs0) for a in source("A") for b in source("B")]
     want = Ensemble(ModeRegister(("A", "B"), cutoff), joint)
     if discard:
-        weights = want.number_distribution("B")
-        first = {}
-        for ket, amp in (term for state in want.states for term in state.terms()):
-            first.setdefault(ket.occupations[1], amp)
-        reduced = ModeRegister(("B",), cutoff)
-        branches = [PureState._of(reduced, {FockKet((n,)): _with_weight(a, weights[n])}, 0.0) for n, a in first.items()]
-        want = Ensemble(reduced, branches)
+        traced = [branch for state in joint for branch in partial_trace_discard(state, "A").states]
+        want = Ensemble(ModeRegister(("B",), cutoff), traced).consolidated()
     got = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=discard)
     assert got.register == want.register
     assert len(got) == len(want)
@@ -500,6 +497,32 @@ def test_mixer_runners_reject_booleans(run, args, kwargs):
     # directly, so those types must refuse a boolean as manifold_config does.
     with pytest.raises(ValueError, match="boolean"):
         run(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        pytest.param(lambda: FwmParams(None), "length_multiple", id="FwmParams(None)"),
+        pytest.param(lambda: FwmParams(2j), "length_multiple", id="FwmParams(2j)"),
+        pytest.param(lambda: FwmParams(2.0, None), "pump_phase", id="FwmParams(2.0, None)"),
+        pytest.param(lambda: BeamSplitterParams(None), "theta", id="BeamSplitterParams(None)"),
+        pytest.param(lambda: BeamSplitterParams("0.5"), "theta", id="BeamSplitterParams('0.5')"),
+        pytest.param(lambda: BeamSplitterParams(1j), "theta", id="BeamSplitterParams(1j)"),
+        pytest.param(lambda: BeamSplitterParams(0.5, None), "phi", id="BeamSplitterParams(0.5, None)"),
+        pytest.param(lambda: SourceSpec(None), "source efficiency", id="SourceSpec(None)"),
+        pytest.param(lambda: SourceSpec("0.5"), "source efficiency", id="SourceSpec('0.5')"),
+        pytest.param(lambda: GenericTpam(None, 0), "alpha", id="GenericTpam(None, 0)"),
+        pytest.param(lambda: GenericTpam(0.6, None), "beta", id="GenericTpam(0.6, None)"),
+        pytest.param(lambda: GenericTpam(0.6, 0.8, None), "global_phase", id="GenericTpam(0.6, 0.8, None)"),
+        pytest.param(lambda: GenericTpam("0.6", "0.8"), "alpha", id="GenericTpam('0.6', '0.8')"),
+        pytest.param(lambda: jf_length_scan([None]), "length_multiple", id="jf_length_scan([None])"),
+    ],
+)
+def test_value_objects_refuse_a_field_that_is_not_a_number(make, field):
+    # None and complex values once escaped as TypeError from math.isfinite,
+    # and complex("0.6") let a string through as a coefficient.
+    with pytest.raises(ValueError, match=field):
+        make()
 
 
 def test_result_serialization_round_trips_sorted_sectors():

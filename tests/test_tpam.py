@@ -23,7 +23,6 @@ from photonherald import (
     fwm_conditioned_channel,
     fwm_evolve,
     project_number,
-    with_medium_dims,
 )
 
 # one full single-photon conversion cycle leaves beta at this value
