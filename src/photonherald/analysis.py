@@ -32,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
-from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, _with_weight, fock_state
-from .schemes import _PRODUCTS, DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, build_circuit
+from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, fock_state
+from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _front_amplitudes, build_circuit
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
@@ -254,11 +254,12 @@ def jf_length_scan(m_values: Iterable[float]) -> list[ScanRow]:
 
 
 #: Largest grid a sweep accepts, checked before any axis is built.  On a
-#: 2-CPU host a README-shaped grid runs at about 100k points per second and
-#: a 100 x 100 theta0 x p grid at about 200k.  Each theta1 value costs its
-#: splitter rows and each beta value its absorber block, some microseconds
-#: each, so this limit takes longest, about 10 s, on one long theta1 axis,
-#: whose rows overflow the ``_mixing_row`` cache.
+#: 2-CPU host a README-shaped grid runs at about 120k points per second and
+#: a 100 x 100 theta0 x p grid at about 60k-80k, each (theta0, p) pair
+#: costing its front-splitter reduction, about 8-12 us.  Each theta1 value
+#: costs its splitter rows and each beta value its absorber block, some
+#: microseconds each, so this limit takes longest, about 10 s, on one long
+#: theta1 axis, whose rows overflow the ``_mixing_row`` cache.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -380,12 +381,12 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     block-diagonal matrix on the input photon-number sectors 0, 1 and 2
     (the splitters per theta1, the absorber per beta), and numpy products
     cover the whole theta1 x beta product.
-    The sector weights come per axis too, from the front splitter's blocks
-    per theta0 and the sources' amplitudes per p, combined as
-    :func:`reduce_through_bs0` combines them; no (theta0, p) pair costs a
-    reduction.  After every stage the amplitudes a single run would prune
-    are set to 0, so rows agree with ``run_main_scheme`` to rounding, and
-    its exact zeros stay 0.
+    The sector weights come per (theta0, p) pair, on the checked axis
+    values, from the function :func:`reduce_through_bs0` takes B's
+    amplitudes from: their squares, the same bits a single run starts
+    from, with no checks or ensemble per pair.  After every
+    stage the amplitudes a single run would prune are set to 0, so rows
+    agree with ``run_main_scheme`` to rounding, and its exact zeros stay 0.
     """
     first = manifold_config(spec.theta1[0], spec.case, p=spec.p[0], theta0=spec.theta0[0], cutoff=cutoff)
     theta1 = [_number("theta1", theta1) for theta1 in spec.theta1]
@@ -393,7 +394,11 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(theta1, completed)]
     bs2 = [(theta2, phi2) for theta2, _, phi2 in completed]
     heralds = _sector_heralds(build_circuit(first), bs1, bs2, [GenericTpam.unitary(beta) for beta in spec.beta])
-    weights = _sector_weights([_number("theta0", v) for v in spec.theta0], [SourceSpec(_number("p", v)).p for v in spec.p])
+    theta0 = [_number("theta0", v) for v in spec.theta0]
+    p = [SourceSpec(_number("p", v)).p for v in spec.p]
+    # B's weight of 0, 1 and 2 photons per (theta0, p): the squares of the reduction's amplitudes.
+    fronts = ([_front_amplitudes(q, t, 0.0) for q in p] for t in theta0)
+    weights = np.array([[[abs(amps.get(n, 0j)) ** 2 for n in range(3)] for amps in row] for row in fronts])
     p_success, on_one = np.einsum("kln,xtbn->xktbl", weights, heralds)
     p2 = np.square(spec.p)
     ratio = np.divide(p_success, p2, out=np.full_like(p_success, math.nan), where=p2 > 0.0)
@@ -414,39 +419,6 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
         }
         for (theta0, (theta1, (theta2, _, _)), beta, p), (p_success, ratio, fidelity) in zip(points, values)
     ]
-
-
-def _sector_weights(theta0: list[float], p: list[float]) -> np.ndarray:
-    """B's photon-number weights after the front splitter, ``w[theta0, p, n]``
-    for n = 0, 1, 2: the weights of the branches of :func:`reduce_through_bs0`.
-
-    Each product |a, b> has amplitude sqrt(P_a) sqrt(P_b) per p and goes
-    through the splitter's block of a + b photons per theta0.  As in the
-    reduction, the amplitudes a single run prunes are dropped, the squares
-    of the rest are summed over the products in order, and the branch |n>
-    is the first kept amplitude rescaled to that sum; its square is the
-    weight.
-    """
-    # sqrt(P_a) sqrt(P_b) of each product |a, b>, per p, with P_0 = 1 - p and P_1 = p.
-    inputs = np.sqrt([[1.0 - value, value] for value in p])[:, np.array(_PRODUCTS)].prod(axis=-1).T[:, None, :, None]
-    # The front splitter's blocks of 0, 1 and 2 photons per theta0; the block of n starts at n(n+1)/2.
-    front = splitter_blocks([(theta, 0.0) for theta in theta0], range(3))
-    blocks = [front[:, start : start + n + 1, start : start + n + 1] for n, start in enumerate((0, 1, 3))]
-    # Product |a, b> leaves n photons in B where the splitter puts a + b - n in A.
-    rows = [[[block[a + b - n, a] if n <= a + b else 0 for n in range(3)] for block in blocks[a + b]] for a, b in _PRODUCTS]
-    amps = inputs * np.array(rows)[:, :, None, :]
-    # |z| and its square as Python takes them, with the C library's hypot and pow: numpy's complex abs,
-    # and its square of a double, can differ in the last bit.
-    size = np.hypot(amps.real, amps.imag)
-    squares = np.reshape([s**2 for s in size.ravel().tolist()], size.shape)
-    # The reduction keeps an amplitude that a single run does not prune and whose square is not 0.
-    kept = (size > PRUNE_THRESHOLD * np.sqrt(abs(inputs) ** 2)) & (squares > 0.0)
-    first = np.take_along_axis(amps, kept.argmax(axis=0)[None], axis=0)[0]
-    total = sum(np.where(kept, squares, 0.0))
-    # The kept magnitudes per (theta0, p, n); a zero in place of a dropped one leaves their norm as it is.
-    groups = np.moveaxis(np.where(kept, size, 0.0), 0, -1).reshape(-1, len(_PRODUCTS)).tolist()
-    weights = [abs(_with_weight(a, w, g)) ** 2 for a, w, g in zip(first.ravel().tolist(), total.ravel().tolist(), groups)]
-    return np.reshape(weights, total.shape)
 
 
 #: Most (theta1, beta) pairs the sweep engine holds amplitudes for at once,

@@ -105,10 +105,16 @@ class ModeRegister:
         labels: Ordered mode names, e.g. ``("B", "C")``.  Must be unique.
             May be empty (a register can shrink to nothing after every mode
             has been measured away).
-        cutoff: Maximum photon number stored per mode.
-        medium_dims: Dimension of the internal medium subsystem; ``1`` means
-            no medium, ``2`` models {ground, excited}, larger values allow
-            several distinguishable excited levels (one per absorber).
+        cutoff: Maximum photon number stored per mode, an ``int`` of at
+            least 1.
+        medium_dims: Dimension of the internal medium subsystem, an ``int``;
+            ``1`` means no medium, ``2`` models {ground, excited}, larger
+            values allow several distinguishable excited levels (one per
+            absorber).
+
+    Raises:
+        ValueError: for repeated or empty labels, or a cutoff or medium
+            size that is not an ``int`` of at least 1 (a boolean is not).
     """
 
     labels: tuple[str, ...]
@@ -119,10 +125,9 @@ class ModeRegister:
         if not isinstance(self.labels, tuple):
             object.__setattr__(self, "labels", tuple(self.labels))
         _check_labels(self.labels)
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-        if self.medium_dims < 1:
-            raise ValueError("medium_dims must be at least 1")
+        for name, value in (("cutoff", self.cutoff), ("medium_dims", self.medium_dims)):
+            if type(value) is bool or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, not a boolean, got {value!r}")
 
     @classmethod
     def _of(cls, labels: tuple[str, ...], cutoff: int, medium_dims: int) -> "ModeRegister":
@@ -206,7 +211,9 @@ class PureState:
     """Sparse pure state on a :class:`ModeRegister`.
 
     Stores only non-negligible amplitudes.  Instances are treated as
-    immutable values: every operation returns a new state.
+    immutable values: every operation returns a new state.  A ket given to
+    the constructor more than once takes the sum of its amplitudes, as an
+    op sums the amplitudes it sends to one ket.
     """
 
     __slots__ = ("register", "_amps", "_n2")
@@ -220,7 +227,8 @@ class PureState:
         amps: dict[FockKet, complex] = {}
         for ket, raw in items:
             register.validate_ket(ket)
-            amps[ket] = complex(raw)
+            amp = complex(raw)
+            amps[ket] = amps[ket] + amp if ket in amps else amp
         self.register = register
         self._amps = PureState._of(register, amps, _norm(amps.values(), sum(abs(a) ** 2 for a in amps.values())))._amps
         self._n2: float | None = None

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -43,6 +44,7 @@ from .fock import (
     PRUNE_THRESHOLD,
     CutoffOverflowError,
     Ensemble,
+    FockKet,
     ModeRegister,
     PureState,
     fidelity_to_single_photon,
@@ -202,8 +204,8 @@ def _ensemble_to_jsonable(ens: Ensemble | None) -> dict[str, object] | None:
 
 
 #: The product kets |a, b> of the two sources, in the order the front
-#: splitter takes them: :func:`reduce_through_bs0` sums each count's weight
-#: over them in this order, and so does the sweep engine.
+#: splitter takes them: :func:`_front_amplitudes` sums each count's weight
+#: over them in this order.
 _PRODUCTS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
@@ -216,51 +218,63 @@ def reduce_through_bs0(
     number.  At theta0 = pi/4 the weights are (p^2/2, p(1-p), p^2/2 - p + 1)
     on |2>, |1>, |0> — photon bunching pushes the one-photon weight down and
     the two-photon weight up, which is exactly what the absorber downstream
-    feeds on.
-
-    Each product ket |a, b> of the sources, with amplitude sqrt(P_a) sqrt(P_b)
-    (P_1 = p, P_0 = 1 - p; a zero one is dropped), goes through the splitter
-    as one branch of the joint state on (A, B); with ``discard=False`` that
-    joint ensemble is returned (the doubled variant processes both outputs).
-    A branch is read straight from the splitter's row of |a, b>, with the
-    arithmetic and the pruning :func:`apply_beam_splitter` applies to the
-    one-ket state.  The splitter conserves photon number, so each branch
-    holds one total N and B's reduced state is diagonal: ``|n>`` takes B's
-    weight of n photons, summed over the branches in order, with the phase
-    of the first joint amplitude that leaves n photons in B: the branch
-    :meth:`Ensemble.consolidated` would merge them into.
+    feeds on.  With ``discard=False`` the joint ensemble on (A, B) is
+    returned instead, one branch per source product (the doubled variant
+    processes both outputs).  The arithmetic is :func:`_front_terms`'s and
+    :func:`_front_amplitudes`'s; this checks the inputs and builds the
+    ensemble.
     """
     source = SourceSpec(p)
     bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
     register, reduced = _front_registers(cutoff)
-    root = {1: math.sqrt(source.p), 0: math.sqrt(1.0 - source.p)}
-    branches: list[tuple[int, list[tuple[int, complex]]]] = []  # (a + b, [(photons in B, amplitude), ...])
+    if source.p and cutoff < 2:  # the product |1, 1> exists for every p > 0
+        raise CutoffOverflowError(f"beam splitter on ('A', 'B') would exceed cutoff {cutoff} for ket |1,1;m0> (combined occupation 2)")
+    if discard:
+        amplitudes = _front_amplitudes(source.p, bs0.theta, bs0.phi)
+        return Ensemble(reduced, (PureState._of(reduced, {_ket(((n,), 0)): x}, 0.0) for n, x in amplitudes.items()))
+    joint: dict[tuple[int, int], dict[FockKet, complex]] = {}
+    for a, b, n, x in _front_terms(source.p, bs0.theta, bs0.phi):
+        joint.setdefault((a, b), {})[_ket(((a + b - n, n), 0))] = x
+    return Ensemble(register, (PureState._of(register, amps, 0.0) for amps in joint.values()))
+
+
+def _front_terms(p: float, theta0: float, phi0: float) -> Iterator[tuple[int, int, int, complex]]:
+    """The front splitter fed two sources of checked efficiency ``p``, at
+    checked angles: ``(a, b, n, x)`` for each joint amplitude ``x`` that
+    source product |a, b> leaves with n photons in B.
+
+    Each product has amplitude sqrt(P_a) sqrt(P_b) (P_1 = p, P_0 = 1 - p;
+    a zero one is dropped) and is read straight from the splitter's row of
+    |a, b>, with the arithmetic and the pruning :func:`apply_beam_splitter`
+    applies to the one-ket state.
+    """
+    root = (math.sqrt(1.0 - p), math.sqrt(p))
     for a, b in _PRODUCTS:
-        amp = complex(root[a] * root[b])
-        if not amp:
-            continue
-        if a + b > cutoff:
-            raise CutoffOverflowError(
-                f"beam splitter on ('A', 'B') would exceed cutoff {cutoff} "
-                f"for ket |{a},{b};m0> (combined occupation {a + b})"
-            )
-        # SourceSpec keeps p^2 a normal double, so each branch keeps an amplitude whose square is not 0.
-        floor = PRUNE_THRESHOLD * math.sqrt(abs(amp) ** 2)
-        row = _mixing_row(bs0.theta, bs0.phi, a, b)
-        branches.append((a + b, [(a + b - m1, x) for m1, coeff in row if abs(x := 0j + amp * coeff) > floor]))
-    if not discard:
-        joint = ({_ket(((total - n, n), 0)): x for n, x in kept} for total, kept in branches)
-        return Ensemble(register, (PureState._of(register, amps, 0.0) for amps in joint))
+        if amp := complex(root[a] * root[b]):
+            # SourceSpec keeps p^2 a normal double, so each product keeps an amplitude whose square is not 0.
+            floor = PRUNE_THRESHOLD * math.sqrt(abs(amp) ** 2)
+            for m1, coeff in _mixing_row(theta0, phi0, a, b):
+                if abs(x := 0j + amp * coeff) > floor:
+                    yield a, b, a + b - m1, x
+
+
+def _front_amplitudes(p: float, theta0: float, phi0: float) -> dict[int, complex]:
+    """B's amplitude per photon count once A is dropped, for checked inputs.
+
+    The splitter conserves photon number, so each product's branch holds
+    one total and B's reduced state is diagonal: the amplitude of n photons
+    is the first joint amplitude that leaves n in B, rescaled to B's weight
+    of n summed over the products in order, as :meth:`Ensemble.consolidated`
+    would merge them.  The sweep engine squares these amplitudes for its
+    weights, so single runs and sweeps start from the same bits.
+    """
     weights: dict[int, float] = {}
     groups: dict[int, list[complex]] = {}
-    for _, kept in branches:
-        for n, x in kept:
-            if square := abs(x) ** 2:  # an amplitude that squares to 0 carries no weight, and the ensemble drops its branch
-                weights[n] = weights.get(n, 0.0) + square
-                groups.setdefault(n, []).append(x)
-    return Ensemble(
-        reduced, (PureState._of(reduced, {_ket(((n,), 0)): _with_weight(group[0], weights[n], group)}, 0.0) for n, group in groups.items())
-    )
+    for _, _, n, x in _front_terms(p, theta0, phi0):
+        if square := abs(x) ** 2:  # an amplitude that squares to 0 carries no weight, and the ensemble drops its branch
+            weights[n] = weights.get(n, 0.0) + square
+            groups.setdefault(n, []).append(x)
+    return {n: _with_weight(group[0], weights[n], group) for n, group in groups.items()}
 
 
 @lru_cache(maxsize=MAX_CUTOFF + 1, typed=True)

@@ -79,6 +79,14 @@ def test_register_rejects_an_empty_medium():
         reg("A", medium_dims=0)
 
 
+@pytest.mark.parametrize(
+    "field,bad", [("cutoff", 2.5), ("cutoff", True), ("cutoff", None), ("cutoff", "4"), ("medium_dims", 1.5), ("medium_dims", True)]
+)
+def test_register_rejects_a_size_that_is_not_an_int(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ModeRegister(("A",), **{field: bad})
+
+
 def test_ket_validation_respects_cutoff():
     r = reg("B", cutoff=2)
     with pytest.raises(CutoffOverflowError):
@@ -107,6 +115,12 @@ def test_tiny_amplitudes_are_pruned():
     psi = PureState(r, {FockKet((0,)): 1.0, FockKet((1,)): 1e-15})
     assert psi.amplitude(FockKet((1,))) == 0j
     assert len(psi) == 1
+
+
+def test_a_ket_given_twice_takes_the_sum_of_its_amplitudes():
+    psi = PureState(reg("B"), [(FockKet((1,)), 0.6), (FockKet((0,)), 0.5j), (FockKet((1,)), 0.8)])
+    assert list(psi.terms()) == [(FockKet((0,)), 0.5j), (FockKet((1,)), 1.4 + 0j)]
+    assert len(PureState(reg("B"), [(FockKet((1,)), 0.6), (FockKet((1,)), -0.6)])) == 0
 
 
 def test_terms_are_deterministically_ordered():

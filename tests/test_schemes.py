@@ -98,6 +98,15 @@ def test_front_splitter_joint_mode_keeps_both_outputs():
     assert sum(w for w, _ in joint.branches) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("discard", [True, False])
+def test_front_splitter_overflows_a_cutoff_of_one_only_when_photons_can_bunch(discard):
+    # Any p > 0 feeds the product |1, 1>, whose two photons a cutoff of 1 cannot hold.
+    with pytest.raises(schemes.CutoffOverflowError, match=r"cutoff 1 for ket \|1,1;m0>"):
+        reduce_through_bs0(1.5e-154, cutoff=1, discard=discard)
+    (vacuum,) = reduce_through_bs0(0.0, cutoff=1, discard=discard).states
+    assert [ket.occupations for ket, _ in vacuum.terms()] == [(0,) * len(vacuum.register.labels)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     p=st.sampled_from([1.0, 1.5e-154]) | st.floats(math.log10(1.5e-154), 0.0).map(lambda e: 10.0**e),

@@ -12,7 +12,11 @@ It prints the sha256 of
 * the newline join of ``json.dumps(result.to_dict(), sort_keys=True)`` over
   the first 1500 runs of the benchmark's scheme-mix workload at seed 13;
 * the newline join of ``repr(rows)`` over the first 12 calls of its
-  sweep-grid workload at seed 77.
+  sweep-grid workload at seed 77;
+* the newline join of ``repr(sweep_rows(...))`` over the edge grid of
+  ``tests/test_analysis.py::test_sweep_rows_match_single_runs_on_edge_grid``
+  (four theta0 values, null angles, a vanishing source), for every case at
+  cutoffs 2 and 4.
 
 Run it in two checkouts and compare the outputs: equal objects mean equal
 bytes on all of these inputs.  The package comes from the checkout's
@@ -28,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,12 +45,21 @@ SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  (needs the paths above)
+from photonherald import CaseId, SweepSpec, sweep_rows  # noqa: E402
 
 #: The spec of the ``photonherald sweep`` example in the README.
 README_SWEEP_SPEC = {
     "theta1": {"start": 10, "stop": 50, "steps": 41, "unit": "deg"},
     "beta": [0, [0.3, 0.4], "0.1+0.2j"],
     "p": [0.5, 1.0],
+}
+
+#: The axes of the edge grid; ``test_sweep_rows_match_single_runs_on_edge_grid`` sweeps these.
+EDGE_SWEEP_AXES = {
+    "theta0": (0.0, 0.3, math.pi / 4, math.pi / 2),
+    "theta1": (0.0, 1e-9, math.pi / 6, math.pi / 2, math.pi / 2 + 1e-7, math.pi, 4.0),
+    "beta": (0j, 1 + 0j, -1 + 0j, 0.5j, 0.6 + 0.8j),
+    "p": (0.0, 1e-150, 1e-12, 0.3, 1.0),
 }
 
 
@@ -89,6 +103,8 @@ def fingerprints(cli: Callable[..., tuple[int, bytes, bytes]] = fresh_cli) -> di
     )
     grids = first_results(workloads.SweepGrid(77), 12)
     out["sweep_grid_12_seed77_sha256"] = sha256("\n".join(repr(rows) for rows in grids))
+    edges = (sweep_rows(SweepSpec(**EDGE_SWEEP_AXES, case=case), cutoff=cutoff) for case in CaseId for cutoff in (2, 4))
+    out["edge_sweep_sha256"] = sha256("\n".join(repr(rows) for rows in edges))
     return out
 
 
