@@ -23,6 +23,7 @@ absorber, which only sets the prefactor.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from collections.abc import Iterable, Mapping
@@ -32,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
-from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, fock_state
+from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, _check_number, fock_state
 from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _front_amplitudes, build_circuit
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
@@ -40,7 +41,6 @@ __all__ = [
     "ANGLE_TOL",
     "CaseId",
     "SweepSpec",
-    "ScanRow",
     "manifold_completion",
     "closed_form_ps",
     "manifold_config",
@@ -96,14 +96,13 @@ def closed_form_ps(beta: complex, theta1: float) -> float:
 
 
 def _number(name: str, value: object) -> float:
-    """``value`` as a finite float; a boolean is not a number here."""
-    try:
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
+    """The config field ``name`` through the number rule,
+    :func:`~photonherald.fock._check_number`; text, as flags and JSON give
+    it, is read with ``float`` first."""
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = float(value)
+    return _check_number(name, value)
 
 
 def _whole(name: str, value: object) -> int:
@@ -135,11 +134,18 @@ def manifold_config(
     and a unitary generic absorber with survival amplitude beta is
     ``GenericTpam.unitary(beta)``.
 
+    Each numeric parameter passes the number rule of
+    :func:`~photonherald.fock._check_number` under its own name, so a
+    refusal names the field the caller gave (``theta2``, not the splitter's
+    ``theta``); text such as a flag's is read with ``float`` first.  The
+    splitters are built from the checked angles and hold no modes.
+
     Raises:
-        ValueError: for a null, non-numeric or non-finite parameter, a
-            fractional cutoff, a theta1 so large that its completed theta2
-            misses the branch by more than ``ANGLE_TOL`` in double precision,
-            or an absorber the variant cannot run.
+        ValueError: for a null, non-numeric or non-finite parameter (an int
+            too large for a float included), a fractional cutoff, a theta1
+            so large that its completed theta2 misses the branch by more
+            than ``ANGLE_TOL`` in double precision, or an absorber the
+            variant cannot run.
     """
     theta1 = _number("theta1", theta1)
     completion = _completed(theta1, case) if theta2 is None else manifold_completion(theta1, case)
@@ -216,19 +222,11 @@ def optimize_ps(beta: complex) -> tuple[float, float]:
     return theta_star % (2.0 * math.pi), ps_star
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRow:
-    """One row of a medium-length scan."""
-
-    length_multiple: float
-    ps_over_p2: float
-
-
-def jf_length_scan(m_values: Iterable[float]) -> list[ScanRow]:
+def jf_length_scan(m_values: Iterable[float]) -> list[float]:
     """Success probability per p^2 of a mixer conditioned on empty generated
-    fields, as its length steps through m_values.
+    fields, one value per length of m_values, in their order.
 
-    The length alone sets the composition of each row: an integer length
+    The length alone sets the composition of each value: an integer length
     feeds the interferometric scheme at its optimal angle
     (27/256 |1-beta|^2), a half-odd length the filter-split scheme
     (|beta|^2 / 4); any other length raises ``ValueError``.  Because the
@@ -236,17 +234,17 @@ def jf_length_scan(m_values: Iterable[float]) -> list[ScanRow]:
     integer scans fill the phase circle densely and the running max of the
     interferometric composition climbs toward 27/256 * 16/9 = 3/64.
     """
-    rows: list[ScanRow] = []
+    values: list[float] = []
     for m in m_values:
         params = FwmParams(m)
         _, _, beta = fwm_coefficients(params)
         if params.is_integer_length:
-            rows.append(ScanRow(float(m), _PEAK * abs(1.0 - beta) ** 2))
+            values.append(_PEAK * abs(1.0 - beta) ** 2)
         elif params.is_half_odd_length:
-            rows.append(ScanRow(float(m), abs(beta) ** 2 / 4.0))
+            values.append(abs(beta) ** 2 / 4.0)
         else:
             raise ValueError(f"no scheme composes a mixer of length_multiple {m}: it must be an integer or half-odd")
-    return rows
+    return values
 
 
 # --------------------------------------------------------------------------

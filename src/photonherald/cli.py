@@ -127,10 +127,11 @@ def _parse_fields(body: str, allowed: set[str]) -> dict[str, str]:
     return fields
 
 
-def _parse_length(text: str) -> float:
+def _parse_length(text: str) -> float | Fraction:
+    """A mixer length as typed; ``FwmParams`` reads a fraction through the number rule."""
     if "/" in text:
         try:
-            return float(Fraction(text))
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"length {text!r} divides by zero") from None
     return float(text)
@@ -463,15 +464,11 @@ def cmd_sweep(spec_file, cutoff, output, points) -> None:
     except ValueError as exc:
         raise ValueError(f"malformed sweep spec: {exc}") from None
     rows = sweep_rows(spec, cutoff=cutoff)
-    if points:
-        lines = ["# " + " ".join(SWEEP_COLUMNS)]
-        lines.extend(" ".join(repr(row[col]) for col in SWEEP_COLUMNS) for row in rows)
-        _emit("\n".join(lines) + "\n", output)
-        return
-    # RFC 4180: CRLF line endings, header row first.
-    out_lines = [",".join(SWEEP_COLUMNS)]
-    out_lines.extend(",".join(repr(row[col]) for col in SWEEP_COLUMNS) for row in rows)
-    _emit("\r\n".join(out_lines) + "\r\n", output)
+    # RFC 4180: header row first, commas, CRLF line endings; the columns: a # header, spaces, LF.
+    header, sep, end = ("# ", " ", "\n") if points else ("", ",", "\r\n")
+    lines = [header + sep.join(SWEEP_COLUMNS)]
+    lines.extend(sep.join(repr(row[col]) for col in SWEEP_COLUMNS) for row in rows)
+    _emit(end.join(lines) + end, output)
 
 
 @main.command("verify")

@@ -41,29 +41,20 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class BeamSplitterParams:
-    """Mixing angle, relative phase and the pair of modes being mixed.
-
-    ``mode_pair`` may be left ``None`` when the circuit wires the element
-    itself (see :meth:`on`).
-    """
+    """Mixing angle and relative phase; :func:`apply_beam_splitter` takes
+    the pair of modes being mixed."""
 
     theta: float
     phi: float = 0.0
-    mode_pair: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
-        _check_number("beam splitter theta", self.theta)
-        _check_number("beam splitter phi", self.phi)
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"beam splitter angles must be finite, got {self!r}")
+        object.__setattr__(self, "theta", _check_number("beam splitter theta", self.theta))
+        object.__setattr__(self, "phi", _check_number("beam splitter phi", self.phi))
 
     @classmethod
-    def balanced(cls, mode_pair: tuple[str, str] | None = None) -> "BeamSplitterParams":
+    def balanced(cls) -> "BeamSplitterParams":
         """A 50/50 splitter (theta = pi/4, phi = 0)."""
-        return cls(math.pi / 4, 0.0, mode_pair)
-
-    def on(self, first: str, second: str) -> "BeamSplitterParams":
-        return BeamSplitterParams(self.theta, self.phi, (first, second))
+        return cls(math.pi / 4, 0.0)
 
 
 #: Bound of the ``_mixing_row`` cache.  A row is a few hundred bytes; a
@@ -124,19 +115,17 @@ def _mixing_row(theta: float, phi: float, n1: int, n2: int) -> tuple[tuple[int, 
     return tuple(out)
 
 
-def apply_beam_splitter(state: PureState, params: BeamSplitterParams) -> PureState:
-    """Mix the two modes of ``params.mode_pair`` through the splitter.
+def apply_beam_splitter(state: PureState, modes: tuple[str, str], params: BeamSplitterParams) -> PureState:
+    """Mix the two ``modes`` through the splitter; the first is a1 of the
+    module's convention, the second a2.
 
     Raises:
         CutoffOverflowError: if any ket carries more combined photons in the
             pair than the cutoff, since the rotation would then populate
             occupations the register cannot store.
     """
-    if params.mode_pair is None:
-        raise ValueError("BeamSplitterParams.mode_pair must be set to apply the element")
     reg = state.register
-    i1 = reg.index(params.mode_pair[0])
-    i2 = reg.index(params.mode_pair[1])
+    i1, i2 = map(reg.index, modes)
     theta, phi = params.theta, params.phi
     out: dict[FockKet, complex] = {}
     for ket, amp in state._amps.items():
@@ -145,7 +134,7 @@ def apply_beam_splitter(state: PureState, params: BeamSplitterParams) -> PureSta
         total = n1 + n2
         if total > reg.cutoff:
             raise CutoffOverflowError(
-                f"beam splitter on {params.mode_pair} would exceed cutoff "
+                f"beam splitter on {modes} would exceed cutoff "
                 f"{reg.cutoff} for ket {ket} (combined occupation {total})"
             )
         for m1, coeff in _mixing_row(theta, phi, n1, n2):

@@ -17,6 +17,13 @@ needed at runtime.
 
 Conventions used throughout:
 
+* One number rule: every numeric field of a value object (a splitter's
+  angles, an absorber's or mixer's coefficients, a source's efficiency)
+  and every numeric config field passes ``_check_number``, which refuses
+  booleans, strings, other non-numbers and values that are not finite (an
+  int too large for a float included) with a ``ValueError`` naming the
+  field, and hands back the value as a float, or a complex where a complex
+  is allowed.  The value objects store what it returns.
 * One prune rule: amplitudes with magnitude at or below
   :data:`PRUNE_THRESHOLD` times a norm are dropped, so states never store
   numerical dust.  An op prunes relative to the norm of the state it acted
@@ -39,6 +46,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import sys
@@ -180,12 +188,23 @@ def _check_labels(labels: tuple[str, ...]) -> None:
             raise ValueError(f"mode labels must be non-empty strings, got {label!r}")
 
 
-def _check_number(name: str, value: object, kind: type = numbers.Real) -> None:
-    """Raise ``ValueError`` naming the field ``name`` unless ``value`` is a
-    number of ``kind`` (real, or complex); a boolean or a string is not.
-    A float passes before the slower check against ``kind``."""
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, kind)):
-        raise ValueError(f"{name} must be a {kind.__name__.lower()} number, not booleans or strings, got {value!r}")
+def _check_number(name: str, value: object, kind: type = numbers.Real) -> float | complex:
+    """The number rule: ``value`` as a float, or as a complex for ``kind``
+    :class:`numbers.Complex`.
+
+    Raises ``ValueError`` naming the field ``name`` unless ``value`` is a
+    finite number of ``kind``: a boolean or a string is not a number, and an
+    int too large for a float is not finite.  A float passes before the
+    slower check against ``kind``.
+    """
+    if type(value) is float or not isinstance(value, bool) and isinstance(value, kind):
+        try:
+            number = complex(value) if kind is numbers.Complex else float(value)
+        except OverflowError:
+            number = math.inf
+        if cmath.isfinite(number):
+            return number
+    raise ValueError(f"{name} must be a finite {kind.__name__.lower()} number, not booleans or strings, got {value!r}")
 
 
 class FockKet(NamedTuple):

@@ -113,7 +113,7 @@ class SourceSpec:
     p: float
 
     def __post_init__(self) -> None:
-        _check_number("source efficiency p", self.p)
+        object.__setattr__(self, "p", _check_number("source efficiency p in [0, 1]", self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
         if self.p > 0.0 and self.p * self.p < sys.float_info.min:
@@ -125,8 +125,9 @@ class SchemeConfig:
     """Full circuit configuration.
 
     ``bs0`` is the front splitter both source copies meet at; ``bs1``/``bs2``
-    enclose the absorber arm in the interferometric variants.  Mode wiring is
-    done by the schemes themselves, so ``mode_pair`` may be left unset.
+    enclose the absorber arm in the interferometric variants.  Each holds
+    only its angle and phase: :func:`build_circuit` names the modes it
+    mixes.
 
     Raises:
         ValueError: for an unknown variant, a cutoff outside [2, MAX_CUTOFF],
@@ -152,7 +153,7 @@ class SchemeConfig:
         _check_absorber(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemeResult:
     """Outcome of one scheme run.
 
@@ -225,7 +226,7 @@ def reduce_through_bs0(
     ensemble.
     """
     source = SourceSpec(p)
-    bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
+    bs0 = BeamSplitterParams(theta0, phi0)
     register, reduced = _front_registers(cutoff)
     if source.p and cutoff < 2:  # the product |1, 1> exists for every p > 0
         raise CutoffOverflowError(f"beam splitter on ('A', 'B') would exceed cutoff {cutoff} for ket |1,1;m0> (combined occupation 2)")
@@ -289,7 +290,7 @@ def _front_registers(cutoff: int) -> tuple[ModeRegister, ModeRegister]:
 # its first element:
 #
 #   ("attach", vacuum)                   tensor on vacuum modes (and a medium)
-#   ("split", bs)                        beam splitter on bs.mode_pair
+#   ("split", bs, (first, second))       beam splitter on two modes
 #   ("absorb", absorber, mode, level)    generic absorber or mixer channel
 #   ("mix", params, (pump, e1, e2))      four-wave mixer
 #   ("relabel", mapping)                 rename modes
@@ -310,8 +311,8 @@ def _act(stage: tuple, state: PureState) -> PureState:
     match stage:
         case ("attach", vacuum):
             return tensor(state, vacuum)
-        case ("split", bs):
-            return apply_beam_splitter(state, bs)
+        case ("split", bs, modes):
+            return apply_beam_splitter(state, modes, bs)
         case ("absorb", GenericTpam() as tpam, mode, level):
             return apply_generic_tpam(state, mode, tpam, excited_level=level)
         case ("absorb", channel, mode, _):
@@ -398,9 +399,9 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
         def interferometer(arm: str, partner: str, level: int = 1) -> tuple:
             """BS1 -> absorber on ``arm`` -> BS2."""
             return (
-                ("split", cfg.bs1.on(arm, partner)),
+                ("split", cfg.bs1, (arm, partner)),
                 ("absorb", absorber, arm, level),
-                ("split", cfg.bs2.on(arm, partner)),
+                ("split", cfg.bs2, (arm, partner)),
             )
 
     if variant == MAIN:
@@ -436,7 +437,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
                 *mixer,
                 ("detect", generated),
                 ("attach", vacuum("C")),
-                ("split", BeamSplitterParams.balanced(("B", "C"))),
+                ("split", BeamSplitterParams.balanced(), ("B", "C")),
                 ("herald", (("B", (("B", 1),), ()),), "click_probability_by_output", "C"),
             )
             details |= {

@@ -50,7 +50,6 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .fock import (
@@ -106,13 +105,9 @@ class GenericTpam:
     global_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_number("generic TPAM alpha", self.alpha, numbers.Complex)
-        _check_number("generic TPAM beta", self.beta, numbers.Complex)
-        _check_number("generic TPAM global_phase", self.global_phase)
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        if not all(map(cmath.isfinite, (self.alpha, self.beta, self.global_phase))):
-            raise ValueError(f"generic TPAM parameters must be finite, got {self!r}")
+        object.__setattr__(self, "alpha", _check_number("generic TPAM alpha", self.alpha, numbers.Complex))
+        object.__setattr__(self, "beta", _check_number("generic TPAM beta", self.beta, numbers.Complex))
+        object.__setattr__(self, "global_phase", _check_number("generic TPAM global_phase", self.global_phase))
         if abs(self.alpha) ** 2 + abs(self.beta) ** 2 > 1.0 + 1e-9:
             raise ValueError(
                 "generic TPAM requires |alpha|^2 + |beta|^2 <= 1, got "
@@ -122,6 +117,7 @@ class GenericTpam:
     @classmethod
     def unitary(cls, beta: complex) -> "GenericTpam":
         """The lossless absorber with survival amplitude ``beta``: alpha = sqrt(1 - |beta|^2)."""
+        beta = _check_number("generic TPAM beta", beta, numbers.Complex)
         if (mag := abs(beta)) > 1.0 + 1e-12:
             raise ValueError(f"|beta| must be <= 1, got {mag}")
         return cls(math.sqrt(max(0.0, 1.0 - mag * mag)), beta)
@@ -189,12 +185,8 @@ class FwmParams:
     pump_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_number("mixer length_multiple", self.length_multiple)
-        _check_number("mixer pump_phase", self.pump_phase)
-        if isinstance(self.length_multiple, Fraction):
-            object.__setattr__(self, "length_multiple", float(self.length_multiple))
-        if not (math.isfinite(self.length_multiple) and math.isfinite(self.pump_phase)):
-            raise ValueError(f"mixer parameters must be finite, got {self!r}")
+        object.__setattr__(self, "length_multiple", _check_number("mixer length_multiple", self.length_multiple))
+        object.__setattr__(self, "pump_phase", _check_number("mixer pump_phase", self.pump_phase))
         if not self.length_multiple > 0:
             raise ValueError("length_multiple must be positive")
         if self.length_multiple > MAX_LENGTH_MULTIPLE:
@@ -311,24 +303,16 @@ def fwm_evolve(
 class FwmConditionedChannel:
     """Effective pump-mode channel after conditioning the generated fields.
 
-    ``transitions`` maps input pump occupation n -> (output occupation,
-    amplitude); inputs whose image is fully rejected by the condition are
-    absent.  The map is generally trace-decreasing: the lost norm is the
-    probability of the condition failing.
+    ``transitions[n]`` is (output occupation, amplitude) for input pump
+    occupation n = 0, 1, 2, or ``None`` where the condition rejects that
+    input's whole image.  The map is generally trace-decreasing: the lost
+    norm is the probability of the condition failing.
     """
 
-    params: FwmParams
-    condition: tuple[int, int]
-    transitions: tuple[tuple[int, tuple[int, complex]], ...]
-
-    def amplitude(self, n: int) -> tuple[int, complex] | None:
-        for key, value in self.transitions:
-            if key == n:
-                return value
-        return None
+    transitions: tuple[tuple[int, complex] | None, ...]
 
     def survival_probability(self, n: int) -> float:
-        hit = self.amplitude(n)
+        hit = self.transitions[n]
         return 0.0 if hit is None else abs(hit[1]) ** 2
 
     def apply(self, state: PureState, mode: str) -> PureState:
@@ -345,7 +329,7 @@ class FwmConditionedChannel:
                 raise UnsupportedPhotonNumberError(
                     f"conditioned four-wave channel saw {n} photons; at most 2 supported"
                 )
-            hit = self.amplitude(n)
+            hit = self.transitions[n]
             if hit is None:
                 continue
             n_out, factor = hit
@@ -367,10 +351,9 @@ def fwm_conditioned_channel(
     is checked as :class:`FwmTpamSpec` checks it.
     """
     condition = FwmTpamSpec(params, condition).condition
-    transitions = tuple(
-        (n, (pump, amp))
-        for n, row in enumerate(params._terms())
-        for pump, pairs, amp in row
-        if (pairs, pairs) == condition and abs(amp) > PRUNE_THRESHOLD
+    return FwmConditionedChannel(
+        tuple(
+            next(((pump, amp) for pump, pairs, amp in row if (pairs, pairs) == condition and abs(amp) > PRUNE_THRESHOLD), None)
+            for row in params._terms()
+        )
     )
-    return FwmConditionedChannel(params, condition, transitions)

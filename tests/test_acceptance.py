@@ -90,9 +90,9 @@ def test_criterion_01_front_splitter_reduction():
 def test_criterion_02_single_photon_null():
     # one photon through the balanced interferometer: the herald never fires
     psi = fock_state(ModeRegister(("B", "C"), cutoff=4, medium_dims=2), (1, 0))
-    psi = apply_beam_splitter(psi, BeamSplitterParams.balanced(("B", "C")))
+    psi = apply_beam_splitter(psi, ("B", "C"), BeamSplitterParams.balanced())
     psi = apply_generic_tpam(psi, "B", GenericTpam(alpha=1.0, beta=0.0))
-    psi = apply_beam_splitter(psi, BeamSplitterParams.balanced(("B", "C")))
+    psi = apply_beam_splitter(psi, ("B", "C"), BeamSplitterParams.balanced())
     _, click = project_number(psi, "B", 1)
     ok = click <= 1e-12
     assert _report(2, ok, f"single-photon herald probability {click:.2e} at 50/50")
@@ -217,17 +217,17 @@ def test_criterion_07_mixer_normalization_and_beta():
 
 
 def test_criterion_08_mixer_driven_interferometer_values():
-    rows = {row.length_multiple: row for row in jf_length_scan(range(1, 13))}
-    dev1 = abs(rows[1.0].ps_over_p2 - 0.0363)
-    dev4 = abs(rows[4.0].ps_over_p2 - 0.0446)
-    best = max(row.ps_over_p2 for row in rows.values())
+    rows = dict(zip(range(1, 13), jf_length_scan(range(1, 13))))
+    dev1 = abs(rows[1] - 0.0363)
+    dev4 = abs(rows[4] - 0.0446)
+    best = max(rows.values())
     dev_sup = abs(best - 0.0469)
     ok = dev1 <= 5e-4 and dev4 <= 5e-4 and dev_sup <= 5e-4
     assert _report(
         8,
         ok,
-        f"one cycle {rows[1.0].ps_over_p2:.6f} (vs 0.0363), four cycles "
-        f"{rows[4.0].ps_over_p2:.6f} (vs 0.0446), running best {best:.6f} (vs 0.0469)",
+        f"one cycle {rows[1]:.6f} (vs 0.0363), four cycles "
+        f"{rows[4]:.6f} (vs 0.0446), running best {best:.6f} (vs 0.0469)",
     )
 
 
@@ -257,7 +257,7 @@ def test_criterion_09_pair_herald_values():
 def test_criterion_10_filter_split_values():
     got = run_filter_split_scheme(1.0, 1.5).p_success
     dev_tab = abs(got - 0.2291)
-    best = max(r.ps_over_p2 for r in jf_length_scan([k + 0.5 for k in range(25)]))
+    best = max(jf_length_scan([k + 0.5 for k in range(25)]))
     dev_lim = abs(best - 0.25)
     ok = dev_tab <= 5e-4 and dev_lim <= 5e-4
     assert _report(

@@ -169,34 +169,34 @@ def test_optimum_is_reached_on_every_branch(case):
 
 def test_scan_interferometer_composition_values():
     rows = jf_length_scan([1, 4])
-    assert [r.length_multiple for r in rows] == [1.0, 4.0]
-    assert rows[0].ps_over_p2 == pytest.approx(PEAK * (1.0 - BETA_ONE_CYCLE) ** 2, abs=1e-12)
-    assert rows[0].ps_over_p2 == pytest.approx(0.03633821830004222, abs=1e-12)
-    assert rows[1].ps_over_p2 == pytest.approx(0.044563330656564176, abs=1e-12)
+    assert len(rows) == 2
+    assert rows[0] == pytest.approx(PEAK * (1.0 - BETA_ONE_CYCLE) ** 2, abs=1e-12)
+    assert rows[0] == pytest.approx(0.03633821830004222, abs=1e-12)
+    assert rows[1] == pytest.approx(0.044563330656564176, abs=1e-12)
 
 
 def test_scan_running_best_approaches_supremum():
     rows = jf_length_scan(range(1, 13))
-    best = max(r.ps_over_p2 for r in rows)
+    best = max(rows)
     assert best == pytest.approx(0.04675588965488818, abs=1e-12)
     assert abs(best - 3.0 / 64.0) < 5e-4
     # the supremum itself is never attained at integer length
-    assert all(r.ps_over_p2 < 3.0 / 64.0 for r in rows)
+    assert all(r < 3.0 / 64.0 for r in rows)
 
 
 def test_scan_filter_split_composition():
     rows = jf_length_scan([1.5, 2.5])
-    assert [r.length_multiple for r in rows] == [1.5, 2.5]
-    assert rows[0].ps_over_p2 == pytest.approx(0.22910708682504716, abs=1e-12)
+    assert len(rows) == 2
+    assert rows[0] == pytest.approx(0.22910708682504716, abs=1e-12)
     beta = (2.0 + math.cos(2.5 * math.pi * math.sqrt(1.5))) / 3.0
-    assert rows[1].ps_over_p2 == pytest.approx(beta**2 / 4.0, abs=1e-12)
+    assert rows[1] == pytest.approx(beta**2 / 4.0, abs=1e-12)
 
 
 def test_scan_filter_split_running_best_approaches_quarter():
     rows = jf_length_scan([k + 0.5 for k in range(25)])
-    best = max(r.ps_over_p2 for r in rows)
+    best = max(rows)
     assert abs(best - 0.25) < 5e-4
-    assert all(r.ps_over_p2 < 0.25 for r in rows)
+    assert all(r < 0.25 for r in rows)
 
 
 def test_scan_rejects_impossible_compositions():

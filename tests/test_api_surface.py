@@ -1,7 +1,15 @@
-"""Every public name the package defines is used by the package itself, and
-every defaulted parameter is set by some call in the program."""
+"""Every public name the package defines is used by the package itself,
+every defaulted parameter is set by some call in the program, and every
+dataclass field is read by the program."""
 
 import ast
+import dataclasses
+import importlib
+import itertools
+import json
+import os
+import pkgutil
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "photonherald"
@@ -157,3 +165,77 @@ def test_every_dataclass_field_is_read_by_the_package():
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in read
     ]
     assert not unread, f"dataclass fields src/ never reads: {unread}"
+
+
+def _public_dataclasses():
+    """Each public dataclass of the package, from the module that defines it."""
+    import photonherald
+
+    for info in pkgutil.iter_modules(photonherald.__path__):
+        module = importlib.import_module(f"photonherald.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__ and not name.startswith("_") and dataclasses.is_dataclass(value):
+                yield value
+
+
+def _recording(cls, name, slot, package, read):
+    """A property over the slot ``name`` of ``cls`` that adds
+    ``"Class.name"`` to ``read`` when code in the ``package`` directory
+    reads it, outside the methods dataclass generates (compiled from
+    strings, or in dataclasses.py) and outside ``__post_init__``, where a
+    field is only checked."""
+
+    def get(obj):
+        code = sys._getframe(1).f_code
+        if os.path.dirname(code.co_filename) == package and code.co_name != "__post_init__":
+            read.add(f"{cls.__name__}.{name}")
+        return slot.__get__(obj, cls)
+
+    return property(get, slot.__set__)
+
+
+def test_every_public_dataclass_has_slots():
+    # the field-read check below wraps slots; a class without them escapes it
+    assert [cls.__name__ for cls in _public_dataclasses() if "__slots__" not in vars(cls)] == []
+
+
+def test_every_dataclass_field_is_read_when_the_program_runs(tmp_path):
+    # the check above matches field names across classes, so reading one
+    # class's field hides an unread field of the same name in another; here
+    # each field records its own reads while the CLI runs every scheme, a
+    # sweep and both verify suites, and the first ops of each in-process
+    # benchmark workload run
+    import photonherald
+    from click.testing import CliRunner
+
+    from photonherald import cli
+    from test_bench_contract import WORKLOADS
+
+    classes = [cls for cls in _public_dataclasses() if "__slots__" in vars(cls)]
+    package, read, saved = os.path.dirname(photonherald.__file__), set(), []
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"theta1": [0.3, 0.5], "beta": [0, -1], "p": [0.5]}), encoding="utf-8")
+    runner = CliRunner()
+    try:
+        for cls in classes:
+            for field in dataclasses.fields(cls):
+                slot = vars(cls)[field.name]
+                saved.append((cls, field.name, slot))
+                setattr(cls, field.name, _recording(cls, field.name, slot, package, read))
+        for scheme in ("main", "doubled", "pair-herald", "filter-split"):
+            result = runner.invoke(cli.main, ["run", "--scheme", scheme])
+            assert result.exit_code == 0, result.output
+        result = runner.invoke(cli.main, ["sweep", str(spec)])
+        assert result.exit_code == 0, result.output
+        for suite in ("paper-values", "invariants"):
+            result = runner.invoke(cli.main, ["verify", "--suite", suite])
+            assert result.exit_code in (0, 1), result.output
+        for name, calls in (("sweep-grid", 4), ("scheme-mix", 20), ("verify-suites", 1)):
+            workload = WORKLOADS.WORKLOADS[name](1)
+            for x in itertools.islice(workload.ops(), calls):
+                workload.call(x)
+    finally:
+        for cls, name, slot in saved:
+            setattr(cls, name, slot)
+    unread = [f"{cls.__name__}.{name}" for cls, name, _ in saved if f"{cls.__name__}.{name}" not in read]
+    assert not unread, f"dataclass fields the program stores and never reads: {unread}"

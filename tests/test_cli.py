@@ -535,7 +535,10 @@ def test_zero_denominator_mixer_length_is_usage_error(runner, tmp_path, tpam):
     assert_one_line_usage_error(run_config(runner, tmp_path, {"tpam": tpam}))
 
 
-@pytest.mark.parametrize("scheme,tpam", [("main", "jf:M=1e17"), ("pair-herald", "jf:M=1e17,condition=(1,1)")])
+@pytest.mark.parametrize(
+    "scheme,tpam",
+    [("main", "jf:M=1e17"), ("pair-herald", "jf:M=1e17,condition=(1,1)"), pytest.param("main", f"jf:M={10**400}/3", id="main-jf:M=10**400/3")],
+)
 def test_mixer_length_beyond_double_phase_is_usage_error(runner, scheme, tpam):
     result = runner.invoke(main, ["run", "--scheme", scheme, "--tpam", tpam])
     assert_one_line_usage_error(result)

@@ -23,16 +23,16 @@ from photonherald.elements import _mixing_row
 
 CUTOFF = 4
 REG = ModeRegister(("B", "C"), cutoff=CUTOFF)
-BAL = BeamSplitterParams.balanced(("B", "C"))
+BAL = BeamSplitterParams.balanced()
 
 
 def bs(theta, phi=0.0):
-    return BeamSplitterParams(theta, phi, ("B", "C"))
+    return BeamSplitterParams(theta, phi)
 
 
 def test_single_photon_splitting_amplitudes():
     theta, phi = 0.7, 1.3
-    out = apply_beam_splitter(fock_state(REG, (1, 0)), bs(theta, phi))
+    out = apply_beam_splitter(fock_state(REG, (1, 0)), ("B", "C"), bs(theta, phi))
     assert out.amplitude(FockKet((1, 0))) == pytest.approx(math.cos(theta), abs=1e-14)
     assert out.amplitude(FockKet((0, 1))) == pytest.approx(
         complex(math.cos(phi), -math.sin(phi)) * math.sin(theta), abs=1e-14
@@ -41,28 +41,28 @@ def test_single_photon_splitting_amplitudes():
 
 def test_second_input_picks_up_minus_sign():
     theta = 0.5
-    out = apply_beam_splitter(fock_state(REG, (0, 1)), bs(theta))
+    out = apply_beam_splitter(fock_state(REG, (0, 1)), ("B", "C"), bs(theta))
     assert out.amplitude(FockKet((1, 0))) == pytest.approx(-math.sin(theta), abs=1e-14)
     assert out.amplitude(FockKet((0, 1))) == pytest.approx(math.cos(theta), abs=1e-14)
 
 
 def test_hong_ou_mandel_dip():
     """Two photons meeting a balanced splitter always exit together."""
-    out = apply_beam_splitter(fock_state(REG, (1, 1)), BAL)
+    out = apply_beam_splitter(fock_state(REG, (1, 1)), ("B", "C"), BAL)
     assert out.amplitude(FockKet((1, 1))) == 0j
     assert out.amplitude(FockKet((0, 2))) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     assert out.amplitude(FockKet((2, 0))) == pytest.approx(-1 / math.sqrt(2), abs=1e-14)
 
 
 def test_two_photons_one_port_balanced():
-    out = apply_beam_splitter(fock_state(REG, (2, 0)), BAL)
+    out = apply_beam_splitter(fock_state(REG, (2, 0)), ("B", "C"), BAL)
     assert out.amplitude(FockKet((2, 0))) == pytest.approx(0.5, abs=1e-14)
     assert out.amplitude(FockKet((1, 1))) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     assert out.amplitude(FockKet((0, 2))) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_balanced_single_photon_equal_split_no_phase():
-    out = apply_beam_splitter(fock_state(REG, (1, 0)), BAL)
+    out = apply_beam_splitter(fock_state(REG, (1, 0)), ("B", "C"), BAL)
     assert out.amplitude(FockKet((1, 0))) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
     assert out.amplitude(FockKet((0, 1))) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
 
@@ -86,7 +86,7 @@ def test_splitter_block_columns_are_the_splitter_on_each_ket(n):
     (block,) = splitter_blocks([(theta, phi)], [n])
     assert block.shape == (n + 1, n + 1)
     for k in range(n + 1):
-        out = apply_beam_splitter(fock_state(REG, (k, n - k)), bs(theta, phi))
+        out = apply_beam_splitter(fock_state(REG, (k, n - k)), ("B", "C"), bs(theta, phi))
         assert list(block[:, k]) == [out.amplitude(FockKet((m, n - m))) for m in range(n + 1)]
 
 
@@ -136,15 +136,15 @@ def test_composition_with_inverse_is_identity():
             FockKet((0, 0)): 0.5,
         },
     )
-    once = apply_beam_splitter(psi, bs(0.9, 0.4))
-    back = apply_beam_splitter(once, bs(-0.9, 0.4))
+    once = apply_beam_splitter(psi, ("B", "C"), bs(0.9, 0.4))
+    back = apply_beam_splitter(once, ("B", "C"), bs(-0.9, 0.4))
     for ket, amp in psi.terms():
         assert back.amplitude(ket) == pytest.approx(amp, abs=1e-12)
 
 
 def test_photon_number_is_conserved_per_ket():
     psi = PureState(REG, {FockKet((2, 1)): 0.8, FockKet((0, 1)): 0.6})
-    out = apply_beam_splitter(psi, bs(1.1, 0.7))
+    out = apply_beam_splitter(psi, ("B", "C"), bs(1.1, 0.7))
     for ket, _ in out.terms():
         assert sum(ket.occupations) in (3, 1)
 
@@ -166,7 +166,7 @@ def test_matches_matrix_exponential_oracle():
         coeffs /= np.linalg.norm(coeffs)
 
         psi = PureState(REG, {FockKet(occ): c for occ, c in zip(block, coeffs)})
-        out = apply_beam_splitter(psi, bs(theta, phi))
+        out = apply_beam_splitter(psi, ("B", "C"), bs(theta, phi))
 
         vec = np.zeros(dim * dim, dtype=complex)
         for (n1, n2), c in zip(block, coeffs):

@@ -82,15 +82,15 @@ def test_beam_splitter_is_unitary(theta, phi):
 @given(psi=two_mode_states(), theta=angles, phi=angles)
 @settings(max_examples=60)
 def test_beam_splitter_preserves_norm(psi, theta, phi):
-    out = apply_beam_splitter(psi, BeamSplitterParams(theta, phi, ("B", "C")))
+    out = apply_beam_splitter(psi, ("B", "C"), BeamSplitterParams(theta, phi))
     assert abs(out.squared_norm() - 1.0) < 1e-10
 
 
 @given(psi=two_mode_states(), theta=angles, phi=angles)
 @settings(max_examples=60)
 def test_beam_splitter_inverse_composition(psi, theta, phi):
-    there = apply_beam_splitter(psi, BeamSplitterParams(theta, phi, ("B", "C")))
-    back = apply_beam_splitter(there, BeamSplitterParams(-theta, phi, ("B", "C")))
+    there = apply_beam_splitter(psi, ("B", "C"), BeamSplitterParams(theta, phi))
+    back = apply_beam_splitter(there, ("B", "C"), BeamSplitterParams(-theta, phi))
     kets = {k for k, _ in psi.terms()} | {k for k, _ in back.terms()}
     assert all(abs(back.amplitude(k) - psi.amplitude(k)) < 1e-10 for k in kets)
 

@@ -128,8 +128,8 @@ def test_front_splitter_matches_composed_elements(p, theta0, phi0, cutoff, disca
         register = ModeRegister((label,), cutoff)
         return [fock_state(register, (1,)).scaled(math.sqrt(p)), fock_state(register, (0,)).scaled(math.sqrt(1.0 - p))]
 
-    bs0 = BeamSplitterParams(theta0, phi0, ("A", "B"))
-    joint = [apply_beam_splitter(tensor(a, b), bs0) for a in source("A") for b in source("B")]
+    bs0 = BeamSplitterParams(theta0, phi0)
+    joint = [apply_beam_splitter(tensor(a, b), ("A", "B"), bs0) for a in source("A") for b in source("B")]
     want = Ensemble(ModeRegister(("A", "B"), cutoff), joint)
     if discard:
         traced = [branch for state in joint for branch in partial_trace_discard(state, "A").states]
@@ -524,12 +524,20 @@ def test_mixer_runners_reject_booleans(run, args, kwargs):
         pytest.param(lambda: GenericTpam(0.6, None), "beta", id="GenericTpam(0.6, None)"),
         pytest.param(lambda: GenericTpam(0.6, 0.8, None), "global_phase", id="GenericTpam(0.6, 0.8, None)"),
         pytest.param(lambda: GenericTpam("0.6", "0.8"), "alpha", id="GenericTpam('0.6', '0.8')"),
+        pytest.param(lambda: GenericTpam.unitary(None), "beta", id="GenericTpam.unitary(None)"),
         pytest.param(lambda: jf_length_scan([None]), "length_multiple", id="jf_length_scan([None])"),
+        pytest.param(lambda: BeamSplitterParams(10**400), "theta", id="BeamSplitterParams(10**400)"),
+        pytest.param(lambda: FwmParams(10**400), "length_multiple", id="FwmParams(10**400)"),
+        pytest.param(lambda: GenericTpam(10**400, 0), "alpha", id="GenericTpam(10**400, 0)"),
+        pytest.param(lambda: GenericTpam(0.6, 0.8, 10**400), "global_phase", id="GenericTpam(0.6, 0.8, 10**400)"),
+        pytest.param(lambda: reduce_through_bs0(0.5, 10**400), "theta", id="reduce_through_bs0(0.5, 10**400)"),
+        pytest.param(lambda: jf_length_scan([10**400]), "length_multiple", id="jf_length_scan([10**400])"),
     ],
 )
 def test_value_objects_refuse_a_field_that_is_not_a_number(make, field):
     # None and complex values once escaped as TypeError from math.isfinite,
-    # and complex("0.6") let a string through as a coefficient.
+    # complex("0.6") let a string through as a coefficient, and an int too
+    # large for a float escaped as OverflowError.
     with pytest.raises(ValueError, match=field):
         make()
 

@@ -279,25 +279,25 @@ def test_pump_occupation_above_two_rejected():
 
 def test_channel_vacuum_condition_acts_like_lossy_absorber():
     chan = fwm_conditioned_channel(FwmParams(1), condition=(0, 0))
-    assert chan.amplitude(0) == (0, pytest.approx(1.0, abs=1e-12))
-    assert chan.amplitude(1) == (1, pytest.approx(1.0, abs=1e-12))
-    out_n, amp = chan.amplitude(2)
+    assert chan.transitions[0] == (0, pytest.approx(1.0, abs=1e-12))
+    assert chan.transitions[1] == (1, pytest.approx(1.0, abs=1e-12))
+    out_n, amp = chan.transitions[2]
     assert out_n == 2
     assert amp.real == pytest.approx(BETA_ONE_CYCLE, abs=1e-12)
 
 
 def test_channel_pair_condition_heralds_only_two_photons():
     chan = fwm_conditioned_channel(FwmParams(2), condition=(1, 1))
-    assert chan.amplitude(0) is None
-    assert chan.amplitude(1) is None
+    assert chan.transitions[0] is None
+    assert chan.transitions[1] is None
     assert chan.survival_probability(2) == pytest.approx(ALPHA1_SQ_TWO_CYCLES, abs=1e-12)
-    out_n, _ = chan.amplitude(2)
+    out_n, _ = chan.transitions[2]
     assert out_n == 1  # one pump photon survives alongside the heralded pair
 
 
 def test_channel_half_odd_vacuum_condition_filters_singles():
     chan = fwm_conditioned_channel(FwmParams(1.5), condition=(0, 0))
-    assert chan.amplitude(1) is None  # the single photon always converts
+    assert chan.transitions[1] is None  # the single photon always converts
     assert chan.survival_probability(2) == pytest.approx(0.9164283473001886, abs=1e-12)
 
 
@@ -319,7 +319,7 @@ def test_channel_is_the_mixer_projected_on_its_condition(length):
             _, psi = fwm_in(n)
             kept, _ = project_number(fwm_evolve(psi, ("W", "E1", "E2"), params), "E1", condition[0])
             kept, _ = project_number(kept, "E2", condition[1])
-            hit = chan.amplitude(n)
+            hit = chan.transitions[n]
             assert [(ket.occupations, amp) for ket, amp in kept.terms()] == ([] if hit is None else [((hit[0],), hit[1])])
 
 
