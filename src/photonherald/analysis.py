@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -210,7 +211,9 @@ def optimize_ps(beta: complex) -> tuple[float, float]:
     Coarse grid scan followed by golden-section refinement around the best
     grid point.  Returns (theta1_star, ps_star); the argmax lands on one of
     the symmetric optima {30, 150, 210, 330} degrees for every beta != 1.
+    ``beta`` passes the number rule, so NaN or a string raises ``ValueError``.
     """
+    beta = _check_number("beta", beta, numbers.Complex)
 
     def f(theta1: float) -> float:
         return closed_form_ps(beta, theta1)
@@ -359,12 +362,13 @@ def _parse_axis(name: str, raw: object) -> tuple[int, Iterable[float]]:
 
 def _parse_beta(raw: object) -> complex:
     if isinstance(raw, str):
-        return complex(raw.replace(" ", ""))
+        with contextlib.suppress(ValueError):
+            raw = complex(raw.replace(" ", ""))
     if isinstance(raw, (list, tuple)):
         if len(raw) != 2:
             raise ValueError(f"beta pair must be [re, im], got {raw!r}")
         return complex(_number("beta", raw[0]), _number("beta", raw[1]))
-    return raw if isinstance(raw, complex) else complex(_number("beta", raw))
+    return _check_number("beta", raw, numbers.Complex)
 
 
 def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[str, float]]:

@@ -49,6 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import reprlib
 import sys
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -195,7 +196,7 @@ def _check_number(name: str, value: object, kind: type = numbers.Real) -> float 
     Raises ``ValueError`` naming the field ``name`` unless ``value`` is a
     finite number of ``kind``: a boolean or a string is not a number, and an
     int too large for a float is not finite.  A float passes before the
-    slower check against ``kind``.
+    slower check against ``kind``.  The refusal shortens a long value.
     """
     if type(value) is float or not isinstance(value, bool) and isinstance(value, kind):
         try:
@@ -204,7 +205,7 @@ def _check_number(name: str, value: object, kind: type = numbers.Real) -> float 
             number = math.inf
         if cmath.isfinite(number):
             return number
-    raise ValueError(f"{name} must be a finite {kind.__name__.lower()} number, not booleans or strings, got {value!r}")
+    raise ValueError(f"{name} must be a finite {kind.__name__.lower()} number, not booleans or strings, got {reprlib.repr(value)}")
 
 
 class FockKet(NamedTuple):

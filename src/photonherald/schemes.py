@@ -385,6 +385,8 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
 
     A new circuit is one more branch here, ending in a herald stage.  The
     config's absorber suits its variant: :class:`SchemeConfig` checks that.
+    An interferometric variant attaches one excited medium level per
+    absorber whatever the absorber; a conditioned mixer never excites it.
     """
     tpam, cutoff, variant = cfg.tpam, cfg.cutoff, cfg.variant
 
@@ -393,8 +395,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
 
     details: dict[str, object] = {}
     if variant in (MAIN, DOUBLED):
-        needs_medium = isinstance(tpam, GenericTpam)
-        absorber = tpam if needs_medium else fwm_conditioned_channel(tpam.params, tpam.condition)
+        absorber = tpam if isinstance(tpam, GenericTpam) else fwm_conditioned_channel(tpam.params, tpam.condition)
 
         def interferometer(arm: str, partner: str, level: int = 1) -> tuple:
             """BS1 -> absorber on ``arm`` -> BS2."""
@@ -406,7 +407,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
 
     if variant == MAIN:
         stages = (
-            ("attach", vacuum("C", medium_dims=2 if needs_medium else 1)),
+            ("attach", vacuum("C", medium_dims=2)),
             *interferometer("B", "C"),
             ("herald", (("B", (("B", 1),), ()),), None, None),
         )
@@ -419,7 +420,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
             ("A", (("A", 1), ("B", 0)), (("relabel", {"CA": "C"}), ("trace", "CB"))),
         )
         stages = (
-            ("attach", vacuum("CA", "CB", medium_dims=3 if needs_medium else 1)),
+            ("attach", vacuum("CA", "CB", medium_dims=3)),
             *interferometer("A", "CA", 1),
             *interferometer("B", "CB", 2),
             ("herald", one_click, "clicks_by_detector", None),

@@ -42,6 +42,14 @@ Two models are provided:
 Conditioning the generated modes on a photon-count pattern turns the
 four-wave mixer into an effective (generally trace-decreasing) channel on
 the pump mode alone: see :func:`fwm_conditioned_channel`.
+
+The generic absorber and the conditioned channel are both rules on one
+mode's photon number n <= 2, and one kernel, ``_through``, applies either:
+each builds a rule table (per n, the outputs with their photon count,
+whether they leave the medium excited, and the factors on the input
+amplitude) and hands it over.  The channel never excites the medium, so a
+circuit attaches the same medium whichever of the two it runs.  The mixer
+itself acts on three modes and keeps its own loop in :func:`fwm_evolve`.
 """
 
 from __future__ import annotations
@@ -49,12 +57,12 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .fock import (
     PRUNE_THRESHOLD,
-    CutoffOverflowError,
     FockKet,
     PureState,
     UnsupportedPhotonNumberError,
@@ -136,34 +144,40 @@ def apply_generic_tpam(
     ket with an excited medium is outside the model and rejected, as is any
     ket with more than two photons in the mode.
     """
-    reg = state.register
-    i = reg.index(mode)
-    if not 0 <= excited_level < reg.medium_dims:
-        raise ValueError(f"excited level {excited_level} outside the register's {reg.medium_dims} medium levels")
+    if not 0 <= excited_level < state.register.medium_dims:
+        raise ValueError(f"excited level {excited_level} outside the register's {state.register.medium_dims} medium levels")
     phase = cmath.exp(1j * tpam.global_phase)
+    rules = (
+        ((0, False, (phase,)),),
+        ((1, False, (phase,)),),
+        ((0, True, (tpam.alpha, phase)), (2, False, (tpam.beta, phase))),
+    )
+    return _through(state, mode, rules, excited_level)
+
+
+def _through(state: PureState, mode: str, rules: tuple, excited_level: int = 0) -> PureState:
+    """Send ``mode`` of ``state`` through a two-photon medium given as a rule table.
+
+    ``rules[n]``, for n = 0, 1, 2 photons in the mode, lists the outputs as
+    (photons out, whether the medium leaves at ``excited_level``, factors);
+    an output's amplitude is the input's times the factors, left to right.
+    An empty list drops the input.  A ket with more than two photons in the
+    mode, or one that would excite a medium already excited, is refused:
+    the model defines no dynamics for it.
+    """
+    i = state.register.index(mode)
     out: dict[FockKet, complex] = {}
-
-    def _add(ket: FockKet, amp: complex) -> None:
-        out[ket] = out.get(ket, 0j) + amp
-
     for ket, amp in state._amps.items():
-        n = ket.occupations[i]
+        occ, n = ket.occupations, ket.occupations[i]
         if n > 2:
-            raise UnsupportedPhotonNumberError(
-                f"generic TPAM saw {n} photons in {mode!r}; the model covers at most 2"
-            )
-        if n == 2:
-            if ket.medium != 0:
-                raise UnsupportedPhotonNumberError(
-                    "two photons reached a TPAM whose medium is already excited; "
-                    "the model defines no dynamics for this"
-                )
-            absorbed = _ket((ket.occupations[:i] + (0,) + ket.occupations[i + 1 :], excited_level))
-            _add(absorbed, amp * tpam.alpha * phase)
-            _add(ket, amp * tpam.beta * phase)
-        else:
-            _add(ket, amp * phase)
-    return PureState._of(reg, out, state.norm())
+            raise UnsupportedPhotonNumberError(f"a two-photon medium saw {n} photons in {mode!r}; the model covers at most 2")
+        for n_out, excites, factors in rules[n]:
+            if excites and ket.medium:
+                raise UnsupportedPhotonNumberError("two photons reached an excited medium; the model defines no dynamics for this")
+            medium = excited_level if excites else ket.medium
+            new = ket if n_out == n and not excites else _ket((occ[:i] + (n_out,) + occ[i + 1 :], medium))
+            out[new] = out.get(new, 0j) + math.prod(factors, start=amp)
+    return PureState._of(state.register, out, state.norm())
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,7 +256,7 @@ class FwmTpamSpec:
     def __post_init__(self) -> None:
         counts = tuple(self.condition) if isinstance(self.condition, (tuple, list)) else ()
         if len(counts) != 2 or any(isinstance(c, bool) or c not in (0, 1, 2) for c in counts):
-            raise ValueError(f"condition must be two whole counts in 0..2, got {self.condition!r}")
+            raise ValueError(f"condition must be two whole counts in 0..2, got {reprlib.repr(self.condition)}")
         object.__setattr__(self, "condition", tuple(int(c) for c in counts))
 
 
@@ -267,8 +281,7 @@ def fwm_evolve(
     """Propagate ``modes = (pump, e1, e2)`` through the four-wave mixer.
 
     Both generated-field modes must be in vacuum on every populated ket.
-    Pump occupations above two are rejected (no dynamics defined).  The
-    register cutoff must be at least 2 so the generated pairs fit.
+    Pump occupations above two are rejected (no dynamics defined).
     """
     reg = state.register
     ip, i1, i2 = map(reg.index, modes)
@@ -283,10 +296,6 @@ def fwm_evolve(
         if n > 2:
             raise UnsupportedPhotonNumberError(
                 f"four-wave mixer saw {n} pump photons; the model covers at most 2"
-            )
-        if n >= 1 and reg.cutoff < 2:
-            raise CutoffOverflowError(
-                "four-wave mixing needs cutoff >= 2 so generated photon pairs fit"
             )
         for pump, pairs, factor in terms[n]:
             if pump == n:
@@ -321,21 +330,8 @@ class FwmConditionedChannel:
         The output is unnormalized; its lost squared norm is the probability
         that the generated-field detectors failed the condition.
         """
-        i = state.register.index(mode)
-        out: dict[FockKet, complex] = {}
-        for ket, amp in state._amps.items():
-            n = ket.occupations[i]
-            if n > 2:
-                raise UnsupportedPhotonNumberError(
-                    f"conditioned four-wave channel saw {n} photons; at most 2 supported"
-                )
-            hit = self.transitions[n]
-            if hit is None:
-                continue
-            n_out, factor = hit
-            new = _ket((ket.occupations[:i] + (n_out,) + ket.occupations[i + 1 :], ket.medium))
-            out[new] = out.get(new, 0j) + amp * factor
-        return PureState._of(state.register, out, state.norm())
+        rules = tuple(() if hit is None else ((hit[0], False, (hit[1],)),) for hit in self.transitions)
+        return _through(state, mode, rules)
 
 
 def fwm_conditioned_channel(

@@ -156,6 +156,12 @@ def test_optimum_with_complex_absorber():
     assert ps_star == pytest.approx(PEAK * abs(1.0 - beta) ** 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("beta", [math.nan, "0.5"])
+def test_optimize_refuses_a_beta_that_is_not_a_finite_number(beta):
+    with pytest.raises(ValueError, match="beta"):
+        optimize_ps(beta)
+
+
 @pytest.mark.parametrize("case", tuple(CaseId))
 def test_optimum_is_reached_on_every_branch(case):
     theta_star, ps_star = optimize_ps(0.0)

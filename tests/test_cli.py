@@ -337,6 +337,32 @@ def test_non_finite_parameter_is_usage_error(runner, args):
     assert_one_line_usage_error(runner.invoke(main, ["run", *args]))
 
 
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "field, command, spec",
+    [
+        pytest.param("p", ["run", "--config", "{spec}"], '{"p": %s}' % HUGE, id="run-config-huge-p"),
+        pytest.param("p", ["sweep", "{spec}"], '{"p": [%s]}' % HUGE, id="sweep-huge-p"),
+        pytest.param("beta", ["sweep", "{spec}"], '{"beta": ["abc"]}', id="sweep-text-beta"),
+        pytest.param(
+            "length_multiple",
+            ["run", "--scheme", "pair-herald", "--tpam", f"jf:M={HUGE}/3,condition=(1,1)"],
+            None,
+            id="tpam-huge-length",
+        ),
+        pytest.param("condition", ["run", "--tpam", "jf:M=2,condition=(1" + "0" * 300 + ",1)"], None, id="tpam-huge-condition"),
+    ],
+)
+def test_a_refusal_is_short_and_names_the_field(runner, tmp_path, field, command, spec):
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(spec, encoding="utf-8")
+    result = runner.invoke(main, [arg.replace("{spec}", str(tmp_path / "spec.json")) for arg in command])
+    assert_one_line_usage_error(result)
+    assert len(result.stderr.rstrip("\n")) <= 200 and field in result.stderr, result.stderr
+
+
 @pytest.fixture()
 def failure_files(tmp_path):
     """Inputs for the one-line failure cases; ``{tmp}`` in their arguments is ``tmp_path``."""

@@ -1,8 +1,10 @@
 """Property-based invariants for the state algebra and the physical elements."""
 
 import math
+import sys
+from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import null_branch
@@ -218,6 +220,45 @@ def test_every_intermediate_state_holds_valid_kets(cfg):
     result = run_scheme(cfg)
     if result.conditional_state is not None:
         assert_stored_kets_valid(result.conditional_state)
+
+
+#: Source efficiencies from 1 down to the smallest one whose p^2 is a normal double.
+P_SCALES = (1.0, 0.3, 1e-3, 1e-9, 1e-40, 1e-100, 1.5e-154)
+
+
+def sector_weights(cfg, p):
+    """w_n(p): the weight of input sector n, B's photon count after the front
+    splitter (for doubled, the photons in A and B together)."""
+    if cfg.variant == DOUBLED:
+        return {1: 2 * p * (1 - p), 2: p * p}
+    theta0 = cfg.bs0.theta
+    return {1: p * (1 - p) + p * p * math.cos(2 * theta0) ** 2, 2: p * p * math.sin(2 * theta0) ** 2 / 2}
+
+
+@given(cfg=scheme_configs())
+@example(cfg=manifold_config(math.pi / 6, p=0.5, tpam=GenericTpam.unitary(0.3j)))
+@example(cfg=manifold_config(1.0, CaseId.DIFF_MINUS, p=0.5, tpam=GenericTpam(0.5, 0.4, 0.7), variant=DOUBLED))
+@example(cfg=manifold_config(0.4, p=0.5, tpam=FwmTpamSpec(FwmParams(3.0, 0.2)), theta0=0.3))
+@example(cfg=SchemeConfig(SourceSpec(0.5), FwmTpamSpec(FwmParams(2.0, 0.5), (1, 1)), variant=PAIR_HERALD))
+@example(cfg=SchemeConfig(SourceSpec(0.5), FwmTpamSpec(FwmParams(2.5)), BeamSplitterParams(1.1), variant=FILTER_SPLIT))
+@settings(max_examples=25, deadline=None)
+def test_herald_per_sector_weight_is_independent_of_p(cfg):
+    """Every stage after the front splitter is linear and prunes relative to
+    its input's norm, so ``branch_log[n] / w_n(p)`` is one number from p = 1
+    down to 1.5e-154: both absorbing media see each sector at every scale.
+    A value whose expected size is not a normal double is skipped.  The
+    ratio is at most 1, and one that a cancellation leaves small keeps the
+    rounding of the terms it cancelled, so 1e-15 absolute also passes."""
+    logged = {p: run_scheme(replace(cfg, source=SourceSpec(p))).branch_log for p in P_SCALES}
+    for n in (1, 2):
+        w_ref = sector_weights(cfg, 0.3)[n]
+        if w_ref < sys.float_info.min:
+            continue
+        ref = logged[0.3].get(n, 0.0) / w_ref
+        for p, log in logged.items():
+            w = sector_weights(cfg, p)[n]
+            if ref * w >= sys.float_info.min:
+                assert math.isclose(log.get(n, 0.0) / w, ref, rel_tol=1e-12, abs_tol=1e-15), (n, p, log, ref)
 
 
 @given(cfg=scheme_configs())

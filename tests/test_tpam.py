@@ -261,6 +261,13 @@ def test_two_photon_output_composition():
     assert out.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_single_photon_converts_at_cutoff_one():
+    reg, psi = fwm_in(1, cutoff=1)
+    out = fwm_evolve(psi, ("W", "E1", "E2"), FwmParams(1.5))
+    assert [ket for ket, _ in out.terms()] == [FockKet((0, 1, 1))]
+    assert out.amplitude(FockKet((0, 1, 1))) == pytest.approx(1j, abs=1e-12)
+
+
 def test_generated_modes_must_start_in_vacuum():
     reg = ModeRegister(("W", "E1", "E2"), cutoff=4)
     with pytest.raises(ValueError):
