@@ -27,6 +27,7 @@ import contextlib
 import itertools
 import math
 import numbers
+import reprlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -96,21 +97,23 @@ def closed_form_ps(beta: complex, theta1: float) -> float:
     return abs(1.0 - beta) ** 2 * math.cos(theta1) ** 6 * math.sin(theta1) ** 2
 
 
-def _number(name: str, value: object) -> float:
-    """The config field ``name`` through the number rule,
-    :func:`~photonherald.fock._check_number`; text, as flags and JSON give
-    it, is read with ``float`` first."""
+def _number(name: str, value: object, kind: type = numbers.Real) -> float | complex:
+    """The field ``name`` through the number rule,
+    :func:`~photonherald.fock._check_number`, as a ``kind`` number.  This is
+    the one step that reads typed text, as flags, files and the absorber
+    wire format give it: with ``float``, or with ``complex`` (spaces
+    dropped) for ``kind`` :class:`numbers.Complex`."""
     if isinstance(value, str):
         with contextlib.suppress(ValueError):
-            value = float(value)
-    return _check_number(name, value)
+            value = complex(value.replace(" ", "")) if kind is numbers.Complex else float(value)
+    return _check_number(name, value, kind)
 
 
 def _whole(name: str, value: object) -> int:
     """A count given as an int or an integral float (JSON may write 1e9)."""
     number = _number(name, value)
     if not number.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise ValueError(f"{name} must be a whole number, got {reprlib.repr(value)}")
     return int(number)
 
 
@@ -284,10 +287,22 @@ SWEEP_COLUMNS = (
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
-    """Grids for a main-scheme parameter sweep.
+    """Grids for a main-scheme parameter sweep, checked when built.
 
     Angles are radians; each sweep point snaps theta2 (and the phases) onto
     the requested constraint branch rather than penalizing violations.
+    Each axis value passes the rule a single run applies to it, once, and
+    the spec stores what that rule returns: theta0 and theta1 the number
+    rule under their own names (text read as :func:`_number` reads it),
+    theta1 also the completion onto ``case`` in double precision, p the
+    range of :class:`~photonherald.schemes.SourceSpec`, and beta the rule
+    of ``GenericTpam.unitary``.  So theta0, theta1 and p hold floats and
+    beta complex numbers, and a refusal carries the single run's message.
+
+    Raises:
+        ValueError: for a case that is no branch, a grid above
+            ``MAX_SWEEP_POINTS``, an empty axis, a value its rule refuses,
+            or a decreasing theta0, theta1 or p axis.
     """
 
     theta0: tuple[float, ...] = (math.pi / 4,)
@@ -297,28 +312,32 @@ class SweepSpec:
     case: CaseId = CaseId.SUM_PLUS
 
     def __post_init__(self) -> None:
+        if self.case not in list(CaseId):  # a branch equals its name
+            raise ValueError(f"sweep case must be one of {[case.value for case in CaseId]}, got {reprlib.repr(self.case)}")
         object.__setattr__(self, "case", CaseId(self.case))
         _check_grid_size(len(self.theta0) * len(self.theta1) * len(self.beta) * len(self.p))
         for name in ("theta0", "theta1", "p", "beta"):
-            axis = getattr(self, name)
-            if len(axis) == 0:
+            axis = tuple(_axis_value(name, value, self.case) for value in getattr(self, name))
+            if not axis:
                 raise ValueError(f"sweep axis {name!r} is empty")
             if name != "beta" and any(b < a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"sweep axis {name!r} must be non-decreasing")
+            object.__setattr__(self, name, axis)
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object]) -> "SweepSpec":
-        """Parse the JSON sweep format.
+        """Parse the JSON sweep format into :class:`SweepSpec` arguments,
+        which the spec checks.
 
         Each axis is either an explicit list of values or a range object
         ``{"start": x, "stop": y, "steps": n, "unit": "deg"|"rad"}`` (unit
         applies to the angle axes only, default radians; ``p`` takes none).
         Beta values may be numbers, ``[re, im]`` pairs, or strings accepted
-        by ``complex()``.
+        by ``complex()``.  The grid size is checked before a range is built.
         """
         unknown = set(data) - {"theta0", "theta1", "beta", "p", "case"}
         if unknown:
-            raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
+            raise ValueError(f"unknown sweep axes: {reprlib.repr(sorted(unknown))}")
         axes = {name: _parse_axis(name, data[name]) for name in ("theta0", "theta1", "p") if name in data}
         beta = data.get("beta", [0j])
         if not isinstance(beta, (list, tuple)):
@@ -327,19 +346,31 @@ class SweepSpec:
         kwargs: dict[str, object] = {name: tuple(values) for name, (_, values) in axes.items()}
         kwargs["beta"] = tuple(_parse_beta(v) for v in beta)
         if "case" in data:
-            kwargs["case"] = str(data["case"])
+            kwargs["case"] = data["case"]
         return cls(**kwargs)
 
 
-def _parse_axis(name: str, raw: object) -> tuple[int, Iterable[float]]:
+def _axis_value(name: str, value: object, case: CaseId) -> float | complex:
+    """A value of the sweep axis ``name`` through the rule a single run
+    applies to it: :func:`manifold_config`'s for the angles and p, and
+    ``GenericTpam.unitary``'s for beta."""
+    if name == "beta":
+        return GenericTpam.unitary(_number("generic TPAM beta", value, numbers.Complex)).beta
+    number = _number(name, value)
+    if name == "theta1":
+        _completed(number, case)
+    return SourceSpec(number).p if name == "p" else number
+
+
+def _parse_axis(name: str, raw: object) -> tuple[int, Iterable[object]]:
     """An axis as (size, values).  A range's values are generated lazily, so
     the grid size can be checked before any of them is built."""
     if isinstance(raw, (list, tuple)):
-        return len(raw), (_number(name, value) for value in raw)
+        return len(raw), raw
     if isinstance(raw, Mapping):
         extra = set(raw) - {"start", "stop", "steps", "unit"}
         if extra:
-            raise ValueError(f"unknown keys in axis spec: {sorted(extra)}")
+            raise ValueError(f"unknown keys in axis spec: {reprlib.repr(sorted(extra))}")
         try:
             start, stop = _number(f"{name} start", raw["start"]), _number(f"{name} stop", raw["stop"])
             steps = _whole("steps", raw["steps"])
@@ -349,57 +380,51 @@ def _parse_axis(name: str, raw: object) -> tuple[int, Iterable[float]]:
             raise ValueError("axis spec needs steps >= 1")
         if name == "p" and "unit" in raw:
             raise ValueError("'unit' only applies to angle axes, not to 'p'")
-        unit = str(raw.get("unit", "rad"))
+        unit = raw.get("unit", "rad")
         scale = math.pi / 180.0 if unit == "deg" else 1.0
         if unit not in ("deg", "rad"):
-            raise ValueError(f"unknown unit {unit!r}")
+            raise ValueError(f"unknown unit {reprlib.repr(unit)} on sweep axis {name!r}")
         if steps == 1:
             return 1, [start * scale]
         inc = (stop - start) / (steps - 1)
         return steps, ((start + i * inc) * scale for i in range(steps))
-    raise ValueError(f"axis spec must be a list or a range object, got {raw!r}")
+    raise ValueError(f"sweep axis {name!r} must be a list or a range object, got {reprlib.repr(raw)}")
 
 
-def _parse_beta(raw: object) -> complex:
-    if isinstance(raw, str):
-        with contextlib.suppress(ValueError):
-            raw = complex(raw.replace(" ", ""))
-    if isinstance(raw, (list, tuple)):
-        if len(raw) != 2:
-            raise ValueError(f"beta pair must be [re, im], got {raw!r}")
-        return complex(_number("beta", raw[0]), _number("beta", raw[1]))
-    return _check_number("beta", raw, numbers.Complex)
+def _parse_beta(raw: object) -> object:
+    """A beta value, an ``[re, im]`` pair made complex; :class:`SweepSpec` checks it."""
+    if not isinstance(raw, (list, tuple)):
+        return raw
+    if len(raw) != 2:
+        raise ValueError(f"beta pair must be [re, im], got {reprlib.repr(raw)}")
+    return complex(_number("beta", raw[0]), _number("beta", raw[1]))
 
 
 def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[str, float]]:
     """Evaluate the main scheme at every grid point; deterministic row order.
 
-    Grid order is theta0-major, then theta1, beta, p.  The first values of
-    theta1, p and theta0 go through :func:`manifold_config`, for the cutoff
-    and the stages of :func:`build_circuit`, which do not depend on beta;
-    every axis value then gets the checks :func:`manifold_config` makes of
-    it, once, and each beta its absorber, ``GenericTpam.unitary(beta)``.
-    Each stage is built once per axis value it depends on, as one
-    block-diagonal matrix on the input photon-number sectors 0, 1 and 2
-    (the splitters per theta1, the absorber per beta), and numpy products
-    cover the whole theta1 x beta product.
-    The sector weights come per (theta0, p) pair, on the checked axis
-    values, from the function :func:`reduce_through_bs0` takes B's
-    amplitudes from: their squares, the same bits a single run starts
-    from, with no checks or ensemble per pair.  After every
-    stage the amplitudes a single run would prune are set to 0, so rows
-    agree with ``run_main_scheme`` to rounding, and its exact zeros stay 0.
+    Grid order is theta0-major, then theta1, beta, p.  The spec's values
+    were checked when it was built, so the sweep checks only ``cutoff``,
+    through the default config that :func:`manifold_config` builds at that
+    cutoff; it runs that config's :func:`build_circuit` stages, which do
+    not depend on the axes.  Each stage is built once per axis value it
+    depends on, as one block-diagonal matrix on the input photon-number
+    sectors 0, 1 and 2 (the splitters per theta1, the absorber
+    ``GenericTpam.unitary(beta)`` per beta), and numpy products cover the
+    whole theta1 x beta product.  The sector weights come per (theta0, p)
+    pair from the function :func:`reduce_through_bs0` takes B's amplitudes
+    from: their squares, the same bits a single run starts from, with no
+    checks or ensemble per pair.  After every stage the amplitudes a single
+    run would prune are set to 0, so rows agree with ``run_main_scheme`` to
+    rounding, and its exact zeros stay 0.
     """
-    first = manifold_config(spec.theta1[0], spec.case, p=spec.p[0], theta0=spec.theta0[0], cutoff=cutoff)
-    theta1 = [_number("theta1", theta1) for theta1 in spec.theta1]
-    completed = [_completed(theta1, spec.case) for theta1 in theta1]
-    bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(theta1, completed)]
+    circuit = build_circuit(manifold_config(cutoff=cutoff))
+    completed = [manifold_completion(theta1, spec.case) for theta1 in spec.theta1]
+    bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(spec.theta1, completed)]
     bs2 = [(theta2, phi2) for theta2, _, phi2 in completed]
-    heralds = _sector_heralds(build_circuit(first), bs1, bs2, [GenericTpam.unitary(beta) for beta in spec.beta])
-    theta0 = [_number("theta0", v) for v in spec.theta0]
-    p = [SourceSpec(_number("p", v)).p for v in spec.p]
+    heralds = _sector_heralds(circuit, bs1, bs2, [GenericTpam.unitary(beta) for beta in spec.beta])
     # B's weight of 0, 1 and 2 photons per (theta0, p): the squares of the reduction's amplitudes.
-    fronts = ([_front_amplitudes(q, t, 0.0) for q in p] for t in theta0)
+    fronts = ([_front_amplitudes(q, t, 0.0) for q in spec.p] for t in spec.theta0)
     weights = np.array([[[abs(amps.get(n, 0j)) ** 2 for n in range(3)] for amps in row] for row in fronts])
     p_success, on_one = np.einsum("kln,xtbn->xktbl", weights, heralds)
     p2 = np.square(spec.p)

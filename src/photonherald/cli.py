@@ -33,6 +33,8 @@ import datetime
 import hashlib
 import json
 import math
+import numbers
+import reprlib
 import sys
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
@@ -42,9 +44,9 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from .analysis import SWEEP_COLUMNS, SweepSpec, _whole, manifold_config, sweep_rows
+from .analysis import SWEEP_COLUMNS, SweepSpec, _number, _whole, manifold_config, sweep_rows
 from .fock import DEFAULT_CUTOFF, FockError
-from .schemes import DEFAULT_TPAM, DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeConfig, SchemeResult, run_scheme
+from .schemes import DEFAULT_TPAM, DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeConfig, SchemeResult, _check_cutoff, run_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam
 from .verify import DEFAULT_SEED, invariant_checks, paper_value_checks
 
@@ -75,18 +77,16 @@ _CONFIG_FIELDS = ("scheme", "p", "cutoff", "tpam", *_ANGLE_FIELDS)
 # Wire-format parsing
 
 
-def parse_angle(text: str) -> float:
-    """``30deg`` / ``0.5236rad`` / bare number (radians) -> radians."""
+def parse_angle(text: str, name: str = "angle") -> float:
+    """``30deg`` / ``0.5236rad`` / bare number (radians) -> radians; the
+    number passes the number rule under the field ``name``."""
     raw = text.strip().lower()
     factor = 1.0
     if raw.endswith("deg"):
         raw, factor = raw[:-3], math.pi / 180.0
     elif raw.endswith("rad"):
         raw = raw[:-3]
-    try:
-        return float(raw) * factor
-    except ValueError:
-        raise ValueError(f"cannot parse angle {text!r} (use e.g. 30deg or 0.5236rad)") from None
+    return _number(name, raw) * factor
 
 
 def _split_top_level(body: str) -> list[str]:
@@ -100,14 +100,14 @@ def _split_top_level(body: str) -> list[str]:
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise ValueError(f"unbalanced brackets in {body!r}")
+                raise ValueError(f"unbalanced brackets in {reprlib.repr(body)}")
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise ValueError(f"unbalanced brackets in {body!r}")
+        raise ValueError(f"unbalanced brackets in {reprlib.repr(body)}")
     parts.append("".join(current))
     return [p.strip() for p in parts if p.strip()]
 
@@ -118,11 +118,11 @@ def _parse_fields(body: str, allowed: set[str]) -> dict[str, str]:
         key, eq, value = chunk.partition("=")
         key = key.strip()
         if not eq or not key or not value.strip():
-            raise ValueError(f"expected key=value, got {chunk!r}")
+            raise ValueError(f"expected key=value, got {reprlib.repr(chunk)} in an absorber spec")
         if key not in allowed:
-            raise ValueError(f"unknown field {key!r} (allowed: {sorted(allowed)})")
+            raise ValueError(f"unknown field {reprlib.repr(key)} in an absorber spec (allowed: {sorted(allowed)})")
         if key in fields:
-            raise ValueError(f"duplicate field {key!r}")
+            raise ValueError(f"duplicate field {key!r} in an absorber spec")
         fields[key] = value.strip()
     return fields
 
@@ -133,8 +133,10 @@ def _parse_length(text: str) -> float | Fraction:
         try:
             return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"length {text!r} divides by zero") from None
-    return float(text)
+            raise ValueError(f"mixer length_multiple {reprlib.repr(text)} divides by zero") from None
+        except ValueError:
+            pass  # no fraction: the number rule refuses it
+    return _number("mixer length_multiple", text)
 
 
 def parse_tpam_spec(text: str) -> GenericTpam | FwmTpamSpec:
@@ -146,18 +148,13 @@ def parse_tpam_spec(text: str) -> GenericTpam | FwmTpamSpec:
     kind, sep, body = text.partition(":")
     kind = kind.strip().lower()
     if not sep:
-        raise ValueError(f"absorber spec {text!r} needs a 'generic:' or 'jf:' prefix")
+        raise ValueError(f"absorber spec {reprlib.repr(text)} needs a 'generic:' or 'jf:' prefix")
     if kind == "generic":
         fields = _parse_fields(body, {"alpha", "beta"})
         for required in ("alpha", "beta"):
             if required not in fields:
                 raise ValueError(f"generic absorber spec needs {required}=")
-        try:
-            alpha = complex(fields["alpha"].replace(" ", ""))
-            beta = complex(fields["beta"].replace(" ", ""))
-        except ValueError:
-            raise ValueError(f"cannot parse complex coefficients in {text!r}") from None
-        return GenericTpam(alpha, beta)
+        return GenericTpam(*(_number(f"generic TPAM {key}", fields[key], numbers.Complex) for key in ("alpha", "beta")))
     if kind in ("jf", "fwm"):
         fields = _parse_fields(body, {"M", "condition"})
         if "M" not in fields:
@@ -167,10 +164,10 @@ def parse_tpam_spec(text: str) -> GenericTpam | FwmTpamSpec:
         if "condition" in fields:
             raw = fields["condition"].strip()
             if not (raw.startswith("(") and raw.endswith(")")):
-                raise ValueError(f"condition must look like (i,j), got {raw!r}")
-            condition = tuple(int(entry) for entry in raw[1:-1].split(","))
+                raise ValueError(f"condition must look like (i,j), got {reprlib.repr(raw)}")
+            condition = tuple(_whole("condition", entry) for entry in raw[1:-1].split(","))
         return FwmTpamSpec(FwmParams(length), condition)
-    raise ValueError(f"unknown absorber kind {kind!r} (expected generic, jf, or fwm)")
+    raise ValueError(f"unknown absorber kind {reprlib.repr(kind)} (expected generic, jf, or fwm)")
 
 
 def _format_complex(z: complex) -> str:
@@ -199,12 +196,9 @@ def _default_tpam_help() -> str:
 
 
 def _cutoff(ctx: click.Context, param: click.Parameter, value: str) -> int:
-    """The ``--cutoff`` text as a whole number in [2, MAX_CUTOFF], read as a
-    config file's cutoff is read, so ``6.0`` is 6 here too."""
-    cutoff = _whole("cutoff", value)
-    if not 2 <= cutoff <= MAX_CUTOFF:
-        raise ValueError(f"cutoff must lie in [2, {MAX_CUTOFF}], got {value!r}")
-    return cutoff
+    """The ``--cutoff`` text as a whole number, read as a config file's
+    cutoff is read, so ``6.0`` is 6 here too, through the cutoff rule."""
+    return _check_cutoff(_whole("cutoff", value))
 
 
 CUTOFF_OPTION = click.option(
@@ -238,7 +232,7 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
     unknown = sorted(set(config) - set(_CONFIG_FIELDS))
     if unknown:
         raise ValueError(
-            f"unknown config fields: {', '.join(map(repr, unknown))} (known: {', '.join(_CONFIG_FIELDS)})"
+            f"unknown config fields: {', '.join(map(reprlib.repr, unknown))} (known: {', '.join(_CONFIG_FIELDS)})"
         )
     nulls = sorted(key for key, value in config.items() if value is None)
     if nulls:
@@ -247,13 +241,13 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
     token = str(fields.pop("scheme", "main"))
     variant = SCHEME_TOKENS.get(token)
     if variant is None:
-        raise ValueError(f"unknown scheme {token!r} (expected one of {sorted(SCHEME_TOKENS)})")
+        raise ValueError(f"unknown scheme {reprlib.repr(token)} (expected one of {sorted(SCHEME_TOKENS)})")
     unused = sorted(set(fields) & set(_SPLITTER_FIELDS))
     if unused and variant not in (MAIN, DOUBLED):
         raise ValueError(f"config fields {', '.join(map(repr, unused))} do not apply to scheme {token!r}")
     for name in _ANGLE_FIELDS:
         if isinstance(fields.get(name), str):
-            fields[name] = parse_angle(fields[name])
+            fields[name] = parse_angle(fields[name], name)
     tpam = parse_tpam_spec(str(fields.pop("tpam"))) if "tpam" in fields else None
     return manifold_config(**fields, tpam=tpam, variant=variant)
 
@@ -317,7 +311,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     data: dict[str, object] = {}
     for key, value in pairs:
         if key in data:
-            raise ValueError(f"duplicate key {key!r} in a JSON object")
+            raise ValueError(f"duplicate key {reprlib.repr(key)} in a JSON object")
         data[key] = value
     return data
 

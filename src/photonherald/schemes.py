@@ -32,6 +32,7 @@ without sending it through the circuit.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -103,6 +104,15 @@ DEFAULT_TPAM = {
 #: a larger one buys nothing; the ceiling only keeps absurd input out.
 MAX_CUTOFF = 16
 
+
+def _check_cutoff(cutoff: object) -> int:
+    """The cutoff rule, for configs, flags and the verify suites: ``cutoff``
+    if it is an int in [2, MAX_CUTOFF], else ``ValueError``."""
+    if isinstance(cutoff, int) and 2 <= cutoff <= MAX_CUTOFF:
+        return cutoff
+    raise ValueError(f"scheme circuits need an integer cutoff in [2, {MAX_CUTOFF}] (two-photon inputs), got {reprlib.repr(cutoff)}")
+
+
 @dataclass(frozen=True, slots=True)
 class SourceSpec:
     """Single-photon source efficiency p: emits |1> with probability p, else vacuum.
@@ -145,11 +155,7 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown scheme variant {self.variant!r}; expected one of {VARIANTS}")
-        if not (isinstance(self.cutoff, int) and 2 <= self.cutoff <= MAX_CUTOFF):
-            raise ValueError(
-                f"scheme circuits need an integer cutoff in [2, {MAX_CUTOFF}] "
-                f"(two-photon inputs), got {self.cutoff!r}"
-            )
+        _check_cutoff(self.cutoff)
         _check_absorber(self)
 
 

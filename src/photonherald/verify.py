@@ -47,6 +47,7 @@ from .fock import (
 from .schemes import (
     DOUBLED,
     SchemeConfig,
+    _check_cutoff,
     reduce_through_bs0,
     run_doubled_scheme,
     run_filter_split_scheme,
@@ -132,7 +133,11 @@ def _random_valid_config(rng: random.Random, cutoff: int = DEFAULT_CUTOFF) -> Sc
 def paper_value_checks(
     cutoff: int = DEFAULT_CUTOFF, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
-    """Reproduce every quoted number; returns one row per quoted value."""
+    """Reproduce every quoted number; returns one row per quoted value.
+
+    ``cutoff`` passes the cutoff rule before any work starts.
+    """
+    _check_cutoff(cutoff)
     checks: list[CheckResult] = []
 
     # Front-splitter reduction weights at a balanced splitter.
@@ -162,18 +167,14 @@ def paper_value_checks(
 
     # Optimal first-splitter angle: 30 degrees modulo the symmetry set.
     symmetry = [math.radians(d) for d in (30.0, 150.0, 210.0, 330.0)]
-    worst_angle = 0.0
-    worst_value = 0.0
-    for beta in (0.0, 0.4130, -1.0, 0.25 + 0.55j):
-        theta_star, ps_star = optimize_ps(beta)
-        worst_angle = max(worst_angle, min(abs(theta_star - s) for s in symmetry))
-        worst_value = max(worst_value, abs(ps_star - 27.0 / 256.0 * abs(1.0 - beta) ** 2))
+    optima = {beta: optimize_ps(beta) for beta in (0.0, 0.4130, -1.0, 0.25 + 0.55j)}
+    worst_angle = max(min(abs(theta_star - s) for s in symmetry) for theta_star, _ in optima.values())
+    worst_value = max(abs(ps_star - 27.0 / 256.0 * abs(1.0 - beta) ** 2) for beta, (_, ps_star) in optima.items())
     checks.append(CheckResult("optimal-angle-30deg", worst_angle, 0.0, 1e-6, "radians"))
     checks.append(CheckResult("optimal-success-27-256", worst_value, 0.0, 1e-10))
 
     # Strongest nonlinear phase shift: 27/64 ~ 0.4219, doubled to 0.84375.
-    _, ps_star = optimize_ps(-1.0)
-    checks.append(CheckResult("strong-phase-optimum", ps_star, 0.4219, 1e-4))
+    checks.append(CheckResult("strong-phase-optimum", optima[-1.0][1], 0.4219, 1e-4))
     doubled = run_doubled_scheme(
         manifold_config(math.pi / 6, tpam=GenericTpam.unitary(-1.0), variant=DOUBLED, cutoff=cutoff)
     ).p_success
@@ -247,7 +248,11 @@ def paper_value_checks(
 
 
 def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> list[CheckResult]:
-    """Randomized structural properties; deterministic for a given seed."""
+    """Randomized structural properties; deterministic for a given seed.
+
+    ``cutoff`` passes the cutoff rule before any work starts.
+    """
+    _check_cutoff(cutoff)
     rng = random.Random(seed)
     checks: list[CheckResult] = []
 

@@ -282,6 +282,19 @@ def test_sweep_spec_rejects_oversized_product_of_small_axes():
         )
 
 
+def test_sweep_spec_checks_its_values_when_built():
+    # Text reads as a number before the order check, so "2" < "10" here.
+    assert SweepSpec(theta1=(0.5, "1")).theta1 == (0.5, 1.0)
+    assert SweepSpec(theta1=("2", "10")).theta1 == (2.0, 10.0)
+    spec = SweepSpec(theta0=[0, 1], theta1=(0, "1"), beta=(0, "0.5j"), p=(0, 1))
+    assert all(type(v) is float for v in spec.theta0 + spec.theta1 + spec.p)
+    assert spec.beta == (0j, 0.5j) and all(type(v) is complex for v in spec.beta)
+    with pytest.raises(ValueError, match="^p must be a finite real number"):
+        SweepSpec(p=(0.5, None))
+    with pytest.raises(ValueError, match="^theta1 must be a finite real number"):
+        SweepSpec(theta1=(0.5, math.nan))
+
+
 def test_sweep_spec_constructor_checks_grid_size(monkeypatch):
     monkeypatch.setattr(analysis, "MAX_SWEEP_POINTS", 3)
     with pytest.raises(ValueError, match="points"):
@@ -386,14 +399,12 @@ SWEEP_AXIS_VALUE = {"theta0": 0.3, "theta1": 0.3, "beta": 0j, "p": 0.0}
     ],
 )
 def test_sweep_rows_rejects_a_bad_axis_value_as_manifold_config_does(axis, bad):
-    # The bad value is second on its axis, so the per-axis check sees it,
-    # not the one config built from the first values.  A beta is checked as
-    # the absorber it makes.
+    # The bad value is second on its axis, so the per-axis check sees it.
+    # The spec checks it when built; a beta is checked as the absorber it makes.
     with pytest.raises(ValueError) as single:
         GenericTpam.unitary(bad) if axis == "beta" else manifold_config(**{axis: bad})
-    spec = SweepSpec(**{axis: (SWEEP_AXIS_VALUE[axis], bad)})
     with pytest.raises(ValueError) as swept:
-        sweep_rows(spec)
+        sweep_rows(SweepSpec(**{axis: (SWEEP_AXIS_VALUE[axis], bad)}))
     assert str(swept.value) == str(single.value)
 
 

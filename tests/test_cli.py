@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonherald
-from photonherald import DEFAULT_TPAM, MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam
+from photonherald import DEFAULT_TPAM, MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam, verify
 from photonherald.cli import (
     SCHEME_TOKENS,
     config_hash,
@@ -338,6 +338,8 @@ def test_non_finite_parameter_is_usage_error(runner, args):
 
 
 HUGE = "1" + "0" * 400
+LONG = "x" * 400
+ONES = "1" * 400
 
 
 @pytest.mark.parametrize(
@@ -353,6 +355,25 @@ HUGE = "1" + "0" * 400
             id="tpam-huge-length",
         ),
         pytest.param("condition", ["run", "--tpam", "jf:M=2,condition=(1" + "0" * 300 + ",1)"], None, id="tpam-huge-condition"),
+        pytest.param("alpha", ["run", "--tpam", f"generic:alpha={LONG},beta=0"], None, id="tpam-text-alpha"),
+        pytest.param("length_multiple", ["run", "--tpam", f"jf:M={LONG}"], None, id="tpam-text-length"),
+        pytest.param("condition", ["run", "--tpam", f"jf:M=2,condition=({LONG},1)"], None, id="tpam-text-condition"),
+        pytest.param("condition", ["run", "--tpam", f"jf:M=2,condition=[{ONES}]"], None, id="tpam-condition-brackets"),
+        pytest.param("absorber kind", ["run", "--tpam", f"{LONG}:a=1"], None, id="tpam-long-kind"),
+        pytest.param("absorber spec", ["run", "--tpam", f"generic:alpha=1,{LONG}=0"], None, id="tpam-long-key"),
+        pytest.param("theta1", ["run", "--theta1", LONG], None, id="run-text-theta1"),
+        pytest.param("scheme", ["run", "--scheme", LONG], None, id="run-long-scheme"),
+        pytest.param("config fields", ["run", "--config", "{spec}"], json.dumps({LONG: 1}), id="run-config-long-key"),
+        pytest.param("case", ["sweep", "{spec}"], json.dumps({"case": LONG}), id="sweep-long-case"),
+        pytest.param("sweep axes", ["sweep", "{spec}"], json.dumps({LONG: 1}), id="sweep-long-key"),
+        pytest.param("theta1", ["sweep", "{spec}"], json.dumps({"theta1": LONG}), id="sweep-text-axis"),
+        pytest.param(
+            "theta1",
+            ["sweep", "{spec}"],
+            json.dumps({"theta1": {"start": 0, "stop": 1, "steps": 2, "unit": LONG}}),
+            id="sweep-long-unit",
+        ),
+        pytest.param("beta", ["sweep", "{spec}"], json.dumps({"beta": [[1, 2, ONES]]}), id="sweep-long-beta-pair"),
     ],
 )
 def test_a_refusal_is_short_and_names_the_field(runner, tmp_path, field, command, spec):
@@ -600,7 +621,7 @@ def test_boolean_or_unused_bad_sweep_value_is_usage_error(runner, tmp_path, spec
         ("tpam", "jf:M=2,condition=(1,1", "unbalanced brackets"),
         ("tpam", "generic:alpha=1,beta", "expected key=value, got 'beta'"),
         ("tpam", "generic:alpha=1,beta=0,gamma=0", "unknown field 'gamma'"),
-        ("tpam", "generic:alpha=one,beta=0", "cannot parse complex coefficients"),
+        ("tpam", "generic:alpha=one,beta=0", "generic TPAM alpha must be a finite complex number"),
         ("tpam", "jf:M=2,condition=[1,1]", "condition must look like (i,j)"),
         ("config", {"config": [0.5]}, "manifest 'config' field must be an object"),
     ],
@@ -925,3 +946,25 @@ def test_verify_is_seed_stable(runner):
     a = runner.invoke(main, ["verify", "--suite", "invariants", "--seed", "11"]).output
     b = runner.invoke(main, ["verify", "--suite", "invariants", "--seed", "11"]).output
     assert a == b
+
+
+CUTOFF_RULE = f"scheme circuits need an integer cutoff in [2, {MAX_CUTOFF}]"
+
+
+@pytest.mark.parametrize("cutoff", [17, 2.5, "4", True])
+@pytest.mark.parametrize("suite", ["paper_value_checks", "invariant_checks"])
+def test_verify_suites_check_their_cutoff_before_any_work(monkeypatch, suite, cutoff):
+    def work(*args, **kwargs):
+        pytest.fail(f"{suite} started work at cutoff {cutoff!r}")
+
+    monkeypatch.setattr(verify, "unitarity_check", work)
+    monkeypatch.setattr(verify, "reduce_through_bs0", work)
+    with pytest.raises(ValueError, match=re.escape(CUTOFF_RULE)):
+        getattr(verify, suite)(cutoff=cutoff)
+
+
+@pytest.mark.parametrize("command", [["run"], ["verify", "--suite", "invariants"]])
+def test_cutoff_flag_is_refused_by_the_cutoff_rule(runner, command):
+    result = runner.invoke(main, [*command, "--cutoff", str(MAX_CUTOFF + 1)])
+    assert_one_line_usage_error(result)
+    assert CUTOFF_RULE in result.stderr

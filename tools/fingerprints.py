@@ -17,6 +17,11 @@ It prints the sha256 of
   ``tests/test_analysis.py::test_sweep_rows_match_single_runs_on_edge_grid``
   (four theta0 values, null angles, a vanishing source), for every case at
   cutoffs 2 and 4.
+* the sorted-key JSON of the run manifests, without their ``timestamp``,
+  of the eight ``photonherald run`` inputs of the benchmark's cli-cold
+  workload at seed 13, each followed by the manifest of ``run --config`` on
+  a file holding that manifest: this pins each canonical config record and
+  its ``config_hash`` on both run paths.
 
 Run it in two checkouts and compare the outputs: equal objects mean equal
 bytes on all of these inputs.  The package comes from the checkout's
@@ -78,6 +83,16 @@ def fresh_cli(*args: str) -> tuple[int, bytes, bytes]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def run_manifest(cli: Callable[..., tuple[int, bytes, bytes]], *args: str) -> dict[str, object]:
+    """The manifest ``photonherald ARGS`` prints, a ``run``, without its timestamp."""
+    code, stdout, stderr = cli(*args)
+    if code != 0:
+        raise SystemExit(f"photonherald {' '.join(args)} failed: {stderr.decode().strip()}")
+    manifest = json.loads(stdout)
+    del manifest["timestamp"]
+    return manifest
+
+
 def first_results(workload, calls: int) -> list:
     return [workload.call(x) for x in itertools.islice(workload.ops(), calls)]
 
@@ -90,6 +105,11 @@ def fingerprints(cli: Callable[..., tuple[int, bytes, bytes]] = fresh_cli) -> di
         spec = Path(tmp) / "spec.json"
         spec.write_text(json.dumps(README_SWEEP_SPEC), encoding="utf-8")
         code, stdout, stderr = cli("sweep", str(spec))
+        manifests, config = [], Path(tmp) / "manifest.json"
+        for args, _ in workloads.CliCold(13).inputs:
+            manifests.append(run_manifest(cli, *args))
+            config.write_text(json.dumps(manifests[-1]), encoding="utf-8")
+            manifests.append(run_manifest(cli, "run", "--config", str(config)))
     if code != 0:
         raise SystemExit(f"photonherald sweep failed: {stderr.decode().strip()}")
     out["readme_sweep_csv_sha256"] = sha256(stdout)
@@ -105,6 +125,7 @@ def fingerprints(cli: Callable[..., tuple[int, bytes, bytes]] = fresh_cli) -> di
     out["sweep_grid_12_seed77_sha256"] = sha256("\n".join(repr(rows) for rows in grids))
     edges = (sweep_rows(SweepSpec(**EDGE_SWEEP_AXES, case=case), cutoff=cutoff) for case in CaseId for cutoff in (2, 4))
     out["edge_sweep_sha256"] = sha256("\n".join(repr(rows) for rows in edges))
+    out["cli_cold_seed13_run_and_config_manifests_sha256"] = sha256(json.dumps(manifests, sort_keys=True))
     return out
 
 
