@@ -36,7 +36,7 @@ import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
 from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, _check_number, fock_state
-from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _front_amplitudes, build_circuit
+from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _front_weights, build_circuit
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
@@ -73,10 +73,15 @@ class CaseId(str, Enum):
 def manifold_completion(theta1: float, case: CaseId | str) -> tuple[float, float, float]:
     """Given theta1 and a branch, return (theta2, phi1, phi2) on the manifold.
 
+    This holds the case rule, for configs and sweeps alike.
+
     Raises:
-        ValueError: for a name that is no branch.
+        ValueError: naming ``case`` for a value that is no branch.
     """
-    cid = CaseId(case)
+    try:
+        cid = CaseId(case)
+    except ValueError:
+        raise ValueError(f"case must be one of {[branch.value for branch in CaseId]}, got {reprlib.repr(case)}") from None
     if cid is CaseId.SUM_PLUS:
         return math.pi / 2 - theta1, 0.0, 0.0
     if cid is CaseId.SUM_MINUS:
@@ -258,12 +263,12 @@ def jf_length_scan(m_values: Iterable[float]) -> list[float]:
 
 
 #: Largest grid a sweep accepts, checked before any axis is built.  On a
-#: 2-CPU host a README-shaped grid runs at about 120k points per second and
-#: a 100 x 100 theta0 x p grid at about 60k-80k, each (theta0, p) pair
-#: costing its front-splitter reduction, about 8-12 us.  Each theta1 value
-#: costs its splitter rows and each beta value its absorber block, some
-#: microseconds each, so this limit takes longest, about 10 s, on one long
-#: theta1 axis, whose rows overflow the ``_mixing_row`` cache.
+#: 2-CPU host a README-shaped grid runs at about 130k-220k points per second
+#: and a 100 x 100 theta0 x p grid at about 65k-110k, each (theta0, p) pair
+#: costing its sector weights, about 8-9 us on cached splitter rows.  Each
+#: theta1 value costs its splitter rows and each beta value its absorber
+#: block, some microseconds each, so this limit takes longest, about 10 s,
+#: on one long theta1 axis, whose rows overflow the ``_mixing_row`` cache.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -300,9 +305,10 @@ class SweepSpec:
     beta complex numbers, and a refusal carries the single run's message.
 
     Raises:
-        ValueError: for a case that is no branch, a grid above
-            ``MAX_SWEEP_POINTS``, an empty axis, a value its rule refuses,
-            or a decreasing theta0, theta1 or p axis.
+        ValueError: for a case that is no branch, an axis that is not a
+            list or a tuple, a grid above ``MAX_SWEEP_POINTS``, an empty
+            axis, a value its rule refuses, or a decreasing theta0, theta1
+            or p axis.
     """
 
     theta0: tuple[float, ...] = (math.pi / 4,)
@@ -312,12 +318,15 @@ class SweepSpec:
     case: CaseId = CaseId.SUM_PLUS
 
     def __post_init__(self) -> None:
-        if self.case not in list(CaseId):  # a branch equals its name
-            raise ValueError(f"sweep case must be one of {[case.value for case in CaseId]}, got {reprlib.repr(self.case)}")
+        manifold_completion(0.0, self.case)  # the case rule
         object.__setattr__(self, "case", CaseId(self.case))
-        _check_grid_size(len(self.theta0) * len(self.theta1) * len(self.beta) * len(self.p))
-        for name in ("theta0", "theta1", "p", "beta"):
-            axis = tuple(_axis_value(name, value, self.case) for value in getattr(self, name))
+        axes = {name: getattr(self, name) for name in ("theta0", "theta1", "p", "beta")}
+        for name, values in axes.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"sweep axis {name!r} must be a list or a tuple, got {reprlib.repr(values)}")
+        _check_grid_size(math.prod(map(len, axes.values())))
+        for name, values in axes.items():
+            axis = tuple(_axis_value(name, value, self.case) for value in values)
             if not axis:
                 raise ValueError(f"sweep axis {name!r} is empty")
             if name != "beta" and any(b < a for a, b in zip(axis, axis[1:])):
@@ -411,25 +420,33 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     depends on, as one block-diagonal matrix on the input photon-number
     sectors 0, 1 and 2 (the splitters per theta1, the absorber
     ``GenericTpam.unitary(beta)`` per beta), and numpy products cover the
-    whole theta1 x beta product.  The sector weights come per (theta0, p)
-    pair from the function :func:`reduce_through_bs0` takes B's amplitudes
-    from: their squares, the same bits a single run starts from, with no
-    checks or ensemble per pair.  After every stage the amplitudes a single
-    run would prune are set to 0, so rows agree with ``run_main_scheme`` to
-    rounding, and its exact zeros stay 0.
+    whole theta1 x beta product.  B's weight of each sector, and that
+    weight over p^2, come per (theta0, p) pair from the function that
+    :func:`reduce_through_bs0` calls after its checks, with no checks per
+    pair.  As in a single run, p_success sums the weights times the
+    sectors' heralds, p_success/p^2 sums the weights over p^2 times the
+    heralds, and the fidelity weights the sectors that herald relative to
+    the largest.  After every stage the amplitudes a single run would prune
+    are set to 0, so rows agree with ``run_main_scheme`` to rounding, and
+    its exact zeros stay 0.
     """
     circuit = build_circuit(manifold_config(cutoff=cutoff))
     completed = [manifold_completion(theta1, spec.case) for theta1 in spec.theta1]
     bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(spec.theta1, completed)]
     bs2 = [(theta2, phi2) for theta2, _, phi2 in completed]
     heralds = _sector_heralds(circuit, bs1, bs2, [GenericTpam.unitary(beta) for beta in spec.beta])
-    # B's weight of 0, 1 and 2 photons per (theta0, p): the squares of the reduction's amplitudes.
-    fronts = ([_front_amplitudes(q, t, 0.0) for q in spec.p] for t in spec.theta0)
-    weights = np.array([[[abs(amps.get(n, 0j)) ** 2 for n in range(3)] for amps in row] for row in fronts])
-    p_success, on_one = np.einsum("kln,xtbn->xktbl", weights, heralds)
-    p2 = np.square(spec.p)
-    ratio = np.divide(p_success, p2, out=np.full_like(p_success, math.nan), where=p2 > 0.0)
-    fidelity = np.divide(on_one, p_success, out=np.zeros_like(p_success), where=p_success > 0.0)
+    # B's weight of 0, 1 and 2 photons per (theta0, p), and that weight over p^2: axes (theta0, p, n).
+    fronts = [[_front_weights(q, t, 0.0) for q in spec.p] for t in spec.theta0]
+    weights, over_p2 = np.array([[[[front[i].get(n, 0.0) for n in range(3)] for front in row] for row in fronts] for i in (0, 1)])
+    p_success = np.einsum("kln,tbn->ktbl", weights, heralds[0])
+    # As in a single run, a sector whose weight over p^2 overflows (at p = 0, the vacuum's below
+    # p = 1e-154, the one-photon sector's below 5.6e-309) outweighs every other sector where it
+    # heralds; otherwise the sectors are weighed by their weights over p^2.
+    overflow = over_p2 == math.inf
+    finite, lead = (np.einsum("kln,xtbn->xktbl", w, heralds) for w in (np.where(overflow, 0.0, over_p2), 1.0 * overflow))
+    part = np.where(lead[0] > 0.0, lead, finite)
+    ratio = np.where(np.array(spec.p) > 0.0, np.where(lead[0] > 0.0, math.inf, finite[0]), math.nan)
+    fidelity = np.divide(part[1], part[0], out=np.zeros_like(part[0]), where=part[0] > 0.0)
     values = zip(p_success.ravel().tolist(), ratio.ravel().tolist(), fidelity.ravel().tolist())
     points = itertools.product(spec.theta0, zip(spec.theta1, completed), spec.beta, spec.p)
     return [

@@ -477,14 +477,6 @@ def _norm(amps: Iterable[complex], n2: float, weight: float | None = None, group
     return _norm(group, weight) / _norm(amps, n2)
 
 
-def _with_weight(amp: complex, weight: float, group: Iterable[complex]) -> complex:
-    """``amp`` rescaled to squared magnitude ``weight``, the sum of the
-    squared magnitudes of ``group`` (``amp`` and those merged into it), as
-    :meth:`Ensemble.consolidated` rescales the first state of a group."""
-    own = abs(amp) ** 2
-    return amp if weight == own else amp * _norm((amp,), own, weight, group)
-
-
 def _live(states: Iterable[PureState]) -> tuple[PureState, ...]:
     """The states that carry weight.  Ops prune relative to each branch's own
     norm, so a branch dies by losing every amplitude, not by being small."""

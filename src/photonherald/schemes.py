@@ -21,6 +21,13 @@ Four executable circuits, all fed by the same imperfect source model
   only the (attenuated) two-photon and vacuum components, which a balanced
   splitter plus a single-photon click then separates into a heralded photon.
 
+Every stage after the front splitter is linear, so a run sends each input
+photon-number sector through its circuit once, at unit norm: B holding n
+photons, or for doubled each source product |a, b>, which its circuit
+mixes at the front splitter first.  It weights the sectors at the end, by
+their weights and by their weights over p^2, so p^2 is never formed and
+any p in [0, 1] runs.
+
 Every run returns a :class:`SchemeResult` carrying the success probability,
 the conditional (heralded) output state, its fidelity to ``|1>``, and a
 per-input-photon-sector breakdown of where the probability came from.
@@ -33,8 +40,6 @@ from __future__ import annotations
 
 import math
 import reprlib
-import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -45,7 +50,6 @@ from .fock import (
     PRUNE_THRESHOLD,
     CutoffOverflowError,
     Ensemble,
-    FockKet,
     ModeRegister,
     PureState,
     fidelity_to_single_photon,
@@ -55,8 +59,6 @@ from .fock import (
     relabel_modes,
     tensor,
     _check_number,
-    _ket,
-    _with_weight,
 )
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_conditioned_channel, fwm_evolve
 
@@ -117,7 +119,8 @@ def _check_cutoff(cutoff: object) -> int:
 class SourceSpec:
     """Single-photon source efficiency p: emits |1> with probability p, else vacuum.
 
-    A nonzero p must keep p^2, the scale of every herald, a normal double.
+    Any p in [0, 1] runs: each input sector runs at unit weight, and its
+    weight, and that weight over p^2, are applied at the end.
     """
 
     p: float
@@ -126,8 +129,6 @@ class SourceSpec:
         object.__setattr__(self, "p", _check_number("source efficiency p in [0, 1]", self.p))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"source efficiency must lie in [0, 1], got {self.p}")
-        if self.p > 0.0 and self.p * self.p < sys.float_info.min:
-            raise ValueError(f"source efficiency {self.p} is too small: p^2 is not a normal double (p >= 1.5e-154 or 0)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,85 +211,58 @@ def _ensemble_to_jsonable(ens: Ensemble | None) -> dict[str, object] | None:
     return {"modes": list(ens.register.labels), "branches": branches}
 
 
-#: The product kets |a, b> of the two sources, in the order the front
-#: splitter takes them: :func:`_front_amplitudes` sums each count's weight
-#: over them in this order.
-_PRODUCTS = ((1, 1), (1, 0), (0, 1), (0, 0))
-
-
 def reduce_through_bs0(
-    p: float, theta0: float = math.pi / 4, phi0: float = 0.0, *, cutoff: int = DEFAULT_CUTOFF, discard: bool = True
-) -> Ensemble:
+    p: float, theta0: float = math.pi / 4, phi0: float = 0.0, *, cutoff: int = DEFAULT_CUTOFF
+) -> tuple[dict[int, float], dict[int, float]]:
     """Interfere two source copies at the front splitter and drop one output.
 
-    Returns the reduced mixture on mode ``B``, one branch ``|n>`` per photon
-    number.  At theta0 = pi/4 the weights are (p^2/2, p(1-p), p^2/2 - p + 1)
-    on |2>, |1>, |0> — photon bunching pushes the one-photon weight down and
-    the two-photon weight up, which is exactly what the absorber downstream
-    feeds on.  With ``discard=False`` the joint ensemble on (A, B) is
-    returned instead, one branch per source product (the doubled variant
-    processes both outputs).  The arithmetic is :func:`_front_terms`'s and
-    :func:`_front_amplitudes`'s; this checks the inputs and builds the
-    ensemble.
+    Returns B's weight ``w_n`` of each photon number n, and ``w_n / p^2``:
+    p_success is the sum of ``w_n q_n`` and p_success/p^2 the sum of
+    ``(w_n / p^2) q_n``, where ``q_n`` is the herald probability of ``|n>``.
+    At theta0 = pi/4 the weights are (p^2/2, p(1-p), p^2/2 - p + 1) on |2>,
+    |1>, |0> — photon bunching pushes the one-photon weight down and the
+    two-photon weight up, which is exactly what the absorber downstream feeds
+    on.  This checks the inputs; :func:`_front_weights` does the arithmetic.
     """
     source = SourceSpec(p)
     bs0 = BeamSplitterParams(theta0, phi0)
-    register, reduced = _front_registers(cutoff)
+    ModeRegister(("A", "B"), cutoff)  # the register's rule: an int of at least 1
     if source.p and cutoff < 2:  # the product |1, 1> exists for every p > 0
         raise CutoffOverflowError(f"beam splitter on ('A', 'B') would exceed cutoff {cutoff} for ket |1,1;m0> (combined occupation 2)")
-    if discard:
-        amplitudes = _front_amplitudes(source.p, bs0.theta, bs0.phi)
-        return Ensemble(reduced, (PureState._of(reduced, {_ket(((n,), 0)): x}, 0.0) for n, x in amplitudes.items()))
-    joint: dict[tuple[int, int], dict[FockKet, complex]] = {}
-    for a, b, n, x in _front_terms(source.p, bs0.theta, bs0.phi):
-        joint.setdefault((a, b), {})[_ket(((a + b - n, n), 0))] = x
-    return Ensemble(register, (PureState._of(register, amps, 0.0) for amps in joint.values()))
+    return _front_weights(source.p, bs0.theta, bs0.phi)
 
 
-def _front_terms(p: float, theta0: float, phi0: float) -> Iterator[tuple[int, int, int, complex]]:
-    """The front splitter fed two sources of checked efficiency ``p``, at
-    checked angles: ``(a, b, n, x)`` for each joint amplitude ``x`` that
-    source product |a, b> leaves with n photons in B.
+def _products(p: float) -> list[tuple[int, int, float, float]]:
+    """``(a, b, P_a P_b, P_a P_b / p^2)`` for each product |a, b> that two
+    sources of checked efficiency ``p`` emit (P_1 = p, P_0 = 1 - p).
 
-    Each product has amplitude sqrt(P_a) sqrt(P_b) (P_1 = p, P_0 = 1 - p;
-    a zero one is dropped) and is read straight from the splitter's row of
-    |a, b>, with the arithmetic and the pruning :func:`apply_beam_splitter`
-    applies to the one-ket state.
+    The second weight takes P_0 / P_1 = (1 - p) / p, so p^2 is never formed:
+    where p^2 underflows it keeps its bits, and it is infinite only where
+    the true ratio is (at p = 0, or where (1 - p) / p overflows).
     """
-    root = (math.sqrt(1.0 - p), math.sqrt(p))
-    for a, b in _PRODUCTS:
-        if amp := complex(root[a] * root[b]):
-            # SourceSpec keeps p^2 a normal double, so each product keeps an amplitude whose square is not 0.
-            floor = PRUNE_THRESHOLD * math.sqrt(abs(amp) ** 2)
-            for m1, coeff in _mixing_row(theta0, phi0, a, b):
-                if abs(x := 0j + amp * coeff) > floor:
-                    yield a, b, a + b - m1, x
+    probability, over_p = (1.0 - p, p), ((1.0 - p) / p if p else math.inf, 1.0)
+    emitted = [(a, b) for a in (1, 0) for b in (1, 0) if probability[a] and probability[b]]
+    return [(a, b, probability[a] * probability[b], over_p[a] * over_p[b]) for a, b in emitted]
 
 
-def _front_amplitudes(p: float, theta0: float, phi0: float) -> dict[int, complex]:
-    """B's amplitude per photon count once A is dropped, for checked inputs.
+def _front_weights(p: float, theta0: float, phi0: float) -> tuple[dict[int, float], dict[int, float]]:
+    """B's weight of each photon count once A is dropped, and that weight
+    over p^2, for checked inputs.
 
-    The splitter conserves photon number, so each product's branch holds
-    one total and B's reduced state is diagonal: the amplitude of n photons
-    is the first joint amplitude that leaves n in B, rescaled to B's weight
-    of n summed over the products in order, as :meth:`Ensemble.consolidated`
-    would merge them.  The sweep engine squares these amplitudes for its
-    weights, so single runs and sweeps start from the same bits.
+    The splitter conserves photon number, so B's reduced state is diagonal:
+    ``w_n`` sums ``P_a P_b |row_ab[n]|^2`` over the source products, read
+    from the cached splitter rows, where an entry the splitter would prune
+    from the unit ket |a, b> adds nothing.
     """
     weights: dict[int, float] = {}
-    groups: dict[int, list[complex]] = {}
-    for _, _, n, x in _front_terms(p, theta0, phi0):
-        if square := abs(x) ** 2:  # an amplitude that squares to 0 carries no weight, and the ensemble drops its branch
-            weights[n] = weights.get(n, 0.0) + square
-            groups.setdefault(n, []).append(x)
-    return {n: _with_weight(group[0], weights[n], group) for n, group in groups.items()}
-
-
-@lru_cache(maxsize=MAX_CUTOFF + 1, typed=True)
-def _front_registers(cutoff: int) -> tuple[ModeRegister, ModeRegister]:
-    """The front splitter's register on (A, B), and B's once A is dropped."""
-    register = ModeRegister(("A", "B"), cutoff)
-    return register, register.without("A")
+    over_p2: dict[int, float] = {}
+    for a, b, w, r in _products(p):
+        for m1, coeff in _mixing_row(theta0, phi0, a, b):
+            if abs(coeff) > PRUNE_THRESHOLD:
+                n, square = a + b - m1, abs(coeff) ** 2
+                weights[n] = weights.get(n, 0.0) + w * square
+                over_p2[n] = over_p2.get(n, 0.0) + r * square
+    return weights, over_p2
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +283,8 @@ def _front_registers(cutoff: int) -> tuple[ModeRegister, ModeRegister]:
 #       stage of a herald tail, where it splits the heralded state in branches
 #
 # Every other stage maps one pure state to one pure state (``_act``); each
-# input branch runs through them as one unnormalized state, so the norm a
-# detection removes is weight lost.
+# input sector runs through them as one state of unit norm, so the norm a
+# detection removes is probability lost.
 
 
 def _act(stage: tuple, state: PureState) -> PureState:
@@ -350,7 +324,7 @@ class Circuit(NamedTuple):
     details: dict[str, object]
 
     def prepare(self, state: PureState) -> PureState:
-        """``state``, one input branch, after every stage before the herald."""
+        """``state``, one input sector, after every stage before the herald."""
         (prepared,) = _evolve(state, self.stages[:-1])
         return prepared
 
@@ -379,25 +353,28 @@ def _check_absorber(cfg: SchemeConfig) -> None:
         )
 
 
-@lru_cache(maxsize=32)
-def _vacuum(labels: tuple[str, ...], cutoff: int, medium_dims: int) -> PureState:
-    """The vacuum on ``labels``, carrying a ground-state medium of ``medium_dims``
-    levels; an attach stage's constant, built once per circuit shape."""
-    return fock_state(ModeRegister(labels, cutoff, medium_dims), (0,) * len(labels))
+@lru_cache(maxsize=64)
+def _fock(labels: tuple[str, ...], cutoff: int, occupations: tuple[int, ...], medium_dims: int = 1) -> PureState:
+    """The basis state of ``occupations`` on ``labels``, carrying a
+    ground-state medium of ``medium_dims`` levels; an input sector or an
+    attach stage's vacuum, built once per circuit shape."""
+    return fock_state(ModeRegister(labels, cutoff, medium_dims), occupations)
 
 
 def build_circuit(cfg: SchemeConfig) -> Circuit:
     """Describe the scheme of ``cfg`` as one tuple of stages.
 
     A new circuit is one more branch here, ending in a herald stage.  The
-    config's absorber suits its variant: :class:`SchemeConfig` checks that.
+    circuit starts from B after the front splitter, or for doubled from the
+    two sources on (A, B), which its first stage mixes.  The config's
+    absorber suits its variant: :class:`SchemeConfig` checks that.
     An interferometric variant attaches one excited medium level per
     absorber whatever the absorber; a conditioned mixer never excites it.
     """
     tpam, cutoff, variant = cfg.tpam, cfg.cutoff, cfg.variant
 
     def vacuum(*labels: str, medium_dims: int = 1) -> PureState:
-        return _vacuum(labels, cutoff, medium_dims)
+        return _fock(labels, cutoff, (0,) * len(labels), medium_dims)
 
     details: dict[str, object] = {}
     if variant in (MAIN, DOUBLED):
@@ -426,6 +403,7 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
             ("A", (("A", 1), ("B", 0)), (("relabel", {"CA": "C"}), ("trace", "CB"))),
         )
         stages = (
+            ("split", cfg.bs0, ("A", "B")),
             ("attach", vacuum("CA", "CB", medium_dims=3)),
             *interferometer("A", "CA", 1),
             *interferometer("B", "CB", 2),
@@ -459,48 +437,69 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
     return Circuit(stages, details)
 
 
-def _interpret(cfg: SchemeConfig) -> SchemeResult:
-    """Run the circuit of ``cfg`` one input photon-number branch at a time.
+def _inputs(cfg: SchemeConfig) -> list[tuple[int, float, float, PureState]]:
+    """Each input sector of ``cfg``'s circuit at unit norm: (photon count,
+    weight, weight over p^2, state).  B holds n photons with the front
+    splitter's weights; for doubled, the sources emit |a, b> on (A, B)."""
+    if cfg.variant == DOUBLED:
+        return [(a + b, w, r, _fock(("A", "B"), cfg.cutoff, (a, b))) for a, b, w, r in _products(cfg.source.p)]
+    weights, over_p2 = reduce_through_bs0(cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff)
+    return [(n, w, over_p2[n], _fock(("B",), cfg.cutoff, (n,))) for n, w in weights.items()]
 
-    The inputs are the front-splitter mixture: B alone, or A and B for doubled.
-    No stage adds photons, so a herald whose every outcome counts a photon
-    cannot fire on the vacuum branch: that branch is booked with 0.0 in
-    ``branch_log`` and not run.  A herald with an all-zero outcome runs it.
+
+def _interpret(cfg: SchemeConfig) -> SchemeResult:
+    """Run the circuit of ``cfg`` once per input sector, at unit weight, and
+    weight each sector at the end.
+
+    Every stage after the front splitter is linear, so sector n heralds
+    with a probability ``q_n`` that does not depend on p.  p_success sums
+    ``w_n q_n``, p_success/p^2 sums ``(w_n / p^2) q_n``, and ``branch_log``
+    and the click tables take the weights ``w_n``.  The heralded states
+    are weighted relative to the heralding sector of largest weight, so no
+    amplitude over- or underflows, and a run whose p_success underflows
+    still reports its state.  No stage adds photons, so a herald whose every
+    outcome counts a photon cannot fire on the vacuum sector: that sector is
+    booked with 0.0 in ``branch_log`` and not run.  A herald with an
+    all-zero outcome runs it.
     """
     circuit = build_circuit(cfg)
-    inputs = reduce_through_bs0(cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff, discard=cfg.variant != DOUBLED)
     _, outcomes, report, mirror = circuit.stages[-1]
     vacuum_heralds = any(not any(n for _, n in counts) for _, counts, _ in outcomes)
     clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
-    p_success = 0.0
+    p_success = over_p2 = 0.0
     branch_log: dict[int, float] = {}
-    kept: list[PureState] = []
-    for state in inputs.states:
-        sector = sum(next(iter(state._amps)).occupations)  # a branch holds one photon number
-        contribution = 0.0
+    heralded: list[tuple[float, list[PureState]]] = []  # weight over p^2 and heralded states of each sector that heralds
+    for sector, w, r, state in _inputs(cfg):
+        q_sector = 0.0
         if sector or vacuum_heralds:
             pre = circuit.prepare(state)
+            kept: list[PureState] = []
             for detector, counts, tail in outcomes:
                 detected = _act(("detect", counts), pre)
                 q = detected.squared_norm()
-                clicks[detector] += q
-                contribution += q
+                clicks[detector] += w * q
+                q_sector += q
                 if q > 0.0:
                     kept.extend(_evolve(detected, tail))
             if mirror:
-                clicks[mirror] += Ensemble(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
-        branch_log[sector] = branch_log.get(sector, 0.0) + contribution
-        p_success += contribution
+                clicks[mirror] += w * Ensemble(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
+            if q_sector > 0.0:
+                heralded.append((r, kept))
+                over_p2 += r * q_sector
+        branch_log[sector] = branch_log.get(sector, 0.0) + w * q_sector
+        p_success += w * q_sector
     details = dict(circuit.details)
     if report:
         details[report] = clicks
     conditional: Ensemble | None = None
     fidelity = 0.0
-    if p_success > 0.0 and kept:
+    if heralded:
+        top = max(r for r, _ in heralded)
+        kept = [state if r == top else state.scaled(math.sqrt(r / top)) for r, states in heralded for state in states]
         conditional = Ensemble(kept[-1].register, kept).normalized_weights().consolidated()
         fidelity = fidelity_to_single_photon(conditional)
     p = cfg.source.p
-    details |= {"p": p, "p_success_over_p2": p_success / p**2 if p > 0 else None, "variant": cfg.variant}
+    details |= {"p": p, "p_success_over_p2": over_p2 if p > 0 else None, "variant": cfg.variant}
     return SchemeResult(p_success, conditional, fidelity, branch_log, details)
 
 

@@ -143,7 +143,7 @@ def paper_value_checks(
     # Front-splitter reduction weights at a balanced splitter.
     worst = 0.0
     for p in (0.25, 0.6, 0.86, 1.0):
-        dist = reduce_through_bs0(p, cutoff=cutoff).number_distribution("B")
+        dist, _ = reduce_through_bs0(p, cutoff=cutoff)
         expected = {2: p * p / 2.0, 1: p * (1.0 - p), 0: p * p / 2.0 - p + 1.0}
         worst = max(worst, max(abs(dist.get(n, 0.0) - expected[n]) for n in expected))
     checks.append(

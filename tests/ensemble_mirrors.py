@@ -1,7 +1,7 @@
 """Ensemble-path views of the scheme circuits for the dense-oracle comparison tests.
 
-Each function builds a :class:`SchemeConfig` and runs each input branch
-through the package's own circuit up to its herald detectors
+Each function builds a :class:`SchemeConfig` and runs each input sector,
+at its weight, through the package's own circuit up to its herald detectors
 (:meth:`Circuit.prepare`), then reads the detector distributions from the
 ensemble of those branches, so the sparse ensemble machinery
 and the dense density-matrix oracle can be compared outcome by outcome — not
@@ -15,6 +15,7 @@ length) leaves the config without one, so the scheme runs the absorber of its
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from photonherald import (
     DOUBLED,
@@ -27,15 +28,29 @@ from photonherald import (
     build_circuit,
     manifold_config,
     project_number,
-    reduce_through_bs0,
 )
+from photonherald import schemes
+
+
+class Inputs(NamedTuple):
+    """The input sectors of a run, each at unit norm, and their weights."""
+
+    weights: tuple[float, ...]
+    states: tuple
 
 
 def inputs_of(cfg):
-    """The front-splitter mixture a run of ``cfg`` starts from: B alone, or A and B for doubled."""
-    return reduce_through_bs0(
-        cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff, discard=cfg.variant != DOUBLED
-    )
+    """The input sectors a run of ``cfg`` starts from, at unit norm, with
+    their weights: B holding n photons after the front splitter, or for
+    doubled each source product |a, b> on (A, B), which the circuit's first
+    stage mixes."""
+    sectors = schemes._inputs(cfg)
+    return Inputs(tuple(w for _, w, _, _ in sectors), tuple(state for *_, state in sectors))
+
+
+def weighted(inputs):
+    """Each input state of ``inputs`` scaled to its weight: the mixture a run stands for."""
+    return [state.scaled(math.sqrt(w)) for w, state in zip(*inputs)]
 
 
 def prepared(circuit, states):
@@ -68,7 +83,7 @@ def _mixer(length_multiple, pump_phase, condition):
 
 def _before_herald(p, tpam, *, theta0, cutoff, **splitters):
     cfg = manifold_config(p=p, tpam=tpam, theta0=theta0, cutoff=cutoff, **splitters)
-    return prepared(build_circuit(cfg), inputs_of(cfg).states)
+    return prepared(build_circuit(cfg), weighted(inputs_of(cfg)))
 
 
 def _click(ens, detector: str, output: str) -> dict[str, object]:

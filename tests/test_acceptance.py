@@ -76,7 +76,7 @@ def _main_cfg(beta, theta1, *, p=1.0, case=CaseId.SUM_PLUS, variant=MAIN, tpam=N
 def test_criterion_01_front_splitter_reduction():
     worst = 0.0
     for p in (0.25, 0.6, 0.86, 1.0):
-        dist = reduce_through_bs0(p).number_distribution("B")
+        dist, _ = reduce_through_bs0(p)
         worst = max(
             worst,
             abs(dist.get(2, 0.0) - p * p / 2.0),

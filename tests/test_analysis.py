@@ -353,14 +353,24 @@ def test_sweep_rows_equal_uncached_single_runs():
 
 
 @pytest.mark.parametrize("theta0", [0.0, 1e-9, 0.3, math.pi / 4, math.pi / 2 - 1e-9, math.pi / 2, 2.0])
-@pytest.mark.parametrize("p", [0.0, 1.5e-154, 1e-150, 1e-12, 0.3, 0.5, 1.0])
-def test_sweep_row_matches_single_run_where_front_amplitudes_square_to_subnormals(p, theta0):
-    # Null and near-null splitter angles, and sources down to where the front
-    # amplitudes square to subnormals, each as a whole sweep row.
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-200, 1.5e-154, 1e-150, 1e-12, 0.3, 0.5, 1.0])
+def test_sweep_row_matches_single_run_where_front_weights_are_subnormal(p, theta0):
+    # Null and near-null splitter angles, and sources down to where B's
+    # weights, and p^2, are subnormal or 0, each as a whole sweep row.
     (row,) = sweep_rows(SweepSpec(theta0=(theta0,), p=(p,)))
     assert math.isfinite(row["p_success"])
     assert math.isfinite(run_main_scheme(manifold_config(p=p, theta0=theta0)).p_success)
     assert_row_matches_single_run(row, CaseId.SUM_PLUS)
+
+
+@pytest.mark.parametrize("case", tuple(CaseId))
+def test_sweep_row_matches_single_run_where_an_overflowing_sector_heralds(case):
+    # At theta1 = 1e6 the rounded completion leaves the one-photon sector a
+    # herald of rounding size, and at p = 5e-324 that sector's weight over
+    # p^2 overflows, so it outweighs the two-photon sector.
+    (row,) = sweep_rows(SweepSpec(theta1=(1e6,), p=(5e-324,), case=case))
+    assert row["p_success_over_p2"] == math.inf
+    assert_row_matches_single_run(row, case)
 
 
 def test_sweep_rows_do_not_depend_on_how_the_grid_is_chunked(monkeypatch):
@@ -391,7 +401,6 @@ SWEEP_AXIS_VALUE = {"theta0": 0.3, "theta1": 0.3, "beta": 0j, "p": 0.0}
         ("p", math.inf),
         ("p", True),
         ("p", 1.5),
-        ("p", 1e-160),
         ("beta", 1.5),
         ("beta", 0.9 + 0.9j),
         ("beta", complex(math.nan, 0.0)),
@@ -433,3 +442,27 @@ def test_sweep_spec_rejects_a_case_that_is_no_branch(case):
 def test_sweep_spec_holds_its_case_as_a_branch():
     assert SweepSpec(case="sum_minus").case is CaseId.SUM_MINUS
     assert SweepSpec.from_mapping({"case": "diff_plus"}).case is CaseId.DIFF_PLUS
+
+
+@pytest.mark.parametrize("axis, value", [("theta1", "05"), ("theta1", 0.5), ("p", "1"), ("beta", 0j), ("theta0", None)])
+def test_sweep_spec_refuses_an_axis_that_is_not_a_list_or_a_tuple(axis, value):
+    # A string was read character by character ("05" swept 0 and 5), and a
+    # bare number raised TypeError from len().
+    with pytest.raises(ValueError, match=f"^sweep axis '{axis}' must be a list or a tuple") as refused:
+        SweepSpec(**{axis: value})
+    assert len(str(refused.value)) <= 200 and "\n" not in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda case: manifold_config(case=case),
+        lambda case: manifold_completion(0.5, case),
+        lambda case: SweepSpec(case=case),
+    ],
+    ids=["manifold_config", "manifold_completion", "SweepSpec"],
+)
+def test_one_case_rule_names_the_field_and_shortens_the_value(make):
+    with pytest.raises(ValueError, match=r"^case must be one of \['sum_plus'") as refused:
+        make("x" * 300)
+    assert len(str(refused.value)) <= 200

@@ -730,16 +730,17 @@ def test_cutoff_env_variable_beside_config_is_ignored(runner, tmp_path):
 
 
 @pytest.mark.parametrize("p", ["1e-155", "1e-200", "5e-324"])
-def test_source_efficiency_with_subnormal_square_is_usage_error(runner, tmp_path, p):
-    assert_one_line_usage_error(runner.invoke(main, ["run", "--p", p]))
-    assert_one_line_usage_error(runner.invoke(main, ["sweep", write_spec(tmp_path, {"p": [float(p)]})]))
+def test_source_efficiency_with_subnormal_square_runs(runner, tmp_path, p):
+    assert runner.invoke(main, ["run", "--p", p]).exit_code == 0
+    assert runner.invoke(main, ["sweep", write_spec(tmp_path, {"p": [float(p)]})]).exit_code == 0
 
 
-def test_smallest_source_efficiency_keeps_the_unit_source_ratio(runner, tmp_path):
+@pytest.mark.parametrize("p", ["1e-150", "1e-200", "5e-324"])
+def test_smallest_source_efficiency_keeps_the_unit_source_ratio(runner, tmp_path, p):
     unit = manifest_of(invoke(runner, "run", "--theta1", "30deg"))["result"]["p_success"]
-    weak = manifest_of(invoke(runner, "run", "--theta1", "30deg", "--p", "1e-150"))["result"]
+    weak = manifest_of(invoke(runner, "run", "--theta1", "30deg", "--p", p))["result"]
     assert weak["details"]["p_success_over_p2"] == pytest.approx(unit, rel=1e-12)
-    spec = write_spec(tmp_path, {"theta1": [math.pi / 6], "beta": [0], "p": [1e-150, 1.0]})
+    spec = write_spec(tmp_path, {"theta1": [math.pi / 6], "beta": [0], "p": [float(p), 1.0]})
     lines = invoke(runner, "sweep", spec).output.splitlines()
     column = lines[0].split(",").index("p_success_over_p2")
     weak_row, unit_row = (float(line.split(",")[column]) for line in lines[1:3])

@@ -1,10 +1,11 @@
 """The front-splitter reduction against the dense oracle, over drawn parameters.
 
-Single runs and sweeps both start from ``reduce_through_bs0``, so comparing
-them with each other cannot see a defect in it.  This property compares it
-with the independent density matrix of ``dense_oracle`` instead, at a
-relative tolerance, for weak sources, any splitter angle and phase, and
-every cutoff a scheme uses.
+Single runs and sweeps both take B's weights from ``reduce_through_bs0``'s
+arithmetic, and the doubled scheme mixes the source products in its first
+stage, so comparing runs with each other cannot see a defect in either.
+These properties compare them with the independent density matrix of
+``dense_oracle`` instead, at a relative tolerance, for weak sources, any
+splitter angle and phase, and every cutoff a scheme uses.
 """
 
 import math
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle as dn
-from photonherald import reduce_through_bs0
+import ensemble_mirrors as em
+from photonherald import DEFAULT_TPAM, DOUBLED, BeamSplitterParams, SchemeConfig, SourceSpec, build_circuit, reduce_through_bs0
 
 REL = 1e-9
 
@@ -55,12 +57,7 @@ def resolution(feed, want, feed_other=None, want_other=None):
 @settings(max_examples=150, deadline=None)
 @given(p=P, theta0=THETA0, phi0=PHI0, cutoff=CUTOFF)
 def test_reduced_front_splitter_matches_dense_partial_trace(p, theta0, phi0, cutoff):
-    reduced = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff)
-    kets = [next(iter(state.terms()))[0] for state in reduced.states]
-    assert all(len(state) == 1 for state in reduced.states)
-    assert len({ket.occupations for ket in kets}) == len(kets)
-    assert all(ket.medium == 0 for ket in kets)
-    got = reduced.number_distribution("B")
+    got, _ = reduce_through_bs0(p, theta0, phi0, cutoff=cutoff)
     want = dn.number_distribution(dn.front_splitter(p, theta0, phi0, cutoff + 1), 0)
     # n photons in B come from inputs with N >= n photons.
     feed = np.cumsum(sector_weights(p)[::-1])[::-1]
@@ -75,13 +72,17 @@ def test_joint_front_splitter_matches_dense_density(p, theta0, phi0, cutoff):
     dim = cutoff + 1
     rho = dn.product_density([dn.mixture_density(p, dim), dn.mixture_density(p, dim)])
     want = dn.apply_op(rho, dn.bs_unitary(theta0, phi0, dim), (0, 1), [dim, dim]).reshape(dim * dim, dim * dim)
+    # The doubled scheme's source products, each through its circuit's first stage, weighted by P_a P_b.
+    cfg = SchemeConfig(SourceSpec(p), DEFAULT_TPAM[DOUBLED], BeamSplitterParams(theta0, phi0), variant=DOUBLED, cutoff=cutoff)
+    circuit = build_circuit(cfg)
+    front = circuit._replace(stages=circuit.stages[:2])
     got = np.zeros_like(want)
-    for state in reduce_through_bs0(p, theta0, phi0, cutoff=cutoff, discard=False).states:
+    for weight, state in zip(*em.inputs_of(cfg)):
         psi = np.zeros(dim * dim, dtype=complex)
-        for ket, amp in state.terms():
+        for ket, amp in front.prepare(state).terms():
             a, b = ket.occupations
             psi[a * dim + b] = amp
-        got += np.outer(psi, psi.conj())
+        got += weight * np.outer(psi, psi.conj())
     totals = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
     feed = np.where(totals <= 2, sector_weights(p)[np.minimum(totals, 2)], 0.0)
     diagonal = np.abs(np.diag(want))

@@ -8,8 +8,10 @@ It draws ``GRIDS`` (900) grids.  Each grid draws up to four values per
 axis, sorted where the sweep needs it: theta0 from {0, 1e-9, pi/4,
 pi/2 - 1e-9, pi/2, pi/2 + 1e-9} or uniform in [0, pi]; theta1 uniform in
 [0, 2 pi] or from {0, 1e-9, pi/6, pi/2}; beta on or inside the unit
-circle, or 0, 1 or -1; p log-uniform down to 1.5e-154, or 0 or 1.  The
-case and a cutoff from 2 to 4 are drawn per grid.  It prints the sha256
+circle, or 0, 1 or -1; p log-uniform down to 1.5e-154, or 0 or 1.  Any p
+in [0, 1] runs now, but the p draws keep 1.5e-154, the smallest p that
+earlier checkouts accepted, so the hashes stay comparable with theirs.
+The case and a cutoff from 2 to 4 are drawn per grid.  It prints the sha256
 of the newline join of ``repr(rows)`` over the grids.  Run it in two
 checkouts with the same seed and compare: equal hashes mean equal rows,
 to the byte.  The package comes from the checkout's ``src/``.
