@@ -486,7 +486,9 @@ def _sector_heralds(
     in chunks of at most ``_CHUNK`` (theta1, beta) pairs.
     """
     # Attach, BS1, absorber, BS2, and the herald's one outcome.
-    (_, vacuum), _, (_, _, mode, excited), _, (_, ((_, counts, _),), _, _) = circuit.stages
+    attach, _, absorb, _ = circuit.stages
+    ((_, counts, _),) = circuit.outcomes
+    vacuum, mode, excited = attach.keywords["b"], absorb.keywords["mode"], absorb.keywords["excited_level"]
     # The input is the front splitter's output B; the circuit attaches the rest, with the medium.
     medium_dims = vacuum.register.medium_dims
     register = ModeRegister(("B", *vacuum.register.labels), vacuum.register.cutoff, medium_dims)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .elements import BeamSplitterParams, _mixing_row, apply_beam_splitter
@@ -60,7 +60,7 @@ from .fock import (
     tensor,
     _check_number,
 )
-from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_conditioned_channel, fwm_evolve
+from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_evolve
 
 __all__ = [
     "MAIN",
@@ -265,67 +265,46 @@ def _front_weights(p: float, theta0: float, phi0: float) -> tuple[dict[int, floa
     return weights, over_p2
 
 
-# --------------------------------------------------------------------------
-# Circuits as data.  A circuit is a tuple of stages, each a tuple named by
-# its first element:
-#
-#   ("attach", vacuum)                   tensor on vacuum modes (and a medium)
-#   ("split", bs, (first, second))       beam splitter on two modes
-#   ("absorb", absorber, mode, level)    generic absorber or mixer channel
-#   ("mix", params, (pump, e1, e2))      four-wave mixer
-#   ("relabel", mapping)                 rename modes
-#   ("detect", ((mode, n), ...))         keep the part showing these counts
-#   ("herald", outcomes, report, mirror) the last stage: each outcome is
-#       (detector, counts, stages run after it), and the herald probability
-#       sums over them; ``report`` names the details entry listing each
-#       detector's share, ``mirror`` adds an unmonitored output's click.
-#   ("trace", mode)                      trace a mode out: only as the last
-#       stage of a herald tail, where it splits the heralded state in branches
-#
-# Every other stage maps one pure state to one pure state (``_act``); each
-# input sector runs through them as one state of unit norm, so the norm a
-# detection removes is probability lost.
-
-
-def _act(stage: tuple, state: PureState) -> PureState:
-    match stage:
-        case ("attach", vacuum):
-            return tensor(state, vacuum)
-        case ("split", bs, modes):
-            return apply_beam_splitter(state, modes, bs)
-        case ("absorb", GenericTpam() as tpam, mode, level):
-            return apply_generic_tpam(state, mode, tpam, excited_level=level)
-        case ("absorb", channel, mode, _):
-            return channel.apply(state, mode)
-        case ("mix", params, modes):
-            return fwm_evolve(state, modes, params)
-        case ("relabel", mapping):
-            return relabel_modes(state, mapping)
-        case ("detect", counts):
-            for mode, n in counts:
-                state, _ = project_number(state, mode, n)
-            return state
-    raise ValueError(f"unknown stage {stage[0]!r}")
+def _detect(state: PureState, counts: tuple[tuple[str, int], ...]) -> PureState:
+    """The part of ``state`` that shows n photons in each ``(mode, n)`` of ``counts``."""
+    for mode, n in counts:
+        state, _ = project_number(state, mode, n)
+    return state
 
 
 def _evolve(state: PureState, stages) -> tuple[PureState, ...]:
     """``state`` after ``stages``; a closing trace splits it into the reduced state's branches."""
     for stage in stages:
-        if stage[0] == "trace":
-            return partial_trace_discard(state, stage[1]).states
-        state = _act(stage, state)
-    return (state,)
+        state = stage(state)
+    return state.states if isinstance(state, Ensemble) else (state,)
 
 
 class Circuit(NamedTuple):
-    """A scheme as data: its stages and its fixed details."""
+    """A scheme as data: its stages, its herald and its fixed details.
+
+    Each stage is a call of one kernel with every argument but the state
+    (a :func:`functools.partial`): a splitter, a tensor with vacuum modes
+    (and a medium), an absorber, a mixer, a relabel or a detection.  Each
+    maps one pure state to one pure state; an input sector runs through
+    them as one state of unit norm, so the norm a detection removes is
+    probability lost.  ``outcomes`` lists the herald's accepted outcomes,
+    each ``(detector, counts, tail)``: the detector its probability is
+    booked to, the counts it shows, and the stages run after it, of which
+    only the last may be a trace, splitting the heralded state in branches.
+    The herald probability sums over the outcomes.  ``report`` names the
+    details entry listing each detector's share, and ``mirror`` adds an
+    unmonitored output's click to it.
+    """
 
     stages: tuple
+    outcomes: tuple
+    report: str | None
+    mirror: str | None
     details: dict[str, object]
 
     def prepare(self, state: PureState) -> PureState:
         """``state``, one input sector, after every stage before the herald."""
-        (prepared,) = _evolve(state, self.stages[:-1])
+        (prepared,) = _evolve(state, self.stages)
         return prepared
 
 
@@ -362,79 +341,68 @@ def _fock(labels: tuple[str, ...], cutoff: int, occupations: tuple[int, ...], me
 
 
 def build_circuit(cfg: SchemeConfig) -> Circuit:
-    """Describe the scheme of ``cfg`` as one tuple of stages.
+    """Describe the scheme of ``cfg`` as stages and a herald.
 
-    A new circuit is one more branch here, ending in a herald stage.  The
-    circuit starts from B after the front splitter, or for doubled from the
-    two sources on (A, B), which its first stage mixes.  The config's
-    absorber suits its variant: :class:`SchemeConfig` checks that.
-    An interferometric variant attaches one excited medium level per
-    absorber whatever the absorber; a conditioned mixer never excites it.
+    A new circuit is one more branch here.  The circuit starts from B after
+    the front splitter, or for doubled from the two sources on (A, B),
+    which its first stage mixes.  The config's absorber suits its variant:
+    :class:`SchemeConfig` checks that.  An interferometric variant attaches
+    one excited medium level per absorber whatever the absorber; a
+    conditioned mixer never excites it.  The stages look up their kernels
+    on every call, so a kernel wrapped after import (to time it) is the one
+    they run.
     """
     tpam, cutoff, variant = cfg.tpam, cfg.cutoff, cfg.variant
 
-    def vacuum(*labels: str, medium_dims: int = 1) -> PureState:
-        return _fock(labels, cutoff, (0,) * len(labels), medium_dims)
+    def attach(*labels: str, medium_dims: int = 1) -> partial:
+        return partial(tensor, b=_fock(labels, cutoff, (0,) * len(labels), medium_dims))
 
-    details: dict[str, object] = {}
-    if variant in (MAIN, DOUBLED):
-        absorber = tpam if isinstance(tpam, GenericTpam) else fwm_conditioned_channel(tpam.params, tpam.condition)
+    def split(bs: BeamSplitterParams, *modes: str) -> partial:
+        return partial(apply_beam_splitter, modes=modes, params=bs)
 
-        def interferometer(arm: str, partner: str, level: int = 1) -> tuple:
-            """BS1 -> absorber on ``arm`` -> BS2."""
-            return (
-                ("split", cfg.bs1, (arm, partner)),
-                ("absorb", absorber, arm, level),
-                ("split", cfg.bs2, (arm, partner)),
-            )
+    def interferometer(arm: str, partner: str, level: int = 1) -> tuple:
+        """BS1 -> absorber on ``arm`` -> BS2."""
+        if isinstance(tpam, GenericTpam):
+            absorb = partial(apply_generic_tpam, mode=arm, tpam=tpam, excited_level=level)
+        else:
+            absorb = partial(tpam.apply, mode=arm)
+        return (split(cfg.bs1, arm, partner), absorb, split(cfg.bs2, arm, partner))
 
+    one_at_b = (("B", (("B", 1),), ()),)
     if variant == MAIN:
-        stages = (
-            ("attach", vacuum("C", medium_dims=2)),
-            *interferometer("B", "C"),
-            ("herald", (("B", (("B", 1),), ()),), None, None),
-        )
-    elif variant == DOUBLED:
+        return Circuit((attach("C", medium_dims=2), *interferometer("B", "C")), one_at_b, None, None, {})
+    if variant == DOUBLED:
         # Exactly one of A and B sees one photon; that arm's output becomes C.
         # At most two photons enter, so the other detector then sees none:
         # (A, B) = (0, 1) and (1, 0) are the only outcomes that can herald.
         one_click = (
-            ("B", (("A", 0), ("B", 1)), (("relabel", {"CB": "C"}), ("trace", "CA"))),
-            ("A", (("A", 1), ("B", 0)), (("relabel", {"CA": "C"}), ("trace", "CB"))),
+            ("B", (("A", 0), ("B", 1)), (partial(relabel_modes, mapping={"CB": "C"}), partial(partial_trace_discard, mode="CA"))),
+            ("A", (("A", 1), ("B", 0)), (partial(relabel_modes, mapping={"CA": "C"}), partial(partial_trace_discard, mode="CB"))),
         )
         stages = (
-            ("split", cfg.bs0, ("A", "B")),
-            ("attach", vacuum("CA", "CB", medium_dims=3)),
+            split(cfg.bs0, "A", "B"),
+            attach("CA", "CB", medium_dims=3),
             *interferometer("A", "CA", 1),
             *interferometer("B", "CB", 2),
-            ("herald", one_click, "clicks_by_detector", None),
         )
-    else:
-        n1, n2 = tpam.condition
-        generated = (("E1", n1), ("E2", n2))
-        mixer = (("attach", vacuum("E1", "E2")), ("mix", tpam.params, ("B", "E1", "E2")))
-        details = {"length_multiple": tpam.params.length_multiple, "condition": [n1, n2]}
-        if variant == PAIR_HERALD:
-            stages = (*mixer, ("herald", (("E1", generated, ()),), None, None))
-            details["output_mode"] = "B"
-        else:
-            stages = (
-                *mixer,
-                ("detect", generated),
-                ("attach", vacuum("C")),
-                ("split", BeamSplitterParams.balanced(), ("B", "C")),
-                ("herald", (("B", (("B", 1),), ()),), "click_probability_by_output", "C"),
-            )
-            details |= {
-                "monitored_output": "B",
-                "output_mode": "C",
-                "click_probability_by_output": None,  # filled in by the run
-                "herald_convention": (
-                    "exactly one photon at the monitored output; the two outputs flag "
-                    "the same pair event, so only one is counted"
-                ),
-            }
-    return Circuit(stages, details)
+        return Circuit(stages, one_click, "clicks_by_detector", None, {})
+    n1, n2 = tpam.condition
+    generated = (("E1", n1), ("E2", n2))
+    mixer = (attach("E1", "E2"), partial(fwm_evolve, modes=("B", "E1", "E2"), params=tpam.params))
+    details = {"length_multiple": tpam.params.length_multiple, "condition": [n1, n2]}
+    if variant == PAIR_HERALD:
+        return Circuit(mixer, (("E1", generated, ()),), None, None, details | {"output_mode": "B"})
+    stages = (*mixer, partial(_detect, counts=generated), attach("C"), split(BeamSplitterParams.balanced(), "B", "C"))
+    details |= {
+        "monitored_output": "B",
+        "output_mode": "C",
+        "click_probability_by_output": None,  # filled in by the run
+        "herald_convention": (
+            "exactly one photon at the monitored output; the two outputs flag "
+            "the same pair event, so only one is counted"
+        ),
+    }
+    return Circuit(stages, one_at_b, "click_probability_by_output", "C", details)
 
 
 def _inputs(cfg: SchemeConfig) -> list[tuple[int, float, float, PureState]]:
@@ -463,7 +431,7 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
     all-zero outcome runs it.
     """
     circuit = build_circuit(cfg)
-    _, outcomes, report, mirror = circuit.stages[-1]
+    outcomes, mirror = circuit.outcomes, circuit.mirror
     vacuum_heralds = any(not any(n for _, n in counts) for _, counts, _ in outcomes)
     clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
     p_success = over_p2 = 0.0
@@ -475,7 +443,7 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
             pre = circuit.prepare(state)
             kept: list[PureState] = []
             for detector, counts, tail in outcomes:
-                detected = _act(("detect", counts), pre)
+                detected = _detect(pre, counts)
                 q = detected.squared_norm()
                 clicks[detector] += w * q
                 q_sector += q
@@ -489,8 +457,8 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
         branch_log[sector] = branch_log.get(sector, 0.0) + w * q_sector
         p_success += w * q_sector
     details = dict(circuit.details)
-    if report:
-        details[report] = clicks
+    if circuit.report:
+        details[circuit.report] = clicks
     conditional: Ensemble | None = None
     fidelity = 0.0
     if heralded:

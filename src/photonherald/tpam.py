@@ -41,7 +41,8 @@ Two models are provided:
 
 Conditioning the generated modes on a photon-count pattern turns the
 four-wave mixer into an effective (generally trace-decreasing) channel on
-the pump mode alone: see :func:`fwm_conditioned_channel`.
+the pump mode alone: a :class:`FwmTpamSpec` names the mixer and the
+pattern, and is that channel (:meth:`FwmTpamSpec.apply`).
 
 The generic absorber and the conditioned channel are both rules on one
 mode's photon number n <= 2, and one kernel, ``_through``, applies either:
@@ -75,7 +76,6 @@ __all__ = [
     "GenericTpam",
     "FwmParams",
     "FwmTpamSpec",
-    "FwmConditionedChannel",
     "apply_generic_tpam",
     "fwm_coefficients",
     "fwm_coefficients_from_phase",
@@ -92,7 +92,8 @@ _INTEGER_TOL = 1e-9
 #: cos(M*pi) reads 0.97 for an integer M that must pass a lone photon.
 MAX_LENGTH_MULTIPLE = 1e6
 
-#: Bound of the cache of :meth:`FwmParams._terms`, one table per params.
+#: Bound of the caches of :meth:`FwmParams._terms` and
+#: :meth:`FwmTpamSpec._rules`, one table per value.
 _TERMS_CACHE_SIZE = 64
 
 
@@ -116,11 +117,11 @@ class GenericTpam:
         object.__setattr__(self, "alpha", _check_number("generic TPAM alpha", self.alpha, numbers.Complex))
         object.__setattr__(self, "beta", _check_number("generic TPAM beta", self.beta, numbers.Complex))
         object.__setattr__(self, "global_phase", _check_number("generic TPAM global_phase", self.global_phase))
-        if abs(self.alpha) ** 2 + abs(self.beta) ** 2 > 1.0 + 1e-9:
-            raise ValueError(
-                "generic TPAM requires |alpha|^2 + |beta|^2 <= 1, got "
-                f"{abs(self.alpha)**2 + abs(self.beta)**2:.6f}"
-            )
+        # A real or imaginary part above 2 in magnitude already breaks the
+        # rule, so it is refused before its square can overflow.
+        parts = (self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
+        if max(map(abs, parts)) > 2.0 or abs(self.alpha) ** 2 + abs(self.beta) ** 2 > 1.0 + 1e-9:
+            raise ValueError(f"generic TPAM requires |alpha|^2 + |beta|^2 <= 1, got {math.fsum(x * x for x in parts):.6g}")
 
     @classmethod
     def unitary(cls, beta: complex) -> "GenericTpam":
@@ -248,7 +249,15 @@ class FwmParams:
 @dataclass(frozen=True, slots=True)
 class FwmTpamSpec:
     """A four-wave mixer used as a TPAM: medium parameters plus the
-    photon-count pattern required of the generated fields."""
+    photon-count pattern required of the generated fields.
+
+    It is the channel that detecting the generated fields induces on the
+    pump mode: :meth:`apply` keeps the terms of the mixer whose generated
+    fields show ``condition``.  The map is generally trace-decreasing: the
+    lost norm is the probability of the condition failing.  With condition
+    (0,0) and integer length it realizes the generic absorber with the
+    absorption branch removed: |2> -> beta |2>, |1> -> |1>, |0> -> |0>.
+    """
 
     params: FwmParams
     condition: tuple[int, int] = (0, 0)
@@ -258,6 +267,29 @@ class FwmTpamSpec:
         if len(counts) != 2 or any(isinstance(c, bool) or c not in (0, 1, 2) for c in counts):
             raise ValueError(f"condition must be two whole counts in 0..2, got {reprlib.repr(self.condition)}")
         object.__setattr__(self, "condition", tuple(int(c) for c in counts))
+
+    @lru_cache(maxsize=_TERMS_CACHE_SIZE)
+    def _rules(self) -> tuple:
+        """The ``_through`` table of the channel: per input pump count n, the
+        mixer's terms whose generated fields hold ``condition`` photons, with
+        amplitudes at or below :data:`PRUNE_THRESHOLD` dropped as a
+        projection of the mixer's output would drop them."""
+        return tuple(
+            tuple((pump, False, (amp,)) for pump, pairs, amp in row if (pairs, pairs) == self.condition and abs(amp) > PRUNE_THRESHOLD)
+            for row in self.params._terms()
+        )
+
+    def survival_probability(self, n: int) -> float:
+        """Probability that ``n`` pump photons pass the condition."""
+        return sum((abs(factors[0]) ** 2 for _, _, factors in self._rules()[n]), 0.0)
+
+    def apply(self, state: PureState, mode: str) -> PureState:
+        """Send ``mode`` of ``state`` through the conditioned channel.
+
+        The output is unnormalized; its lost squared norm is the probability
+        that the generated-field detectors failed the condition.
+        """
+        return _through(state, mode, self._rules())
 
 
 def fwm_coefficients_from_phase(
@@ -308,48 +340,10 @@ def fwm_evolve(
     return PureState._of(reg, out, state.norm())
 
 
-@dataclass(frozen=True, slots=True)
-class FwmConditionedChannel:
-    """Effective pump-mode channel after conditioning the generated fields.
-
-    ``transitions[n]`` is (output occupation, amplitude) for input pump
-    occupation n = 0, 1, 2, or ``None`` where the condition rejects that
-    input's whole image.  The map is generally trace-decreasing: the lost
-    norm is the probability of the condition failing.
-    """
-
-    transitions: tuple[tuple[int, complex] | None, ...]
-
-    def survival_probability(self, n: int) -> float:
-        hit = self.transitions[n]
-        return 0.0 if hit is None else abs(hit[1]) ** 2
-
-    def apply(self, state: PureState, mode: str) -> PureState:
-        """Apply the conditioned channel to ``mode`` of ``state``.
-
-        The output is unnormalized; its lost squared norm is the probability
-        that the generated-field detectors failed the condition.
-        """
-        rules = tuple(() if hit is None else ((hit[0], False, (hit[1],)),) for hit in self.transitions)
-        return _through(state, mode, rules)
-
-
 def fwm_conditioned_channel(
     params: FwmParams, condition: tuple[int, int] = (0, 0)
-) -> FwmConditionedChannel:
-    """Build the pump-mode channel induced by detecting the generated fields.
-
-    Keeps the terms of the mixer whose generated fields hold ``condition``
-    photons, dropping amplitudes at or below :data:`PRUNE_THRESHOLD` as a
-    projection of the mixer's output would.  With condition (0,0) and integer
-    length the result realizes the generic absorber with the absorption
-    branch removed: |2> -> beta |2>, |1> -> |1>, |0> -> |0>.  ``condition``
-    is checked as :class:`FwmTpamSpec` checks it.
-    """
-    condition = FwmTpamSpec(params, condition).condition
-    return FwmConditionedChannel(
-        tuple(
-            next(((pump, amp) for pump, pairs, amp in row if (pairs, pairs) == condition and abs(amp) > PRUNE_THRESHOLD), None)
-            for row in params._terms()
-        )
-    )
+) -> FwmTpamSpec:
+    """The pump-mode channel induced by detecting ``condition`` photons in
+    the generated fields of the mixer ``params``: the :class:`FwmTpamSpec`
+    of both, which checks ``condition``."""
+    return FwmTpamSpec(params, condition)

@@ -317,7 +317,7 @@ def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> 
     # Integer-length mixers are exactly transparent to a single photon.
     worst = 0.0
     for m in range(1, _DRAWS + 1):
-        channel = fwm_conditioned_channel(FwmParams(float(m)))
+        channel = fwm_conditioned_channel(FwmParams(float(m)), (0, 0))
         worst = max(worst, abs(channel.survival_probability(1) - 1.0))
     checks.append(CheckResult("fwm-single-photon-transparency", worst, 0.0, 1e-12))
 

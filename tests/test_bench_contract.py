@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from photonherald import FwmParams, FwmTpamSpec, GenericTpam, SchemeConfig, SourceSpec, run_scheme
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
@@ -59,6 +61,41 @@ def test_in_process_workloads_pass_their_own_gates(name, calls):
     workload = WORKLOADS.WORKLOADS[name](1)
     for x in itertools.islice(workload.ops(), calls):
         assert workload.check(x, workload.call(x)) == 0, (name, x)
+
+
+SPLIT_AND_DETECT = {"fock.tensor", "fock.project_number", "elements.apply_beam_splitter"}
+GENERIC = GenericTpam(0.6, 0.8)
+
+
+@pytest.mark.parametrize(
+    "variant, tpam, kernels",
+    [
+        pytest.param("main", GENERIC, SPLIT_AND_DETECT | {"tpam.apply_generic_tpam"}, id="main-generic"),
+        pytest.param("main", FwmTpamSpec(FwmParams(2.0)), SPLIT_AND_DETECT, id="main-mixer"),
+        pytest.param(
+            "doubled", GENERIC, SPLIT_AND_DETECT | {"tpam.apply_generic_tpam", "fock.partial_trace_discard"}, id="doubled-generic"
+        ),
+        pytest.param("doubled", FwmTpamSpec(FwmParams(3.0)), SPLIT_AND_DETECT | {"fock.partial_trace_discard"}, id="doubled-mixer"),
+        pytest.param(
+            "pair_herald", FwmTpamSpec(FwmParams(2.0), (1, 1)), {"fock.tensor", "fock.project_number", "tpam.fwm_evolve"}, id="pair-herald"
+        ),
+        pytest.param("filter_split", FwmTpamSpec(FwmParams(1.5)), SPLIT_AND_DETECT | {"tpam.fwm_evolve"}, id="filter-split"),
+    ],
+)
+def test_every_stage_kernel_is_traced(variant, tpam, kernels):
+    # the tracer wraps kernels by name once the package is imported and has
+    # run; a circuit must look its kernels up when it is built, per run, or
+    # its stages call the unwrapped functions and the layer spans vanish
+    cfg = SchemeConfig(SourceSpec(0.9), tpam, variant=variant)
+    run_scheme(cfg)
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        run_scheme(cfg)
+    finally:
+        tracer.uninstall()
+    summary = TRACER.summarize([tracer.dump()], 1)
+    assert sorted(k for k in kernels if summary[f"{k}.calls"] == 0) == []
 
 
 def test_mixing_row_cache_is_inspectable():

@@ -356,6 +356,13 @@ ONES = "1" * 400
         ),
         pytest.param("condition", ["run", "--tpam", "jf:M=2,condition=(1" + "0" * 300 + ",1)"], None, id="tpam-huge-condition"),
         pytest.param("alpha", ["run", "--tpam", f"generic:alpha={LONG},beta=0"], None, id="tpam-text-alpha"),
+        pytest.param("alpha", ["run", "--tpam", "generic:alpha=1e75,beta=0"], None, id="tpam-alpha-1e75"),
+        pytest.param("alpha", ["run", "--tpam", "generic:alpha=1e154,beta=0"], None, id="tpam-alpha-1e154"),
+        pytest.param("alpha", ["run", "--tpam", "generic:alpha=1e155,beta=0"], None, id="tpam-alpha-square-overflows"),
+        pytest.param("beta", ["run", "--tpam", "generic:alpha=0,beta=1e200j"], None, id="tpam-beta-square-overflows"),
+        pytest.param(
+            "beta", ["run", "--config", "{spec}"], '{"tpam": "generic:alpha=0.5,beta=1e+308"}', id="run-config-beta-square-overflows"
+        ),
         pytest.param("length_multiple", ["run", "--tpam", f"jf:M={LONG}"], None, id="tpam-text-length"),
         pytest.param("condition", ["run", "--tpam", f"jf:M=2,condition=({LONG},1)"], None, id="tpam-text-condition"),
         pytest.param("condition", ["run", "--tpam", f"jf:M=2,condition=[{ONES}]"], None, id="tpam-condition-brackets"),

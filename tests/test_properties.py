@@ -269,11 +269,11 @@ def test_every_stage_keeps_cached_norms_and_ket_order(cfg):
     (occupations, medium) order, the order every output is written in."""
     circuit, states = build_circuit(cfg), inputs_of(cfg).states
     seen = []
-    for k in range(len(circuit.stages) - 1):
+    for stage in circuit.stages:
         for state in states:
             state.squared_norm()  # cache it before the next stage reads the state
             seen.append(state)
-        states = [circuit._replace(stages=circuit.stages[k : k + 2]).prepare(state) for state in states]
+        states = [stage(state) for state in states]
     seen.extend(states)
     result = run_scheme(cfg)
     if result.conditional_state is not None:

@@ -84,9 +84,19 @@ def test_single_photon_with_excited_medium_passes():
     assert out.amplitude(FockKet((1,), medium=1)) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_subnormalized_coefficients_rejected():
-    with pytest.raises(ValueError):
-        GenericTpam(alpha=0.9, beta=0.9)
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(0.9, 0.9), (1e200, 0.0), (0.0, 1e200j), (0.5, 1e308), (1.7e308 + 1.7e308j, 0.0), (1.0 + 1e-8, 0.0)],
+)
+def test_coefficients_above_unit_norm_rejected(alpha, beta):
+    # by the norm rule, also where |alpha|^2 or |beta|^2 overflows a double
+    with pytest.raises(ValueError, match=r"\|alpha\|\^2 \+ \|beta\|\^2 <= 1"):
+        GenericTpam(alpha, beta)
+
+
+def test_coefficients_at_the_norm_rule_tolerance_accepted():
+    for alpha, beta in ((1.0 + 1e-10, 0.0), (0.6, 0.8), (0.0, -1j), (2**-0.5 * (1 + 4e-10), 2**-0.5)):
+        assert GenericTpam(alpha, beta).alpha == alpha
 
 
 @pytest.mark.parametrize(
@@ -286,25 +296,30 @@ def test_pump_occupation_above_two_rejected():
 
 def test_channel_vacuum_condition_acts_like_lossy_absorber():
     chan = fwm_conditioned_channel(FwmParams(1), condition=(0, 0))
-    assert chan.transitions[0] == (0, pytest.approx(1.0, abs=1e-12))
-    assert chan.transitions[1] == (1, pytest.approx(1.0, abs=1e-12))
-    out_n, amp = chan.transitions[2]
-    assert out_n == 2
-    assert amp.real == pytest.approx(BETA_ONE_CYCLE, abs=1e-12)
+    assert chan == FwmTpamSpec(FwmParams(1))
+    for n in (0, 1):
+        out = chan.apply(medium_state((n,)), "B")
+        assert [ket.occupations for ket, _ in out.terms()] == [(n,)]
+        assert out.amplitude(FockKet((n,))) == pytest.approx(1.0, abs=1e-12)
+    out = chan.apply(medium_state((2,)), "B")
+    assert [ket.occupations for ket, _ in out.terms()] == [(2,)]
+    assert out.amplitude(FockKet((2,))).real == pytest.approx(BETA_ONE_CYCLE, abs=1e-12)
 
 
 def test_channel_pair_condition_heralds_only_two_photons():
     chan = fwm_conditioned_channel(FwmParams(2), condition=(1, 1))
-    assert chan.transitions[0] is None
-    assert chan.transitions[1] is None
+    assert chan.survival_probability(0) == 0.0
+    assert chan.survival_probability(1) == 0.0
     assert chan.survival_probability(2) == pytest.approx(ALPHA1_SQ_TWO_CYCLES, abs=1e-12)
-    out_n, _ = chan.transitions[2]
-    assert out_n == 1  # one pump photon survives alongside the heralded pair
+    out = chan.apply(medium_state((2,)), "B")
+    # one pump photon survives alongside the heralded pair
+    assert [ket.occupations for ket, _ in out.terms()] == [(1,)]
 
 
 def test_channel_half_odd_vacuum_condition_filters_singles():
     chan = fwm_conditioned_channel(FwmParams(1.5), condition=(0, 0))
-    assert chan.transitions[1] is None  # the single photon always converts
+    assert chan.survival_probability(1) == 0.0  # the single photon always converts
+    assert len(chan.apply(medium_state((1,)), "B")) == 0
     assert chan.survival_probability(2) == pytest.approx(0.9164283473001886, abs=1e-12)
 
 
@@ -326,8 +341,9 @@ def test_channel_is_the_mixer_projected_on_its_condition(length):
             _, psi = fwm_in(n)
             kept, _ = project_number(fwm_evolve(psi, ("W", "E1", "E2"), params), "E1", condition[0])
             kept, _ = project_number(kept, "E2", condition[1])
-            hit = chan.transitions[n]
-            assert [(ket.occupations, amp) for ket, amp in kept.terms()] == ([] if hit is None else [((hit[0],), hit[1])])
+            got = chan.apply(fock_state(ModeRegister(("W",), 4), (n,)), "W")
+            assert [(ket.occupations, amp) for ket, amp in got.terms()] == [(ket.occupations, amp) for ket, amp in kept.terms()]
+            assert chan.survival_probability(n) == kept.squared_norm()
 
 
 def test_channel_rejects_condition_out_of_range():
