@@ -31,11 +31,13 @@ import reprlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
-from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, _check_number, fock_state
+from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, PureState, _check_number, fock_state
 from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _front_weights, build_circuit
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
@@ -263,10 +265,11 @@ def jf_length_scan(m_values: Iterable[float]) -> list[float]:
 
 
 #: Largest grid a sweep accepts, checked before any axis is built.  On a
-#: 2-CPU host a README-shaped grid runs at about 130k-220k points per second
-#: and a 100 x 100 theta0 x p grid at about 65k-110k, each (theta0, p) pair
-#: costing its sector weights, about 8-9 us on cached splitter rows.  Each
-#: theta1 value costs its splitter rows and each beta value its absorber
+#: 2-CPU host a README-shaped grid runs at about 400k points per second in
+#: the benchmark harness, once its stage matrices are kept, and a 100 x 100
+#: theta0 x p grid at about 65k-110k, each (theta0, p) pair costing its
+#: sector weights, about 8-9 us on cached splitter rows.  Each theta1 value
+#: the memo lacks costs its splitter rows and each beta value its absorber
 #: block, some microseconds each, so this limit takes longest, about 10 s,
 #: on one long theta1 axis, whose rows overflow the ``_mixing_row`` cache.
 MAX_SWEEP_POINTS = 100_000
@@ -416,19 +419,20 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     were checked when it was built, so the sweep checks only ``cutoff``,
     through the default config that :func:`manifold_config` builds at that
     cutoff; it runs that config's :func:`build_circuit` stages, which do
-    not depend on the axes.  Each stage is built once per axis value it
-    depends on, as one block-diagonal matrix on the input photon-number
-    sectors 0, 1 and 2 (the splitters per theta1, the absorber
-    ``GenericTpam.unitary(beta)`` per beta), and numpy products cover the
-    whole theta1 x beta product.  B's weight of each sector, and that
-    weight over p^2, come per (theta0, p) pair from the function that
-    :func:`reduce_through_bs0` calls after its checks, with no checks per
-    pair.  As in a single run, p_success sums the weights times the
-    sectors' heralds, p_success/p^2 sums the weights over p^2 times the
-    heralds, and the fidelity weights the sectors that herald relative to
-    the largest.  After every stage the amplitudes a single run would prune
-    are set to 0, so rows agree with ``run_main_scheme`` to rounding, and
-    its exact zeros stay 0.
+    not depend on the axes.  Each stage is one block-diagonal matrix on the
+    input photon-number sectors 0, 1 and 2, built once per value it depends
+    on and kept across calls by :func:`_sector_heralds` (the splitters per
+    (theta, phi), the absorber ``GenericTpam.unitary(beta)`` per beta), so
+    a repeated call builds none of them; no herald or row is kept.  numpy
+    products cover the whole theta1 x beta product.  B's weight of each
+    sector, and that weight over p^2, come per (theta0, p) pair from the
+    function that :func:`reduce_through_bs0` calls after its checks, with
+    no checks per pair.  As in a single run, p_success sums the weights
+    times the sectors' heralds, p_success/p^2 sums the weights over p^2
+    times the heralds, and the fidelity weights the sectors that herald
+    relative to the largest.  After every stage the amplitudes a single run
+    would prune are set to 0, so rows agree with ``run_main_scheme`` to
+    rounding, and its exact zeros stay 0.
     """
     circuit = build_circuit(manifold_config(cutoff=cutoff))
     completed = [manifold_completion(theta1, spec.case) for theta1 in spec.theta1]
@@ -469,6 +473,92 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
 #: which bounds its memory on a large grid; a README-shaped grid is one chunk.
 _CHUNK = 4096
 
+#: Bounds of the sweep engine's memos of its constant stage matrices.  A
+#: splitter or absorber block of the main circuit is a 7 x 7 complex matrix,
+#: about 1 kB with its key, so either memo holds about 1 MB when full; a
+#: layout is a few kB, one per cutoff a sweep runs at.
+_BLOCK_MEMO_SIZE = 1024
+_LAYOUT_MEMO_SIZE = 16
+
+#: The splitter blocks :func:`_splitter_blocks` has built, keyed on
+#: ``(theta, phi, totals)``.
+_SPLITTER_MEMO: dict[tuple[float, float, tuple[int, ...]], np.ndarray] = {}
+
+
+class _Layout(NamedTuple):
+    """The sectors of a circuit shape: the photon-number total of each
+    diagonal block, the basis kets and their states, the herald's ``keep``
+    and ``one`` masks over the basis, and the input rows ``|n, 0>``."""
+
+    totals: tuple[int, ...]
+    basis: tuple[FockKet, ...]
+    kets: tuple[PureState, ...]
+    keep: np.ndarray
+    one: np.ndarray
+    inputs: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=_LAYOUT_MEMO_SIZE)
+def _layout(shape: tuple) -> _Layout:
+    """The sector layout of ``shape``, ``(attach vacuum's register, herald
+    counts, absorber mode, excited level)``.
+
+    The input is the front splitter's output B; the circuit attaches the
+    rest, with the medium.  Sector n holds the kets ``|k, n-k>`` on the
+    ground medium and, on each excited level, ``|k, n-2-k>``: the absorber
+    took two photons.  Sector 2 comes first, so each sum over a sector's
+    kets adds them in the order it would alone.
+    """
+    vacuum_register, counts, _, _ = shape
+    medium_dims = vacuum_register.medium_dims
+    register = ModeRegister(("B", *vacuum_register.labels), vacuum_register.cutoff, medium_dims)
+    groups = [(level, n - 2 * (level > 0)) for n in (2, 1, 0) for level in range(medium_dims) if n - 2 * (level > 0) >= 0]
+    basis = tuple(FockKet((k, total - k), level) for level, total in groups for k in range(total + 1))
+    measured = {register.index(m): c for m, c in counts}
+    keep = np.array([all(ket.occupations[i] == c for i, c in measured.items()) for ket in basis])
+    one = np.array([[o for i, o in enumerate(ket.occupations) if i not in measured] == [1] for ket in basis])
+    kets = tuple(fock_state(register, ket.occupations, ket.medium) for ket in basis)
+    inputs = np.eye(len(basis), dtype=complex)[[basis.index(FockKet((n, 0))) for n in range(3)]]
+    return _Layout(tuple(total for _, total in groups), basis, kets, *map(_read_only, (keep, one, inputs)))
+
+
+@lru_cache(maxsize=_BLOCK_MEMO_SIZE)
+def _absorber_block(shape: tuple, tpam: GenericTpam) -> np.ndarray:
+    """The absorber ``tpam`` on the basis of ``shape``'s layout, column j
+    the circuit's kernel :func:`apply_generic_tpam` on ket j."""
+    _, _, mode, excited = shape
+    layout = _layout(shape)
+    index = {ket: i for i, ket in enumerate(layout.basis)}
+    block = np.zeros((len(index), len(index)), dtype=complex)
+    for j, ket in enumerate(layout.kets):
+        for out, amp in apply_generic_tpam(ket, mode, tpam, excited_level=excited).terms():
+            block[index[out], j] = amp
+    return _read_only(block)
+
+
+def _splitter_blocks(angles: list[tuple[float, float]], totals: tuple[int, ...]) -> np.ndarray:
+    """:func:`splitter_blocks` at ``angles`` on ``totals``, each block read
+    from ``_SPLITTER_MEMO``.
+
+    The blocks the memo lacks are built in one :func:`splitter_blocks` call
+    and kept as views of its read-only array.  A memo left above
+    ``_BLOCK_MEMO_SIZE`` is emptied, so every view of an array leaves it at
+    once and the memory it holds stays within its bound.
+    """
+    keys = [(theta, phi, totals) for theta, phi in angles]
+    missing = [key for key in dict.fromkeys(keys) if key not in _SPLITTER_MEMO]
+    if missing:
+        _SPLITTER_MEMO.update(zip(missing, _read_only(splitter_blocks([key[:2] for key in missing], totals))))
+    blocks = np.array([_SPLITTER_MEMO[key] for key in keys])
+    if len(_SPLITTER_MEMO) > _BLOCK_MEMO_SIZE:
+        _SPLITTER_MEMO.clear()
+    return blocks
+
 
 def _sector_heralds(
     circuit: Circuit, bs1: list[tuple[float, float]], bs2: list[tuple[float, float]], absorbers: list[GenericTpam]
@@ -479,45 +569,32 @@ def _sector_heralds(
 
     The circuit attaches the output mode and a medium, then runs BS1 and
     BS2, at the ``(theta, phi)`` of ``bs1`` and ``bs2``, around the absorber.
-    Sector n holds the kets ``|k, n-k>`` on the ground medium and, on each
-    excited level, ``|k, n-2-k>``: the absorber took two photons.  The three
-    sectors run as one pass on the union of their kets, each stage one
-    block-diagonal matrix, with amplitudes on the axes (theta1, beta, n, ket),
-    in chunks of at most ``_CHUNK`` (theta1, beta) pairs.
+    The three sectors of :func:`_layout` run as one pass on the union of
+    their kets, each stage one block-diagonal matrix, with amplitudes on the
+    axes (theta1, beta, n, ket), in chunks of at most ``_CHUNK`` (theta1,
+    beta) pairs.  The stage matrices are constants kept across calls: the
+    layout per circuit shape, each absorber block per ``GenericTpam`` value
+    and each splitter block per ``(theta, phi)``, every one read-only.
     """
     # Attach, BS1, absorber, BS2, and the herald's one outcome.
     attach, _, absorb, _ = circuit.stages
     ((_, counts, _),) = circuit.outcomes
-    vacuum, mode, excited = attach.keywords["b"], absorb.keywords["mode"], absorb.keywords["excited_level"]
-    # The input is the front splitter's output B; the circuit attaches the rest, with the medium.
-    medium_dims = vacuum.register.medium_dims
-    register = ModeRegister(("B", *vacuum.register.labels), vacuum.register.cutoff, medium_dims)
-    # Sector 2 first: each sum over a sector's kets then adds them in the order it would alone.
-    groups = [(level, n - 2 * (level > 0)) for n in (2, 1, 0) for level in range(medium_dims) if n - 2 * (level > 0) >= 0]
-    basis = [FockKet((k, total - k), level) for level, total in groups for k in range(total + 1)]
-    index = {ket: i for i, ket in enumerate(basis)}
-    measured = {register.index(m): c for m, c in counts}
-    keep = [all(ket.occupations[i] == c for i, c in measured.items()) for ket in basis]
-    one = [[o for i, o in enumerate(ket.occupations) if i not in measured] == [1] for ket in basis]
-    kets = [fock_state(register, ket.occupations, ket.medium) for ket in basis]
-    inputs = np.eye(len(basis), dtype=complex)[[index[FockKet((n, 0))] for n in range(3)]]
+    shape = (attach.keywords["b"].register, counts, absorb.keywords["mode"], absorb.keywords["excited_level"])
+    layout = _layout(shape)
+    dim = len(layout.basis)
     heralds = np.zeros((2, len(bs1), len(absorbers), 3))
     for b in range(0, len(absorbers), _CHUNK):
         chunk = absorbers[b : b + _CHUNK]
-        absorber = np.zeros((1, len(chunk), 1, len(basis), len(basis)), dtype=complex)
-        for i, tpam in enumerate(chunk):
-            for j, ket in enumerate(kets):
-                for out, amp in apply_generic_tpam(ket, mode, tpam, excited_level=excited).terms():
-                    absorber[0, i, 0, index[out], j] = amp
+        absorber = np.array([_absorber_block(shape, tpam) for tpam in chunk])[None, :, None]
         step = max(1, _CHUNK // len(chunk))
         for t in range(0, len(bs1), step):
-            blocks = splitter_blocks(bs1[t : t + step] + bs2[t : t + step], [total for _, total in groups])
-            split1, split2 = blocks.reshape(2, -1, 1, 1, len(basis), len(basis))
-            amps = inputs
+            blocks = _splitter_blocks(bs1[t : t + step] + bs2[t : t + step], layout.totals)
+            split1, split2 = blocks.reshape(2, -1, 1, 1, dim, dim)
+            amps = layout.inputs
             for matrix in (split1, absorber, split2):
                 amps = _pruned((matrix @ amps[..., None])[..., 0], amps)
-            probs = abs(_pruned(np.where(keep, amps, 0.0), amps)) ** 2
-            heralds[:, t : t + step, b : b + _CHUNK] = probs.sum(axis=-1), probs[..., one].sum(axis=-1)
+            probs = abs(_pruned(np.where(layout.keep, amps, 0.0), amps)) ** 2
+            heralds[:, t : t + step, b : b + _CHUNK] = probs.sum(axis=-1), probs[..., layout.one].sum(axis=-1)
     return heralds
 
 

@@ -18,7 +18,8 @@ from photonherald import (
     run_main_scheme,
     sweep_rows,
 )
-from photonherald import analysis
+from photonherald import analysis, elements
+from photonherald.verify import invariant_checks, paper_value_checks
 from dense_oracle import null_branch
 from test_fingerprints import load_tool
 
@@ -382,6 +383,86 @@ def test_sweep_rows_do_not_depend_on_how_the_grid_is_chunked(monkeypatch):
     whole = sweep_rows(spec, cutoff=3)
     monkeypatch.setattr(analysis, "_CHUNK", 2)
     assert repr(sweep_rows(spec, cutoff=3)) == repr(whole)
+
+
+def clear_sweep_memo():
+    """Empty the sweep's stage-matrix memos and the splitter rows under them."""
+    analysis._SPLITTER_MEMO.clear()
+    analysis._absorber_block.cache_clear()
+    analysis._layout.cache_clear()
+    elements._mixing_row.cache_clear()
+
+
+def sweep_memo_size():
+    return len(analysis._SPLITTER_MEMO) + analysis._absorber_block.cache_info().currsize + analysis._layout.cache_info().currsize
+
+
+def cold_rows(spec, cutoff=4):
+    clear_sweep_memo()
+    return repr(sweep_rows(spec, cutoff=cutoff))
+
+
+MEMO_SPEC = SweepSpec(theta0=(0.3, 1.1), theta1=(0.2, 0.2, DEG30, 1.0), beta=(0j, 0.5j, 0j), p=(1e-150, 0.5))
+
+
+def test_a_warm_sweep_builds_no_stage_matrix(monkeypatch):
+    calls = []
+    for name in ("splitter_blocks", "apply_generic_tpam"):
+        kernel = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args, kernel=kernel, **kwargs: calls.append(1) or kernel(*args, **kwargs))
+    sweep_rows(MEMO_SPEC)
+    calls.clear()
+    sweep_rows(MEMO_SPEC)
+    assert calls == []
+
+
+def test_the_sweep_memo_moves_no_bit():
+    # Rows are compared as the repr of every value, so signed zeros count.
+    cold = cold_rows(MEMO_SPEC)
+    assert repr(sweep_rows(MEMO_SPEC)) == cold
+    # Keys that compare equal share a block: -0.0 reads the block of 0.0,
+    # and beta = -0j the absorber of 0j, and the rows still match a fresh cache.
+    signed = SweepSpec(theta1=(-0.0,), beta=(complex(0.0, -0.0),), p=(0.5,), case=CaseId.DIFF_PLUS)
+    unsigned = SweepSpec(theta1=(0.0,), beta=(0j,), p=(0.5,), case=CaseId.DIFF_PLUS)
+    fresh = cold_rows(signed)
+    assert "-0.0" in fresh
+    clear_sweep_memo()
+    sweep_rows(unsigned)
+    size = sweep_memo_size()
+    assert repr(sweep_rows(signed)) == fresh
+    assert sweep_memo_size() == size
+
+
+def test_the_sweep_memo_holds_read_only_arrays(monkeypatch):
+    clear_sweep_memo()
+    kept = {}
+    for name in ("_layout", "_absorber_block"):
+        memo = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args, memo=memo: kept.setdefault(args, memo(*args)))
+    sweep_rows(MEMO_SPEC)
+    layouts = [value for value in kept.values() if isinstance(value, tuple)]
+    absorbers = [value for value in kept.values() if not isinstance(value, tuple)]
+    assert len(layouts) == 1 and len(absorbers) == 2 and len(analysis._SPLITTER_MEMO) == 2 * 3
+    for array in [layouts[0].keep, layouts[0].one, layouts[0].inputs, *absorbers, *analysis._SPLITTER_MEMO.values()]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+
+
+def test_the_sweep_memo_stays_within_its_bound():
+    # The verify suites run no sweep, so they leave the memo as it is.
+    sweep_rows(MEMO_SPEC)
+    size = sweep_memo_size()
+    paper_value_checks()
+    invariant_checks()
+    assert sweep_memo_size() == size
+    # A grid with more theta1 values than the memo holds blocks: after a
+    # small grid, and after it alone, the memo stays within its bound.
+    many = SweepSpec(theta1=tuple(i * 1e-3 for i in range(analysis._BLOCK_MEMO_SIZE + 100)), case=CaseId.SUM_MINUS)
+    few = SweepSpec(theta1=tuple(0.5 + i * 1e-3 for i in range(300)), beta=(0j, 0.5))
+    for spec in (few, many, many, few, few):
+        rows = repr(sweep_rows(spec))
+        assert len(analysis._SPLITTER_MEMO) <= analysis._BLOCK_MEMO_SIZE
+        assert rows == cold_rows(spec)
 
 
 SWEEP_AXIS_VALUE = {"theta0": 0.3, "theta1": 0.3, "beta": 0j, "p": 0.0}

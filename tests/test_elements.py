@@ -90,6 +90,19 @@ def test_splitter_block_columns_are_the_splitter_on_each_ket(n):
         assert list(block[:, k]) == [out.amplitude(FockKet((m, n - m))) for m in range(n + 1)]
 
 
+angle = st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0))
+
+
+@given(angles=st.lists(angle, min_size=1, max_size=6), totals=st.lists(st.integers(0, CUTOFF), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_a_batch_of_splitter_blocks_holds_each_block_to_the_bit(angles, totals):
+    # The sweep builds the blocks its memo lacks in one batch and keeps each
+    # one by its angle, so a block must not depend on the batch it came in.
+    batch = splitter_blocks(angles, totals)
+    for k, pair in enumerate(angles):
+        assert batch[k].tobytes() == splitter_blocks([pair], totals)[0].tobytes()
+
+
 def reference_row(theta, phi, n1, n2):
     """The binomial expansion of the splitter row of |n1, n2>, each factor
     computed in place, in the order the package multiplies them."""
