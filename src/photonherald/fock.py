@@ -412,16 +412,6 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.states)
 
-    def number_distribution(self, mode: str) -> dict[int, float]:
-        """Probability of each photon count in ``mode`` (by branch weight)."""
-        dist: dict[int, float] = {}
-        i = self.register.index(mode)
-        for state in self.states:
-            for ket, amp in state._amps.items():
-                n = ket.occupations[i]
-                dist[n] = dist.get(n, 0.0) + abs(amp) ** 2
-        return dist
-
     def normalized_weights(self) -> "Ensemble":
         """The ensemble with weights summing to 1."""
         total = sum(s.squared_norm() for s in self.states)

@@ -450,7 +450,7 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
                 if q > 0.0:
                     kept.extend(_evolve(detected, tail))
             if mirror:
-                clicks[mirror] += w * Ensemble(pre.register, (pre,)).number_distribution(mirror).get(1, 0.0)
+                clicks[mirror] += w * _detect(pre, ((mirror, 1),)).squared_norm()
             if q_sector > 0.0:
                 heralded.append((r, kept))
                 over_p2 += r * q_sector

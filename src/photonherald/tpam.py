@@ -44,13 +44,15 @@ four-wave mixer into an effective (generally trace-decreasing) channel on
 the pump mode alone: a :class:`FwmTpamSpec` names the mixer and the
 pattern, and is that channel (:meth:`FwmTpamSpec.apply`).
 
-The generic absorber and the conditioned channel are both rules on one
-mode's photon number n <= 2, and one kernel, ``_through``, applies either:
-each builds a rule table (per n, the outputs with their photon count,
-whether they leave the medium excited, and the factors on the input
-amplitude) and hands it over.  The channel never excites the medium, so a
-circuit attaches the same medium whichever of the two it runs.  The mixer
-itself acts on three modes and keeps its own loop in :func:`fwm_evolve`.
+All three media are rules on one mode's photon number n <= 2, and one
+kernel, ``_through``, applies each: per n, the outputs with their photon
+count, the photons each generated field receives, whether the medium is
+left excited, and one factor on the input amplitude.  The generic
+absorber excites the medium and has no generated fields; the conditioned
+channel does neither, so a circuit attaches the same medium whichever of
+the two it runs; the mixer fills its two generated fields with the pair
+count, and they must be empty on input.  Each medium value builds its
+table once and keeps it.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ _INTEGER_TOL = 1e-9
 #: cos(M*pi) reads 0.97 for an integer M that must pass a lone photon.
 MAX_LENGTH_MULTIPLE = 1e6
 
-#: Bound of the caches of :meth:`FwmParams._terms` and
-#: :meth:`FwmTpamSpec._rules`, one table per value.
+#: Bound of the caches of :meth:`GenericTpam._rules`, :meth:`FwmParams._terms`
+#: and :meth:`FwmTpamSpec._rules`, one table per value.
 _TERMS_CACHE_SIZE = 64
 
 
@@ -104,19 +106,14 @@ class GenericTpam:
     Args:
         alpha: two-photon absorption amplitude.
         beta: two-photon survival amplitude.
-        global_phase: common phase multiplying all three transformation
-            rules; physically unobservable, kept as an explicit knob so the
-            invariance can be exercised.
     """
 
     alpha: complex
     beta: complex
-    global_phase: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_number("generic TPAM alpha", self.alpha, numbers.Complex))
         object.__setattr__(self, "beta", _check_number("generic TPAM beta", self.beta, numbers.Complex))
-        object.__setattr__(self, "global_phase", _check_number("generic TPAM global_phase", self.global_phase))
         # A real or imaginary part above 2 in magnitude already breaks the
         # rule, so it is refused before its square can overflow.
         parts = (self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag)
@@ -130,6 +127,11 @@ class GenericTpam:
         if (mag := abs(beta)) > 1.0 + 1e-12:
             raise ValueError(f"|beta| must be <= 1, got {mag}")
         return cls(math.sqrt(max(0.0, 1.0 - mag * mag)), beta)
+
+    @lru_cache(maxsize=_TERMS_CACHE_SIZE)
+    def _rules(self) -> tuple:
+        """The ``_through`` table of the absorber, kept per value."""
+        return ((0, 0, False, 1.0),), ((1, 0, False, 1.0),), ((0, 0, True, self.alpha), (2, 0, False, self.beta))
 
 
 def apply_generic_tpam(
@@ -147,38 +149,46 @@ def apply_generic_tpam(
     """
     if not 0 <= excited_level < state.register.medium_dims:
         raise ValueError(f"excited level {excited_level} outside the register's {state.register.medium_dims} medium levels")
-    phase = cmath.exp(1j * tpam.global_phase)
-    rules = (
-        ((0, False, (phase,)),),
-        ((1, False, (phase,)),),
-        ((0, True, (tpam.alpha, phase)), (2, False, (tpam.beta, phase))),
-    )
-    return _through(state, mode, rules, excited_level)
+    return _through(state, mode, tpam._rules(), excited_level)
 
 
-def _through(state: PureState, mode: str, rules: tuple, excited_level: int = 0) -> PureState:
+def _through(state: PureState, mode: str, rules: tuple, excited_level: int = 0, fields: tuple[str, ...] = ()) -> PureState:
     """Send ``mode`` of ``state`` through a two-photon medium given as a rule table.
 
     ``rules[n]``, for n = 0, 1, 2 photons in the mode, lists the outputs as
-    (photons out, whether the medium leaves at ``excited_level``, factors);
-    an output's amplitude is the input's times the factors, left to right.
-    An empty list drops the input.  A ket with more than two photons in the
-    mode, or one that would excite a medium already excited, is refused:
-    the model defines no dynamics for it.
+    (photons out, photons in each of ``fields``, whether the medium leaves
+    at ``excited_level``, factor on the input amplitude).  An empty list
+    drops the input.  The generated ``fields``, which only the mixer has,
+    must be empty on input; an output that keeps the mode's photons and
+    the medium fills none.  A ket with more than two photons in the mode,
+    or one that would excite a medium already excited, is refused: the
+    model defines no dynamics for it.
     """
-    i = state.register.index(mode)
+    reg = state.register
+    i = reg.index(mode)
+    at = tuple(map(reg.index, fields)) if fields else ()
     out: dict[FockKet, complex] = {}
     for ket, amp in state._amps.items():
-        occ, n = ket.occupations, ket.occupations[i]
+        occ, medium = ket
+        n = occ[i]
+        for j in at:
+            if occ[j]:
+                raise ValueError(f"the generated fields {fields} must be in vacuum on input, got {ket}")
         if n > 2:
             raise UnsupportedPhotonNumberError(f"a two-photon medium saw {n} photons in {mode!r}; the model covers at most 2")
-        for n_out, excites, factors in rules[n]:
-            if excites and ket.medium:
-                raise UnsupportedPhotonNumberError("two photons reached an excited medium; the model defines no dynamics for this")
-            medium = excited_level if excites else ket.medium
-            new = ket if n_out == n and not excites else _ket((occ[:i] + (n_out,) + occ[i + 1 :], medium))
-            out[new] = out.get(new, 0j) + math.prod(factors, start=amp)
-    return PureState._of(state.register, out, state.norm())
+        for n_out, pairs, excites, factor in rules[n]:
+            if n_out == n and not excites:
+                new = ket
+            else:
+                if excites and medium:
+                    raise UnsupportedPhotonNumberError("two photons reached an excited medium; the model defines no dynamics for this")
+                occ_out = [*occ]
+                occ_out[i] = n_out
+                for j in at:
+                    occ_out[j] = pairs
+                new = _ket((tuple(occ_out), excited_level if excites else medium))
+            out[new] = out.get(new, 0j) + amp * factor
+    return PureState._of(reg, out, state.norm())
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,20 +239,21 @@ class FwmParams:
         return abs(doubled - round(doubled)) <= _INTEGER_TOL and round(doubled) % 2 == 1
 
     @lru_cache(maxsize=_TERMS_CACHE_SIZE)
-    def _terms(self) -> tuple[tuple[tuple[int, int, complex], ...], ...]:
-        """The mixer on n = 0, 1, 2 pump photons with both generated fields
-        empty: per n, the terms (pump photons out, photons in each generated
-        field, amplitude).  At odd integer length the compensating phase
-        shifter multiplies each term by (-1)^(pump photons out): the terms
-        with one pump photon out change sign.  Kept per params, for the
-        branches of a run that cross one mixer."""
+    def _terms(self) -> tuple:
+        """The ``_through`` table of the mixer on n = 0, 1, 2 pump photons with
+        both generated fields empty: per n, the terms (pump photons out,
+        photons in each generated field, False, amplitude).  At odd integer
+        length the compensating phase shifter multiplies each term by
+        (-1)^(pump photons out): the terms with one pump photon out change
+        sign.  Kept per params, for the branches of a run that cross one
+        mixer."""
         rabi = self.rabi_angle
         alpha0, alpha1, beta = fwm_coefficients(self)
         sign = -1.0 if self.is_integer_length and round(self.length_multiple) % 2 == 1 else 1.0
         return (
-            ((0, 0, 1.0 + 0j),),
-            ((1, 0, complex(math.cos(rabi) * sign)), (0, 1, -1j * math.sin(rabi))),
-            ((0, 2, alpha0), (1, 1, alpha1 * sign), (2, 0, beta)),
+            ((0, 0, False, 1.0 + 0j),),
+            ((1, 0, False, complex(math.cos(rabi) * sign)), (0, 1, False, -1j * math.sin(rabi))),
+            ((0, 2, False, alpha0), (1, 1, False, alpha1 * sign), (2, 0, False, beta)),
         )
 
 
@@ -275,13 +286,13 @@ class FwmTpamSpec:
         amplitudes at or below :data:`PRUNE_THRESHOLD` dropped as a
         projection of the mixer's output would drop them."""
         return tuple(
-            tuple((pump, False, (amp,)) for pump, pairs, amp in row if (pairs, pairs) == self.condition and abs(amp) > PRUNE_THRESHOLD)
+            tuple(term for term in row if (term[1], term[1]) == self.condition and abs(term[3]) > PRUNE_THRESHOLD)
             for row in self.params._terms()
         )
 
     def survival_probability(self, n: int) -> float:
         """Probability that ``n`` pump photons pass the condition."""
-        return sum((abs(factors[0]) ** 2 for _, _, factors in self._rules()[n]), 0.0)
+        return sum((abs(factor) ** 2 for *_, factor in self._rules()[n]), 0.0)
 
     def apply(self, state: PureState, mode: str) -> PureState:
         """Send ``mode`` of ``state`` through the conditioned channel.
@@ -315,29 +326,7 @@ def fwm_evolve(
     Both generated-field modes must be in vacuum on every populated ket.
     Pump occupations above two are rejected (no dynamics defined).
     """
-    reg = state.register
-    ip, i1, i2 = map(reg.index, modes)
-    terms = params._terms()
-    out: dict[FockKet, complex] = {}
-    for ket, amp in state._amps.items():
-        if ket.occupations[i1] != 0 or ket.occupations[i2] != 0:
-            raise ValueError(
-                f"four-wave mixer requires both generated-field modes in vacuum, got {ket}"
-            )
-        n = ket.occupations[ip]
-        if n > 2:
-            raise UnsupportedPhotonNumberError(
-                f"four-wave mixer saw {n} pump photons; the model covers at most 2"
-            )
-        for pump, pairs, factor in terms[n]:
-            if pump == n:
-                new = ket
-            else:
-                occ = list(ket.occupations)
-                occ[ip], occ[i1], occ[i2] = pump, pairs, pairs
-                new = _ket((tuple(occ), ket.medium))
-            out[new] = out.get(new, 0j) + amp * factor
-    return PureState._of(reg, out, state.norm())
+    return _through(state, modes[0], params._terms(), 0, modes[1:])
 
 
 def fwm_conditioned_channel(

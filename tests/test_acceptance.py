@@ -322,7 +322,7 @@ def test_criterion_12_phase_invariance_and_unitarity():
         g = rng.uniform(0.0, 2.0 * math.pi)
         out_plain = apply_generic_tpam(psi, "B", GenericTpam(alpha=alpha, beta=0.0))
         out_turned = apply_generic_tpam(
-            psi, "B", GenericTpam(alpha=alpha, beta=0.0, global_phase=g)
+            psi.scaled(cmath.exp(1j * g)), "B", GenericTpam(alpha=alpha, beta=0.0)
         )
         kets = {k for k, _ in out_plain.terms()} | {k for k, _ in out_turned.terms()}
         for k in kets:

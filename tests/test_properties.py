@@ -1,5 +1,6 @@
 """Property-based invariants for the state algebra and the physical elements."""
 
+import cmath
 import math
 import sys
 from dataclasses import replace
@@ -100,10 +101,9 @@ def test_beam_splitter_inverse_composition(psi, theta, phi):
 @given(psi=absorber_states(), phase=angles)
 @settings(max_examples=60)
 def test_absorber_global_phase_is_unobservable(psi, phase):
-    plain = GenericTpam(alpha=1.0, beta=0.0)
-    rotated = GenericTpam(alpha=1.0, beta=0.0, global_phase=phase)
-    out_a = apply_generic_tpam(psi, "B", plain)
-    out_b = apply_generic_tpam(psi, "B", rotated)
+    tpam = GenericTpam(alpha=1.0, beta=0.0)
+    out_a = apply_generic_tpam(psi, "B", tpam)
+    out_b = apply_generic_tpam(psi.scaled(cmath.exp(1j * phase)), "B", tpam)
     dist_a = {k: abs(v) ** 2 for k, v in out_a.terms()}
     dist_b = {k: abs(v) ** 2 for k, v in out_b.terms()}
     for k in set(dist_a) | set(dist_b):
@@ -237,7 +237,7 @@ def sector_weights(cfg, p):
 
 @given(cfg=scheme_configs())
 @example(cfg=manifold_config(math.pi / 6, p=0.5, tpam=GenericTpam.unitary(0.3j)))
-@example(cfg=manifold_config(1.0, CaseId.DIFF_MINUS, p=0.5, tpam=GenericTpam(0.5, 0.4, 0.7), variant=DOUBLED))
+@example(cfg=manifold_config(1.0, CaseId.DIFF_MINUS, p=0.5, tpam=GenericTpam(0.5, 0.4), variant=DOUBLED))
 @example(cfg=manifold_config(0.4, p=0.5, tpam=FwmTpamSpec(FwmParams(3.0, 0.2)), theta0=0.3))
 @example(cfg=SchemeConfig(SourceSpec(0.5), FwmTpamSpec(FwmParams(2.0, 0.5), (1, 1)), variant=PAIR_HERALD))
 @example(cfg=SchemeConfig(SourceSpec(0.5), FwmTpamSpec(FwmParams(2.5)), BeamSplitterParams(1.1), variant=FILTER_SPLIT))

@@ -6,7 +6,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle as dn
 from photonherald import (
     MAX_LENGTH_MULTIPLE,
     FockKet,
@@ -22,7 +25,9 @@ from photonherald import (
     fwm_coefficients_from_phase,
     fwm_conditioned_channel,
     fwm_evolve,
+    manifold_config,
     project_number,
+    run_main_scheme,
 )
 
 # one full single-photon conversion cycle leaves beta at this value
@@ -101,8 +106,7 @@ def test_coefficients_at_the_norm_rule_tolerance_accepted():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(alpha=math.nan, beta=0.0), dict(alpha=0.0, beta=complex(0.0, math.inf)),
-     dict(alpha=1.0, beta=0.0, global_phase=math.nan)],
+    [dict(alpha=math.nan, beta=0.0), dict(alpha=0.0, beta=complex(0.0, math.inf))],
 )
 def test_non_finite_coefficients_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -113,7 +117,6 @@ def test_non_finite_coefficients_rejected(kwargs):
     "make",
     [
         lambda: GenericTpam(True, False),
-        lambda: GenericTpam(0.6, 0.8, global_phase=True),
         lambda: GenericTpam.unitary(True),
     ],
 )
@@ -140,13 +143,33 @@ def test_two_photons_keep_only_the_weight_of_the_coefficients(alpha, beta, kept)
     assert out.squared_norm() == pytest.approx(kept, abs=1e-14)
 
 
-def test_global_phase_multiplies_every_rule():
-    tpam = GenericTpam(alpha=1.0, beta=0.0, global_phase=0.77)
-    phase = cmath.exp(0.77j)
-    out1 = apply_generic_tpam(medium_state((1,)), "B", tpam)
-    out2 = apply_generic_tpam(medium_state((2,)), "B", tpam)
-    assert out1.amplitude(FockKet((1,), medium=0)) == pytest.approx(phase, abs=1e-14)
-    assert out2.amplitude(FockKet((0,), medium=1)) == pytest.approx(phase, abs=1e-14)
+def test_absorber_takes_exactly_two_coefficients():
+    with pytest.raises(TypeError):
+        GenericTpam(0.6, 0.8, 0.7)
+
+
+def test_absorber_table_is_kept_per_value():
+    apply_generic_tpam(medium_state((2,)), "B", GenericTpam(0.28, 0.96))
+    misses = GenericTpam._rules.cache_info().misses
+    apply_generic_tpam(medium_state((2,)), "B", GenericTpam(0.28, 0.96))
+    assert GenericTpam._rules.cache_info().misses == misses
+
+
+def test_equal_absorbers_share_one_table_and_one_result():
+    # 0.8 and 0.8-0j differ only in a signed zero, which the kernel's sums
+    # from 0j clear, so the table kept for either serves both.
+    plain, signed = GenericTpam(0.6, 0.8), GenericTpam(0.6, complex(0.8, -0.0))
+    assert plain == signed
+    assert plain._rules() is signed._rules()
+
+    def run(tpam):
+        return repr(run_main_scheme(manifold_config(0.4, p=0.7, tpam=tpam)).to_dict())
+
+    GenericTpam._rules.cache_clear()
+    fresh = run(signed)
+    GenericTpam._rules.cache_clear()
+    run(plain)
+    assert run(signed) == fresh
 
 
 def test_medium_subsystem_required():
@@ -276,6 +299,44 @@ def test_single_photon_converts_at_cutoff_one():
     out = fwm_evolve(psi, ("W", "E1", "E2"), FwmParams(1.5))
     assert [ket for ket, _ in out.terms()] == [FockKet((0, 1, 1))]
     assert out.amplitude(FockKet((0, 1, 1))) == pytest.approx(1j, abs=1e-12)
+
+
+@st.composite
+def mixer_inputs(draw):
+    """A state on the mixer's three modes and a spectator, in a drawn order,
+    with a medium: the pump holds at most two photons and the generated
+    fields are empty."""
+    labels = tuple(draw(st.permutations(("W", "E1", "E2", "S"))))
+    reg = ModeRegister(labels, cutoff=3, medium_dims=2)
+    kets = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1)), min_size=1, max_size=6, unique=True))
+    unit = st.floats(-1.0, 1.0)
+    amps = {}
+    for pump, spectator, medium in kets:
+        occupations = {"W": pump, "E1": 0, "E2": 0, "S": spectator}
+        amps[FockKet(tuple(occupations[label] for label in labels), medium)] = complex(draw(unit), draw(unit))
+    return PureState(reg, amps)
+
+
+@given(
+    psi=mixer_inputs(),
+    length=st.sampled_from([1, 2, 3, 1.5, 2.5]) | st.floats(0.01, 8.0),
+    pump_phase=st.floats(-math.pi, math.pi),
+)
+@settings(max_examples=80, deadline=None)
+def test_mixer_matches_the_dense_operator(psi, length, pump_phase):
+    labels = psi.register.labels
+    op = dn.fwm_operator(length, 3, pump_phase)
+    want = {}
+    for ket, amp in psi.terms():
+        occ = dict(zip(labels, ket.occupations))
+        column = occ["W"] * 9
+        for row in map(int, op[:, column].nonzero()[0]):
+            occ["W"], occ["E1"], occ["E2"] = row // 9, row // 3 % 3, row % 3
+            out = FockKet(tuple(occ[label] for label in labels), ket.medium)
+            want[out] = want.get(out, 0j) + amp * op[row, column]
+    got = fwm_evolve(psi, ("W", "E1", "E2"), FwmParams(length, pump_phase))
+    for ket in want.keys() | {ket for ket, _ in got.terms()}:
+        assert abs(got.amplitude(ket) - want.get(ket, 0j)) <= 1e-12, ket
 
 
 def test_generated_modes_must_start_in_vacuum():
