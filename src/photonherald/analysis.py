@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
-from .fock import DEFAULT_CUTOFF, PRUNE_THRESHOLD, FockKet, ModeRegister, PureState, _check_number, fock_state
+from .fock import PRUNE_THRESHOLD, FockKet, ModeRegister, PureState, _check_number, fock_state
 from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _front_weights, build_circuit
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
@@ -135,7 +135,6 @@ def manifold_config(
     phi1: float | None = None,
     phi2: float | None = None,
     variant: str = MAIN,
-    cutoff: int = DEFAULT_CUTOFF,
 ) -> SchemeConfig:
     """The one way to turn manifold parameters into a :class:`SchemeConfig`.
 
@@ -153,10 +152,9 @@ def manifold_config(
 
     Raises:
         ValueError: for a null, non-numeric or non-finite parameter (an int
-            too large for a float included), a fractional cutoff, a theta1
-            so large that its completed theta2 misses the branch by more
-            than ``ANGLE_TOL`` in double precision, or an absorber the
-            variant cannot run.
+            too large for a float included), a theta1 so large that its
+            completed theta2 misses the branch by more than ``ANGLE_TOL`` in
+            double precision, or an absorber the variant cannot run.
     """
     theta1 = _number("theta1", theta1)
     completion = _completed(theta1, case) if theta2 is None else manifold_completion(theta1, case)
@@ -171,7 +169,6 @@ def manifold_config(
         bs1=BeamSplitterParams(theta1, phi1),
         bs2=BeamSplitterParams(theta2, phi2),
         variant=variant,
-        cutoff=_whole("cutoff", cutoff),
     )
 
 
@@ -412,13 +409,12 @@ def _parse_beta(raw: object) -> object:
     return complex(_number("beta", raw[0]), _number("beta", raw[1]))
 
 
-def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[str, float]]:
+def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
     """Evaluate the main scheme at every grid point; deterministic row order.
 
     Grid order is theta0-major, then theta1, beta, p.  The spec's values
-    were checked when it was built, so the sweep checks only ``cutoff``,
-    through the default config that :func:`manifold_config` builds at that
-    cutoff; it runs that config's :func:`build_circuit` stages, which do
+    were checked when it was built, so the sweep checks nothing; it runs
+    the :func:`build_circuit` stages of the default main config, which do
     not depend on the axes.  Each stage is one block-diagonal matrix on the
     input photon-number sectors 0, 1 and 2, built once per value it depends
     on and kept across calls by :func:`_sector_heralds` (the splitters per
@@ -434,7 +430,7 @@ def sweep_rows(spec: SweepSpec, *, cutoff: int = DEFAULT_CUTOFF) -> list[dict[st
     would prune are set to 0, so rows agree with ``run_main_scheme`` to
     rounding, and its exact zeros stay 0.
     """
-    circuit = build_circuit(manifold_config(cutoff=cutoff))
+    circuit = build_circuit(manifold_config())
     completed = [manifold_completion(theta1, spec.case) for theta1 in spec.theta1]
     bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(spec.theta1, completed)]
     bs2 = [(theta2, phi2) for theta2, _, phi2 in completed]
@@ -476,7 +472,7 @@ _CHUNK = 4096
 #: Bounds of the sweep engine's memos of its constant stage matrices.  A
 #: splitter or absorber block of the main circuit is a 7 x 7 complex matrix,
 #: about 1 kB with its key, so either memo holds about 1 MB when full; a
-#: layout is a few kB, one per cutoff a sweep runs at.
+#: layout is a few kB, one per circuit shape, and every sweep runs one shape.
 _BLOCK_MEMO_SIZE = 1024
 _LAYOUT_MEMO_SIZE = 16
 

@@ -21,9 +21,11 @@ Angles, as flags or in a config file, are accepted as ``30deg``,
 ``0.5236rad``, or bare radians.  Absorber specifications use the wire format
 ``generic:alpha=1,beta=0`` or ``jf:M=2,condition=(1,1)`` (``fwm:`` is
 accepted as an alias for ``jf:``; M may be a fraction like ``3/2``).  The
-default per-mode photon cutoff is 4, overridable per invocation with
-``--cutoff`` or globally with the ``FOCK_CUTOFF`` environment variable; it
-must lie in 2..16.
+circuits hold every mode at two photons, the most two single-photon sources
+can put there, so ``run`` and ``sweep`` take no cutoff.  ``verify --cutoff``
+(default 4, a whole number in 2..16) sets the per-mode cutoff that the
+invariants suite draws its Fock states up to; the paper-values suite refuses
+it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ _CANONICAL_TOKEN = {variant: token for token, variant in reversed(SCHEME_TOKENS.
 #: doubled only.  Angle fields also take the ``30deg`` forms of :func:`parse_angle`.
 _SPLITTER_FIELDS = ("theta1", "theta2", "phi1", "phi2")
 _ANGLE_FIELDS = ("theta0", *_SPLITTER_FIELDS)
-_CONFIG_FIELDS = ("scheme", "p", "cutoff", "tpam", *_ANGLE_FIELDS)
+_CONFIG_FIELDS = ("scheme", "p", "tpam", *_ANGLE_FIELDS)
 
 
 # --------------------------------------------------------------------------
@@ -196,20 +198,9 @@ def _default_tpam_help() -> str:
 
 
 def _cutoff(ctx: click.Context, param: click.Parameter, value: str) -> int:
-    """The ``--cutoff`` text as a whole number, read as a config file's
-    cutoff is read, so ``6.0`` is 6 here too, through the cutoff rule."""
+    """The ``--cutoff`` text through the cutoff rule, read as a whole number
+    so that ``6.0`` is 6."""
     return _check_cutoff(_whole("cutoff", value))
-
-
-CUTOFF_OPTION = click.option(
-    "--cutoff",
-    metavar="INTEGER",
-    default=str(DEFAULT_CUTOFF),
-    callback=_cutoff,
-    show_default=True,
-    envvar="FOCK_CUTOFF",
-    help=f"Per-mode photon cutoff, a whole number in 2..{MAX_CUTOFF} (env: FOCK_CUTOFF).",
-)
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +217,8 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
 
     Raises:
         ValueError: on unknown, null or non-numeric fields, fields the scheme
-            does not use, unknown scheme tokens, a fractional or out-of-range
-            cutoff, or unparsable or incompatible absorber specs.
+            does not use, unknown scheme tokens, or unparsable or
+            incompatible absorber specs.
     """
     unknown = sorted(set(config) - set(_CONFIG_FIELDS))
     if unknown:
@@ -254,11 +245,10 @@ def _scheme_config(config: Mapping[str, object]) -> SchemeConfig:
 
 def _config_record(cfg: SchemeConfig) -> dict[str, object]:
     """Canonical config mapping of ``cfg`` (plain JSON types only), so equal
-    physics records and hashes alike (a cutoff of 6 and 6.0, say)."""
+    physics records and hashes alike (a p of 1 and 1.0, say)."""
     record: dict[str, object] = {
         "scheme": _CANONICAL_TOKEN[cfg.variant],
         "p": cfg.source.p,
-        "cutoff": cfg.cutoff,
         "tpam": format_tpam_spec(cfg.tpam),
         "theta0": cfg.bs0.theta,
     }
@@ -393,7 +383,6 @@ def main() -> None:
 @click.option("--theta2", metavar="ANGLE", help="Second interferometer splitter angle [default: 90deg - theta1].")
 @click.option("--phi1", metavar="ANGLE", help="First splitter phase [default: 0].")
 @click.option("--phi2", metavar="ANGLE", help="Second splitter phase [default: 0].")
-@CUTOFF_OPTION
 @click.option(
     "--config",
     "config_path",
@@ -437,7 +426,6 @@ def cmd_run(config_path, output, points, **flags) -> None:
 
 @main.command("sweep")
 @click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-@CUTOFF_OPTION
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 @click.option(
     "--gnuplot",
@@ -446,7 +434,7 @@ def cmd_run(config_path, output, points, **flags) -> None:
     is_flag=True,
     help="Emit whitespace-separated columns with a # header instead of CSV.",
 )
-def cmd_sweep(spec_file, cutoff, output, points) -> None:
+def cmd_sweep(spec_file, output, points) -> None:
     """Evaluate a main-scheme parameter grid from a JSON SPEC_FILE.
 
     The spec maps axis names (theta0, theta1, beta, p, case) to explicit
@@ -457,7 +445,7 @@ def cmd_sweep(spec_file, cutoff, output, points) -> None:
         spec = SweepSpec.from_mapping(_read_object(spec_file, "sweep spec"))
     except ValueError as exc:
         raise ValueError(f"malformed sweep spec: {exc}") from None
-    rows = sweep_rows(spec, cutoff=cutoff)
+    rows = sweep_rows(spec)
     # RFC 4180: header row first, commas, CRLF line endings; the columns: a # header, spaces, LF.
     header, sep, end = ("# ", " ", "\n") if points else ("", ",", "\r\n")
     lines = [header + sep.join(SWEEP_COLUMNS)]
@@ -473,11 +461,20 @@ def cmd_sweep(spec_file, cutoff, output, points) -> None:
     help="Which check suite to run.",
 )
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, help="RNG seed for randomized checks.")
-@CUTOFF_OPTION
+@click.option(
+    "--cutoff",
+    metavar="INTEGER",
+    default=str(DEFAULT_CUTOFF),
+    callback=_cutoff,
+    show_default=True,
+    help=f"Per-mode photon cutoff the invariants suite draws Fock states up to, a whole number in 2..{MAX_CUTOFF}.",
+)
 def cmd_verify(suite, seed, cutoff) -> None:
     """Run a verification suite; exit 0 iff every check passes."""
     if suite == "paper-values":
-        checks = paper_value_checks(cutoff=cutoff, seed=seed)
+        if click.get_current_context().get_parameter_source("cutoff") is ParameterSource.COMMANDLINE:
+            raise ValueError("--cutoff applies to the invariants suite only; the paper-values suite runs circuits, which hold two photons per mode")
+        checks = paper_value_checks(seed=seed)
     else:
         checks = invariant_checks(seed=seed, cutoff=cutoff)
     for check in checks:

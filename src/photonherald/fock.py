@@ -75,9 +75,10 @@ __all__ = [
     "relabel_modes",
 ]
 
-#: Default photon-number cutoff per mode.  The circuits here inject at most
-#: two photons, so four leaves headroom and makes truncation errors loud
-#: (an overflow raises) instead of silent.
+#: Default photon-number cutoff per mode of a bare :class:`ModeRegister`, and
+#: of ``photonherald verify``, whose invariants suite draws Fock states up to
+#: it.  The scheme circuits hold their registers at two photons instead
+#: (``schemes.CIRCUIT_CUTOFF``); an overflow raises either way.
 DEFAULT_CUTOFF = 4
 
 #: Amplitudes at or below this magnitude, relative to the norm of the state

@@ -65,6 +65,7 @@ from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_e
 __all__ = [
     "MAIN",
     "DOUBLED",
+    "CIRCUIT_CUTOFF",
     "MAX_CUTOFF",
     "PAIR_HERALD",
     "FILTER_SPLIT",
@@ -101,18 +102,24 @@ DEFAULT_TPAM = {
     FILTER_SPLIT: FwmTpamSpec(FwmParams(1.5), (0, 0)),
 }
 
-#: Largest per-mode cutoff a scheme accepts.  No circuit here holds more than
-#: two photons in a mode, so every cutoff from 2 up gives the same results and
-#: a larger one buys nothing; the ceiling only keeps absurd input out.
+#: Per-mode cutoff of every scheme circuit's registers.  Each of the two
+#: sources emits at most one photon and no stage adds photons, so no mode
+#: ever holds more than two, and every cutoff from 2 up gives the same
+#: results.  A kernel that would put a third photon in a mode still raises
+#: :class:`~photonherald.fock.CutoffOverflowError`.
+CIRCUIT_CUTOFF = 2
+
+#: Largest per-mode cutoff the invariants suite draws its Fock states up
+#: to; the ceiling only keeps absurd input out.
 MAX_CUTOFF = 16
 
 
 def _check_cutoff(cutoff: object) -> int:
-    """The cutoff rule, for configs, flags and the verify suites: ``cutoff``
-    if it is an int in [2, MAX_CUTOFF], else ``ValueError``."""
+    """The cutoff rule of ``verify --cutoff`` and the invariants suite:
+    ``cutoff`` if it is an int in [2, MAX_CUTOFF], else ``ValueError``."""
     if isinstance(cutoff, int) and 2 <= cutoff <= MAX_CUTOFF:
         return cutoff
-    raise ValueError(f"scheme circuits need an integer cutoff in [2, {MAX_CUTOFF}] (two-photon inputs), got {reprlib.repr(cutoff)}")
+    raise ValueError(f"the invariant checks need an integer cutoff in [2, {MAX_CUTOFF}] (two-photon states), got {reprlib.repr(cutoff)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +148,8 @@ class SchemeConfig:
     mixes.
 
     Raises:
-        ValueError: for an unknown variant, a cutoff outside [2, MAX_CUTOFF],
-            or an absorber the variant cannot run, so every config runs.
+        ValueError: for an unknown variant or an absorber the variant
+            cannot run, so every config runs.
     """
 
     source: SourceSpec
@@ -151,12 +158,10 @@ class SchemeConfig:
     bs1: BeamSplitterParams = BeamSplitterParams.balanced()
     bs2: BeamSplitterParams = BeamSplitterParams.balanced()
     variant: str = MAIN
-    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown scheme variant {self.variant!r}; expected one of {VARIANTS}")
-        _check_cutoff(self.cutoff)
         _check_absorber(self)
 
 
@@ -223,6 +228,11 @@ def reduce_through_bs0(
     |1>, |0> — photon bunching pushes the one-photon weight down and the
     two-photon weight up, which is exactly what the absorber downstream feeds
     on.  This checks the inputs; :func:`_front_weights` does the arithmetic.
+
+    The weights do not depend on ``cutoff``: it only has to hold the two
+    photons that bunch at the splitter.  The keyword stays because the
+    benchmark's tracer (``perfbench/tracer.py``) keys these calls on it by
+    name; the circuits pass :data:`CIRCUIT_CUTOFF`.
     """
     source = SourceSpec(p)
     bs0 = BeamSplitterParams(theta0, phi0)
@@ -333,11 +343,11 @@ def _check_absorber(cfg: SchemeConfig) -> None:
 
 
 @lru_cache(maxsize=64)
-def _fock(labels: tuple[str, ...], cutoff: int, occupations: tuple[int, ...], medium_dims: int = 1) -> PureState:
-    """The basis state of ``occupations`` on ``labels``, carrying a
-    ground-state medium of ``medium_dims`` levels; an input sector or an
-    attach stage's vacuum, built once per circuit shape."""
-    return fock_state(ModeRegister(labels, cutoff, medium_dims), occupations)
+def _fock(labels: tuple[str, ...], occupations: tuple[int, ...], medium_dims: int = 1) -> PureState:
+    """The basis state of ``occupations`` on ``labels`` at the circuits'
+    cutoff, carrying a ground-state medium of ``medium_dims`` levels; an
+    input sector or an attach stage's vacuum, built once per circuit shape."""
+    return fock_state(ModeRegister(labels, CIRCUIT_CUTOFF, medium_dims), occupations)
 
 
 def build_circuit(cfg: SchemeConfig) -> Circuit:
@@ -352,10 +362,10 @@ def build_circuit(cfg: SchemeConfig) -> Circuit:
     on every call, so a kernel wrapped after import (to time it) is the one
     they run.
     """
-    tpam, cutoff, variant = cfg.tpam, cfg.cutoff, cfg.variant
+    tpam, variant = cfg.tpam, cfg.variant
 
     def attach(*labels: str, medium_dims: int = 1) -> partial:
-        return partial(tensor, b=_fock(labels, cutoff, (0,) * len(labels), medium_dims))
+        return partial(tensor, b=_fock(labels, (0,) * len(labels), medium_dims))
 
     def split(bs: BeamSplitterParams, *modes: str) -> partial:
         return partial(apply_beam_splitter, modes=modes, params=bs)
@@ -410,9 +420,9 @@ def _inputs(cfg: SchemeConfig) -> list[tuple[int, float, float, PureState]]:
     weight, weight over p^2, state).  B holds n photons with the front
     splitter's weights; for doubled, the sources emit |a, b> on (A, B)."""
     if cfg.variant == DOUBLED:
-        return [(a + b, w, r, _fock(("A", "B"), cfg.cutoff, (a, b))) for a, b, w, r in _products(cfg.source.p)]
-    weights, over_p2 = reduce_through_bs0(cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=cfg.cutoff)
-    return [(n, w, over_p2[n], _fock(("B",), cfg.cutoff, (n,))) for n, w in weights.items()]
+        return [(a + b, w, r, _fock(("A", "B"), (a, b))) for a, b, w, r in _products(cfg.source.p)]
+    weights, over_p2 = reduce_through_bs0(cfg.source.p, cfg.bs0.theta, cfg.bs0.phi, cutoff=CIRCUIT_CUTOFF)
+    return [(n, w, over_p2[n], _fock(("B",), (n,))) for n, w in weights.items()]
 
 
 def _interpret(cfg: SchemeConfig) -> SchemeResult:
@@ -508,7 +518,6 @@ def run_pair_herald_scheme(
     pump_phase: float = 0.0,
     theta0: float = math.pi / 4,
     phi0: float = 0.0,
-    cutoff: int = DEFAULT_CUTOFF,
 ) -> SchemeResult:
     """Herald on the photon pair generated by converting the two-photon part.
 
@@ -521,7 +530,7 @@ def run_pair_herald_scheme(
     """
     tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), DEFAULT_TPAM[PAIR_HERALD].condition)
     bs0 = BeamSplitterParams(theta0, phi0)
-    return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=PAIR_HERALD, cutoff=cutoff))
+    return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=PAIR_HERALD))
 
 
 def run_filter_split_scheme(
@@ -531,7 +540,6 @@ def run_filter_split_scheme(
     pump_phase: float = 0.0,
     theta0: float = math.pi / 4,
     phi0: float = 0.0,
-    cutoff: int = DEFAULT_CUTOFF,
 ) -> SchemeResult:
     """Filter out the one-photon component, then split and herald.
 
@@ -550,7 +558,7 @@ def run_filter_split_scheme(
     """
     tpam = FwmTpamSpec(FwmParams(length_multiple, pump_phase), DEFAULT_TPAM[FILTER_SPLIT].condition)
     bs0 = BeamSplitterParams(theta0, phi0)
-    return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=FILTER_SPLIT, cutoff=cutoff))
+    return _interpret(SchemeConfig(SourceSpec(p), tpam, bs0, variant=FILTER_SPLIT))
 
 
 def run_scheme(cfg: SchemeConfig) -> SchemeResult:

@@ -107,7 +107,7 @@ def _random_unitary_tpam(rng: random.Random) -> GenericTpam:
     )
 
 
-def _random_valid_config(rng: random.Random, cutoff: int = DEFAULT_CUTOFF) -> SchemeConfig:
+def _random_valid_config(rng: random.Random) -> SchemeConfig:
     """A random configuration on the null-condition manifold."""
     theta1 = rng.uniform(0.0, 2.0 * math.pi)
     case = rng.choice(tuple(CaseId))
@@ -126,24 +126,17 @@ def _random_valid_config(rng: random.Random, cutoff: int = DEFAULT_CUTOFF) -> Sc
         p=rng.uniform(0.05, 1.0),
         tpam=tpam,
         theta0=rng.uniform(0.1, math.pi / 2 - 0.1),
-        cutoff=cutoff,
     )
 
 
-def paper_value_checks(
-    cutoff: int = DEFAULT_CUTOFF, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
-    """Reproduce every quoted number; returns one row per quoted value.
-
-    ``cutoff`` passes the cutoff rule before any work starts.
-    """
-    _check_cutoff(cutoff)
+def paper_value_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Reproduce every quoted number; returns one row per quoted value."""
     checks: list[CheckResult] = []
 
     # Front-splitter reduction weights at a balanced splitter.
     worst = 0.0
     for p in (0.25, 0.6, 0.86, 1.0):
-        dist, _ = reduce_through_bs0(p, cutoff=cutoff)
+        dist, _ = reduce_through_bs0(p)
         expected = {2: p * p / 2.0, 1: p * (1.0 - p), 0: p * p / 2.0 - p + 1.0}
         worst = max(worst, max(abs(dist.get(n, 0.0) - expected[n]) for n in expected))
     checks.append(
@@ -152,14 +145,14 @@ def paper_value_checks(
 
     # A lone photon cannot trigger the herald with balanced splitters: at
     # p = 1/2 the one-photon branch enters with weight p(1 - p) = 1/4.
-    q_null = run_main_scheme(manifold_config(p=0.5, cutoff=cutoff)).branch_log[1] / 0.25
+    q_null = run_main_scheme(manifold_config(p=0.5)).branch_log[1] / 0.25
     checks.append(CheckResult("single-photon-null-balanced", q_null, 0.0, 1e-12))
 
     # Balanced-interferometer success probability |1-beta|^2 p^2 / 16.
     worst = 0.0
     for beta in (1.0, 0.4130, 0.0, -1.0):
         for p in (0.5, 1.0):
-            sim = run_main_scheme(manifold_config(p=p, tpam=GenericTpam.unitary(beta), cutoff=cutoff)).p_success
+            sim = run_main_scheme(manifold_config(p=p, tpam=GenericTpam.unitary(beta))).p_success
             worst = max(worst, abs(sim - abs(1.0 - beta) ** 2 * p * p / 16.0))
     checks.append(
         CheckResult("balanced-success-formula", worst, 0.0, 1e-10, "8 (beta, p) points")
@@ -176,7 +169,7 @@ def paper_value_checks(
     # Strongest nonlinear phase shift: 27/64 ~ 0.4219, doubled to 0.84375.
     checks.append(CheckResult("strong-phase-optimum", optima[-1.0][1], 0.4219, 1e-4))
     doubled = run_doubled_scheme(
-        manifold_config(math.pi / 6, tpam=GenericTpam.unitary(-1.0), variant=DOUBLED, cutoff=cutoff)
+        manifold_config(math.pi / 6, tpam=GenericTpam.unitary(-1.0), variant=DOUBLED)
     ).p_success
     checks.append(CheckResult("doubled-scheme-0.84375", doubled, 0.84375, 1e-10))
 
@@ -185,7 +178,7 @@ def paper_value_checks(
     worst = 0.0
     heralded = 0
     for _ in range(100):
-        result = run_scheme(_random_valid_config(rng, cutoff))
+        result = run_scheme(_random_valid_config(rng))
         if result.p_success > 1e-6:
             heralded += 1
             worst = max(worst, abs(result.fidelity - 1.0))
@@ -207,7 +200,7 @@ def paper_value_checks(
 
     # Mixer-fed interferometer at the optimal angle, and its running best.
     def interferometer_ps(m: int) -> float:
-        cfg = manifold_config(math.pi / 6, tpam=FwmTpamSpec(FwmParams(float(m))), cutoff=cutoff)
+        cfg = manifold_config(math.pi / 6, tpam=FwmTpamSpec(FwmParams(float(m))))
         return run_main_scheme(cfg).p_success
 
     checks.append(CheckResult("fwm-main-one-cycle", interferometer_ps(1), 0.0363, 5e-4))
@@ -218,7 +211,7 @@ def paper_value_checks(
     )
 
     # Pair-herald scheme: quoted value at two cycles, analytic maximum 1/6.
-    ps_pair = run_pair_herald_scheme(1.0, 2.0, cutoff=cutoff).p_success
+    ps_pair = run_pair_herald_scheme(1.0, 2.0).p_success
     checks.append(
         CheckResult(
             "pair-herald-two-cycles",
@@ -237,7 +230,7 @@ def paper_value_checks(
     checks.append(CheckResult("pair-herald-analytic-max", peak, 1.0 / 6.0, 1e-6))
 
     # Filter-split scheme: quoted value at 1.5 cycles, limit 1/4.
-    ps_filter = run_filter_split_scheme(1.0, 1.5, cutoff=cutoff).p_success
+    ps_filter = run_filter_split_scheme(1.0, 1.5).p_success
     checks.append(CheckResult("filter-split-three-half-cycles", ps_filter, 0.2291, 5e-4))
     best = max(jf_length_scan([k + 0.5 for k in range(25)]))
     checks.append(
@@ -250,7 +243,8 @@ def paper_value_checks(
 def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> list[CheckResult]:
     """Randomized structural properties; deterministic for a given seed.
 
-    ``cutoff`` passes the cutoff rule before any work starts.
+    ``cutoff`` bounds the Fock states the element checks draw, and passes
+    the cutoff rule before any work starts; the scheme runs hold their own.
     """
     _check_cutoff(cutoff)
     rng = random.Random(seed)
@@ -310,8 +304,8 @@ def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> 
         shifted = GenericTpam(base.alpha * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)), base.beta)
         theta1 = rng.uniform(0.0, 2.0 * math.pi)
         p = rng.uniform(0.2, 1.0)
-        ps_base = run_main_scheme(manifold_config(theta1, p=p, tpam=base, cutoff=cutoff)).p_success
-        ps_shift = run_main_scheme(manifold_config(theta1, p=p, tpam=shifted, cutoff=cutoff)).p_success
+        ps_base = run_main_scheme(manifold_config(theta1, p=p, tpam=base)).p_success
+        ps_shift = run_main_scheme(manifold_config(theta1, p=p, tpam=shifted)).p_success
         worst = max(worst, abs(ps_base - ps_shift))
     checks.append(CheckResult("tpam-absorption-phase-invariance", worst, 0.0, 1e-12))
 
@@ -325,7 +319,7 @@ def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> 
     # Doubling exactness: the two heralds are exclusive.
     worst = 0.0
     for _ in range(_DRAWS // 4):
-        cfg = _random_valid_config(rng, cutoff)
+        cfg = _random_valid_config(rng)
         main_ps = run_main_scheme(cfg).p_success
         doubled_ps = run_doubled_scheme(replace(cfg, variant=DOUBLED)).p_success
         worst = max(worst, abs(doubled_ps - 2.0 * main_ps))
@@ -349,7 +343,7 @@ def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> 
         theta1 = rng.uniform(0.0, 2.0 * math.pi)
         beta = rng.uniform(0.0, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         predicted = closed_form_ps(beta, theta1)
-        simulated = run_main_scheme(manifold_config(theta1, case, tpam=GenericTpam.unitary(beta), cutoff=cutoff)).p_success
+        simulated = run_main_scheme(manifold_config(theta1, case, tpam=GenericTpam.unitary(beta))).p_success
         worst = max(worst, abs(predicted - simulated))
     checks.append(CheckResult("formula-simulator-agreement", worst, 0.0, 1e-10))
 

@@ -10,11 +10,17 @@ just on the heralding probability that the ``run_*`` entry points report.
 An absorber given as ``None`` (both generic coefficients, or the mixer
 length) leaves the config without one, so the scheme runs the absorber of its
 ``DEFAULT_TPAM`` entry.
+
+Each mirror takes a ``cutoff``: it moves the circuit's input states and the
+vacuum modes its tensor stages attach onto registers at that cutoff, where
+the package holds them at ``CIRCUIT_CUTOFF``, so a mirror at a larger cutoff
+sees any photon that bound would cut.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 from photonherald import (
@@ -25,9 +31,12 @@ from photonherald import (
     FwmParams,
     FwmTpamSpec,
     GenericTpam,
+    ModeRegister,
+    PureState,
     build_circuit,
     manifold_config,
     project_number,
+    tensor,
 )
 from photonherald import schemes
 
@@ -94,9 +103,20 @@ def _mixer(length_multiple, pump_phase, condition):
     return None if length_multiple is None else FwmTpamSpec(FwmParams(length_multiple, pump_phase), condition)
 
 
+def _at_cutoff(state, cutoff: int):
+    """``state`` on a register of the same modes and medium at ``cutoff``."""
+    register = state.register
+    return PureState(ModeRegister(register.labels, cutoff, register.medium_dims), dict(state.terms()))
+
+
 def _before_herald(p, tpam, *, theta0, cutoff, **splitters):
-    cfg = manifold_config(p=p, tpam=tpam, theta0=theta0, cutoff=cutoff, **splitters)
-    return prepared(build_circuit(cfg), weighted(inputs_of(cfg)))
+    cfg = manifold_config(p=p, tpam=tpam, theta0=theta0, **splitters)
+    circuit = build_circuit(cfg)
+    stages = tuple(
+        partial(tensor, b=_at_cutoff(stage.keywords["b"], cutoff)) if stage.func is tensor else stage for stage in circuit.stages
+    )
+    weights, states = inputs_of(cfg)
+    return prepared(circuit._replace(stages=stages), weighted((weights, [_at_cutoff(state, cutoff) for state in states])))
 
 
 def _click(ens, detector: str, output: str) -> dict[str, object]:

@@ -324,12 +324,12 @@ def test_sweep_rows_grid_order_and_manifold_snap():
     assert rows[-1]["p_success"] == pytest.approx(1.0 / 16.0, abs=1e-12)
 
 
-def assert_row_matches_single_run(row, case, cutoff=4):
+def assert_row_matches_single_run(row, case):
     """One sweep row against ``run_main_scheme`` at its point: probabilities
     within 1e-13 relative, an exact 0 or NaN kept, fidelity within 1e-13."""
     beta = complex(row["beta_re"], row["beta_im"])
     cfg = manifold_config(
-        row["theta1_rad"], case, p=row["p"], tpam=GenericTpam.unitary(beta), theta0=row["theta0_rad"], cutoff=cutoff
+        row["theta1_rad"], case, p=row["p"], tpam=GenericTpam.unitary(beta), theta0=row["theta0_rad"]
     )
     result = run_main_scheme(cfg)
     ratio = result.details["p_success_over_p2"]
@@ -380,9 +380,9 @@ def test_sweep_rows_do_not_depend_on_how_the_grid_is_chunked(monkeypatch):
     spec = SweepSpec(
         theta0=(0.3, math.pi / 4), theta1=(0.0, 0.2, DEG30, 1.0, 4.0), beta=(0j, 0.5j, 0.6 + 0.8j), p=(1e-150, 0.5)
     )
-    whole = sweep_rows(spec, cutoff=3)
+    whole = sweep_rows(spec)
     monkeypatch.setattr(analysis, "_CHUNK", 2)
-    assert repr(sweep_rows(spec, cutoff=3)) == repr(whole)
+    assert repr(sweep_rows(spec)) == repr(whole)
 
 
 def clear_sweep_memo():
@@ -397,9 +397,9 @@ def sweep_memo_size():
     return len(analysis._SPLITTER_MEMO) + analysis._absorber_block.cache_info().currsize + analysis._layout.cache_info().currsize
 
 
-def cold_rows(spec, cutoff=4):
+def cold_rows(spec):
     clear_sweep_memo()
-    return repr(sweep_rows(spec, cutoff=cutoff))
+    return repr(sweep_rows(spec))
 
 
 MEMO_SPEC = SweepSpec(theta0=(0.3, 1.1), theta1=(0.2, 0.2, DEG30, 1.0), beta=(0j, 0.5j, 0j), p=(1e-150, 0.5))
@@ -498,18 +498,22 @@ def test_sweep_rows_rejects_a_bad_axis_value_as_manifold_config_does(axis, bad):
     assert str(swept.value) == str(single.value)
 
 
-@pytest.mark.parametrize("cutoff", [2, 4])
+@pytest.mark.parametrize("memo", ["cold", "warm"])
 @pytest.mark.parametrize("case", tuple(CaseId))
-def test_sweep_rows_match_single_runs_on_edge_grid(case, cutoff):
+def test_sweep_rows_match_single_runs_on_edge_grid(case, memo):
     # Null angles, a vanishing source and a fully reflecting front splitter:
     # rows where single runs prune every herald amplitude to exactly 0, or
-    # keep a herald of 1e-300, must read the same from the batched sweep.
+    # keep a herald of 1e-300, must read the same from the batched sweep,
+    # whether it builds its stage matrices afresh or reads them from its memo.
     # The grid is the one ``tools/fingerprints.py`` hashes, so the fingerprint pins these rows' bytes.
     spec = SweepSpec(**load_tool().EDGE_SWEEP_AXES, case=case)
-    rows = sweep_rows(spec, cutoff=cutoff)
+    clear_sweep_memo()
+    if memo == "warm":
+        sweep_rows(spec)
+    rows = sweep_rows(spec)
     assert len(rows) == 4 * 7 * 5 * 5
     for row in rows:
-        assert_row_matches_single_run(row, case, cutoff)
+        assert_row_matches_single_run(row, case)
 
 
 @pytest.mark.parametrize("case", ["violated", "bogus"])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonherald
-from photonherald import DEFAULT_TPAM, MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam, verify
+from photonherald import DEFAULT_TPAM, MAX_CUTOFF, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam, cli, verify
 from photonherald.cli import (
     SCHEME_TOKENS,
     config_hash,
@@ -213,16 +213,6 @@ def test_run_output_file(runner, tmp_path):
     assert manifest["result"]["p_success"] == pytest.approx(27.0 / 256.0, abs=1e-10)
 
 
-def test_cutoff_env_variable(runner):
-    manifest = manifest_of(invoke(runner, "run", env={"FOCK_CUTOFF": "6"}))
-    assert manifest["config"]["cutoff"] == 6
-
-
-def test_cutoff_flag_beats_default(runner):
-    manifest = manifest_of(invoke(runner, "run", "--cutoff", "5"))
-    assert manifest["config"]["cutoff"] == 5
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -252,11 +242,6 @@ def test_unknown_scheme_token_is_usage_error(runner):
 
 def test_source_efficiency_out_of_range_is_usage_error(runner):
     assert runner.invoke(main, ["run", "--p", "1.5"]).exit_code == 2
-
-
-def test_cutoff_below_two_is_usage_error(runner):
-    result = runner.invoke(main, ["run"], env={"FOCK_CUTOFF": "1"})
-    assert result.exit_code == 2
 
 
 def assert_one_line_usage_error(result, exit_code=2):
@@ -293,32 +278,32 @@ def test_splitter_field_on_conversion_scheme_is_usage_error(runner, tmp_path):
     assert "'theta1'" in result.output
 
 
-@pytest.mark.parametrize("cutoff", [4.7, "4.5", MAX_CUTOFF + 1, 1])
+@pytest.mark.parametrize("cutoff", [4.7, "4.5", MAX_CUTOFF + 1, 1, 2, 4])
 def test_bad_config_cutoff_is_usage_error(runner, tmp_path, cutoff):
-    assert_one_line_usage_error(run_config(runner, tmp_path, {"cutoff": cutoff}))
+    # the circuits hold two photons per mode, so a manifest's cutoff is an
+    # unknown field whatever its value, the circuits' own bound of 2 included
+    result = run_config(runner, tmp_path, {"cutoff": cutoff})
+    assert_one_line_usage_error(result)
+    assert "unknown config fields: 'cutoff'" in result.stderr
 
 
-@pytest.mark.parametrize("command", [["run"], ["sweep", "{spec}"], ["verify", "--suite", "invariants"]])
-def test_cutoff_flag_and_env_read_a_whole_float_as_a_config_file_does(runner, tmp_path, command):
+@pytest.mark.parametrize("command", [["run"], ["sweep", "{spec}"]])
+def test_run_and_sweep_take_no_cutoff_flag(runner, tmp_path, command):
     spec = write_spec(tmp_path, {"theta1": [0.5], "p": [0.5]})
     args = [arg.replace("{spec}", spec) for arg in command]
+    assert invoke(runner, *args).exit_code == 0
+    for value in ("2", "4"):
+        result = runner.invoke(main, [*args, "--cutoff", value])
+        assert_one_line_usage_error(result)
+        assert "--cutoff" in result.stderr
 
-    def output(result):
-        assert result.exit_code == 0, result.output
-        return {**json.loads(result.output), "timestamp": None} if command == ["run"] else result.output
 
-    whole = output(invoke(runner, *args, "--cutoff", "6"))
-    assert output(invoke(runner, *args, "--cutoff", "6.0")) == whole
-    assert output(invoke(runner, *args, env={"FOCK_CUTOFF": "6.0"})) == whole
+def test_verify_cutoff_flag_reads_a_whole_float(runner):
+    args = ["verify", "--suite", "invariants"]
+    whole = invoke(runner, *args, "--cutoff", "6").output
+    assert invoke(runner, *args, "--cutoff", "6.0").output == whole
     for bad in ("1", "17", "4.5", "1e9", "nan"):
         assert_one_line_usage_error(runner.invoke(main, [*args, "--cutoff", bad]))
-        assert_one_line_usage_error(runner.invoke(main, args, env={"FOCK_CUTOFF": bad}))
-
-
-def test_cutoff_above_ceiling_is_usage_error(runner):
-    too_big = str(MAX_CUTOFF + 1)
-    assert_one_line_usage_error(runner.invoke(main, ["run", "--cutoff", too_big]))
-    assert_one_line_usage_error(runner.invoke(main, ["run"], env={"FOCK_CUTOFF": too_big}))
 
 
 @pytest.mark.parametrize(
@@ -440,7 +425,6 @@ def test_failure_is_one_error_line_in_a_real_process(failure_files, case):
     code, args = failure_args(case, failure_files)
     src = str(Path(photonherald.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("FOCK_CUTOFF", None)
     proc = subprocess.run(
         [sys.executable, "-m", "photonherald.cli", *args], capture_output=True, text=True, env=env, timeout=60
     )
@@ -556,7 +540,7 @@ def test_sweep_missing_file_is_usage_error(runner, tmp_path):
 # canonical --config manifests and bad numbers
 
 
-@pytest.mark.parametrize("field,first,second", [("cutoff", 6.0, 6), ("p", 1, 1.0)])
+@pytest.mark.parametrize("field,first,second", [("p", 1, 1.0), ("theta0", 1, 1.0), ("theta1", 0, 0.0)])
 def test_config_numbers_of_equal_value_record_one_config(runner, tmp_path, field, first, second):
     a = manifest_of(run_config(runner, tmp_path, {field: first}))
     b = manifest_of(run_config(runner, tmp_path, {field: second}))
@@ -573,12 +557,12 @@ def test_config_field_beside_a_manifests_config_is_usage_error(runner, tmp_path)
 
 def test_config_file_records_the_flag_path_config(runner, tmp_path):
     flags = manifest_of(invoke(runner, "run", "--theta1", "0.5", "--tpam", "jf:M=3"))
-    config = manifest_of(run_config(runner, tmp_path, {"theta1": 0.5, "tpam": "fwm:M=3", "cutoff": 4.0}))
+    config = manifest_of(run_config(runner, tmp_path, {"theta1": 0.5, "tpam": "fwm:M=3", "p": 1}))
     assert json.dumps(config["config"]) == json.dumps(flags["config"])
     assert config["config_hash"] == flags["config_hash"]
 
 
-@pytest.mark.parametrize("config", [{"p": True}, {"theta1": False}, {"p": True, "theta1": False}, {"cutoff": True}])
+@pytest.mark.parametrize("config", [{"p": True}, {"theta1": False}, {"p": True, "theta1": False}, {"theta0": True}])
 def test_boolean_config_field_is_usage_error(runner, tmp_path, config):
     assert_one_line_usage_error(run_config(runner, tmp_path, config))
 
@@ -661,7 +645,6 @@ def test_splitter_flag_on_conversion_scheme_is_usage_error(runner, scheme, flag)
 FIELD_VALUES = [
     ("scheme", "appendix-a", "imaginary"),
     ("p", "0.25", "2"),
-    ("cutoff", "6.0", "4.5"),
     ("tpam", "jf:M=3", "jf:M=1/0"),
     ("theta0", "30deg", "abc"),
     ("theta1", "0.5236rad", "nan"),
@@ -716,7 +699,7 @@ def test_completion_a_double_cannot_hold_is_usage_error(runner, tmp_path, args):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--p", "0.5"], ["--scheme", "doubled"], ["--cutoff", "6"], ["--theta1", "30deg", "--tpam", "jf:M=3"]]
+    "flags", [["--p", "0.5"], ["--scheme", "doubled"], ["--theta0", "30deg"], ["--theta1", "30deg", "--tpam", "jf:M=3"]]
 )
 def test_physics_flag_beside_config_is_usage_error(runner, tmp_path, flags):
     path = tmp_path / "config.json"
@@ -727,13 +710,14 @@ def test_physics_flag_beside_config_is_usage_error(runner, tmp_path, flags):
         assert flag in result.output
 
 
-def test_cutoff_env_variable_beside_config_is_ignored(runner, tmp_path):
+def test_fock_cutoff_environment_variable_is_not_read(runner, tmp_path):
+    # no cutoff reaches a run: a value the cutoff rule would refuse changes nothing
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"p": 0.7}), encoding="utf-8")
-    plain = manifest_of(invoke(runner, "run", "--config", str(path)))
-    with_env = manifest_of(invoke(runner, "run", "--config", str(path), env={"FOCK_CUTOFF": "6"}))
-    assert with_env["config"] == plain["config"]
-    assert with_env["result"] == plain["result"]
+    for args in (["run", "--p", "0.7"], ["run", "--config", str(path)]):
+        plain = manifest_of(invoke(runner, *args))
+        with_env = manifest_of(invoke(runner, *args, env={"FOCK_CUTOFF": "1"}))
+        assert {**with_env, "timestamp": None} == {**plain, "timestamp": None}
 
 
 @pytest.mark.parametrize("p", ["1e-155", "1e-200", "5e-324"])
@@ -763,11 +747,11 @@ ANY_SCHEME = ["main", "doubled", "pair-herald", "filter-split"]
 @st.composite
 def bad_run_configs(draw):
     """A run config with NaN, +-inf or a boolean in exactly one numeric field."""
-    field = draw(st.sampled_from(["p", "theta0", "cutoff", "theta1", "theta2", "phi1", "phi2", "alpha", "beta", "M"]))
+    field = draw(st.sampled_from(["p", "theta0", "theta1", "theta2", "phi1", "phi2", "alpha", "beta", "M"]))
     if field == "M":
         scheme = draw(st.sampled_from(["pair-herald", "filter-split"]))
         return {"scheme": scheme, "tpam": f"jf:M={draw(BAD_TEXT)}" + (",condition=(1,1)" if scheme == "pair-herald" else "")}
-    scheme = draw(st.sampled_from(ANY_SCHEME if field in ("p", "theta0", "cutoff") else ANY_SCHEME[:2]))
+    scheme = draw(st.sampled_from(ANY_SCHEME if field in ("p", "theta0") else ANY_SCHEME[:2]))
     if field in ("alpha", "beta"):
         coefficients = {"alpha": "0.6", "beta": "0.8", field: draw(BAD_TEXT)}
         return {"scheme": scheme, "tpam": "generic:alpha={alpha},beta={beta}".format(**coefficients)}
@@ -817,7 +801,6 @@ ANGLE_VALUES = st.floats(-7.0, 7.0) | st.sampled_from(["30deg", "-45deg", "0.523
 PLAUSIBLE_RUN = {
     "scheme": st.sampled_from([*ANY_SCHEME, "appendix-a", "appendix-b"]),
     "p": st.floats(0.0, 1.0) | st.sampled_from(["0.5", "1e-12", 1]),
-    "cutoff": st.integers(2, MAX_CUTOFF) | st.just(4.0),
     "tpam": st.sampled_from(
         ["generic:alpha=0.6,beta=0.8j", "generic:alpha=0.5,beta=0.5", "jf:M=2,condition=(1,1)", "jf:M=1.5", "fwm:M=5/2"]
     ),
@@ -836,7 +819,7 @@ def hostile_run_configs(draw):
     (:func:`bad_run_configs`); known and unknown fields come on top."""
     must_fail = draw(st.booleans())
     config = draw(bad_run_configs()) if must_fail else {}
-    names = draw(st.lists(st.sampled_from([*PLAUSIBLE_RUN, "thetal", "P", "", "config"]), unique=True, max_size=4))
+    names = draw(st.lists(st.sampled_from([*PLAUSIBLE_RUN, "thetal", "P", "", "config", "cutoff"]), unique=True, max_size=4))
     for name in names:
         config.setdefault(name, plausible_or_hostile(draw, PLAUSIBLE_RUN.get(name)))
     return config, must_fail
@@ -956,23 +939,32 @@ def test_verify_is_seed_stable(runner):
     assert a == b
 
 
-CUTOFF_RULE = f"scheme circuits need an integer cutoff in [2, {MAX_CUTOFF}]"
+CUTOFF_RULE = f"the invariant checks need an integer cutoff in [2, {MAX_CUTOFF}]"
 
 
 @pytest.mark.parametrize("cutoff", [17, 2.5, "4", True])
-@pytest.mark.parametrize("suite", ["paper_value_checks", "invariant_checks"])
-def test_verify_suites_check_their_cutoff_before_any_work(monkeypatch, suite, cutoff):
+def test_verify_suites_check_their_cutoff_before_any_work(monkeypatch, cutoff):
     def work(*args, **kwargs):
-        pytest.fail(f"{suite} started work at cutoff {cutoff!r}")
+        pytest.fail(f"invariant_checks started work at cutoff {cutoff!r}")
 
     monkeypatch.setattr(verify, "unitarity_check", work)
-    monkeypatch.setattr(verify, "reduce_through_bs0", work)
     with pytest.raises(ValueError, match=re.escape(CUTOFF_RULE)):
-        getattr(verify, suite)(cutoff=cutoff)
+        verify.invariant_checks(cutoff=cutoff)
 
 
-@pytest.mark.parametrize("command", [["run"], ["verify", "--suite", "invariants"]])
-def test_cutoff_flag_is_refused_by_the_cutoff_rule(runner, command):
-    result = runner.invoke(main, [*command, "--cutoff", str(MAX_CUTOFF + 1)])
+@pytest.mark.parametrize("cutoff", ["2", "4", "4.0", str(MAX_CUTOFF)])
+def test_paper_values_suite_refuses_an_explicit_cutoff_before_any_work(runner, monkeypatch, cutoff):
+    # a cutoff the invariants suite would take: the paper values run circuits, which take none
+    def work(*args, **kwargs):
+        pytest.fail(f"paper_value_checks started work at cutoff {cutoff!r}")
+
+    monkeypatch.setattr(cli, "paper_value_checks", work)
+    result = runner.invoke(main, ["verify", "--suite", "paper-values", "--cutoff", cutoff])
+    assert_one_line_usage_error(result)
+    assert "--cutoff applies to the invariants suite only" in result.stderr
+
+
+def test_cutoff_flag_is_refused_by_the_cutoff_rule(runner):
+    result = runner.invoke(main, ["verify", "--suite", "invariants", "--cutoff", str(MAX_CUTOFF + 1)])
     assert_one_line_usage_error(result)
     assert CUTOFF_RULE in result.stderr

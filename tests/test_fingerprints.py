@@ -34,8 +34,8 @@ def load_tool():
 
 
 def in_process_cli(*args):
-    """``photonherald ARGS`` in this interpreter, without ``FOCK_CUTOFF``."""
-    result = CliRunner().invoke(cli.main, list(args), env={"FOCK_CUTOFF": None})
+    """``photonherald ARGS`` in this interpreter."""
+    result = CliRunner().invoke(cli.main, list(args))
     return result.exit_code, result.stdout_bytes, result.stderr_bytes
 
 

@@ -1,15 +1,22 @@
-"""Fuzz of the absorber wire format that ``photonherald run --tpam`` reads.
+"""Fuzz of the inputs that ``photonherald`` reads as text.
 
-Each draw is a prefix (``generic:``, ``jf:``, ``fwm:`` or junk) and field
-values from the shapes that once slipped past a check: ints, ints too large
-for a float, floats whose square overflows, subnormals, ``nan``/``inf``
-text, complex text, fractions (``1/0`` among them), booleans and junk.  A
-run either prints a finite result or refuses with one short ``Error:`` line
-and exit code 2 or 3; no draw may crash or print a plausible number.
+The absorber wire format of ``run --tpam``: each draw is a prefix
+(``generic:``, ``jf:``, ``fwm:`` or junk) and field values from the shapes
+that once slipped past a check: ints, ints too large for a float, floats
+whose square overflows, subnormals, ``nan``/``inf`` text, complex text,
+fractions (``1/0`` among them), booleans and junk.  A run either prints a
+finite result or refuses with one short ``Error:`` line and exit code 2 or
+3; no draw may crash or print a plausible number.
+
+A cutoff wherever a run or sweep would read one: the circuits hold two
+photons per mode, so ``run --cutoff``, ``sweep --cutoff``, a config file's
+``cutoff`` and ``verify --suite paper-values --cutoff`` are refused with
+one short ``Error:`` line and exit code 2, whatever the value.
 """
 
 import json
 import math
+from pathlib import Path
 
 from click.testing import CliRunner
 from hypothesis import given, seed, settings
@@ -58,3 +65,29 @@ def test_absorber_text_runs_or_refuses_in_one_line(spec, scheme):
     else:
         out = json.loads(result.stdout)["result"]
         assert math.isfinite(out["p_success"]) and math.isfinite(out["fidelity"])
+
+
+#: A config file's cutoff: a JSON number, string, boolean, null or list.
+json_values = st.one_of(values, st.integers(), st.floats(), st.booleans(), st.none(), st.lists(values, max_size=2))
+cutoff_inputs = st.one_of(
+    st.builds(lambda value: (["run", "--cutoff", value], None), values),
+    st.builds(lambda value: (["sweep", "spec.json", "--cutoff", value], None), values),
+    st.builds(lambda value: (["run", "--config", "config.json"], {"cutoff": value}), json_values),
+    st.just((["verify", "--suite", "paper-values", "--cutoff", "4"], None)),
+)
+
+
+@seed(31)
+@given(case=cutoff_inputs)
+@settings(max_examples=120, deadline=None, database=None)
+def test_a_cutoff_for_the_circuits_is_refused_in_one_line(case):
+    args, config = case
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("spec.json").write_text(json.dumps({"theta1": [0.5], "p": [0.5]}), encoding="utf-8")
+        Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+        result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.splitlines()
+    assert result.stdout == ""
+    assert len(lines) == 1 and lines[0].startswith("Error: ") and len(lines[0]) <= 200, result.stderr

@@ -181,7 +181,6 @@ def scheme_configs(draw):
     variant = draw(st.sampled_from([MAIN, DOUBLED, PAIR_HERALD, FILTER_SPLIT]))
     p = draw(st.floats(min_value=0.05, max_value=1.0))
     theta0, phi0, pump_phase = draw(angles), draw(angles), draw(angles)
-    cutoff = draw(st.integers(min_value=2, max_value=5))
     if variant in (PAIR_HERALD, FILTER_SPLIT):
         length = draw(st.integers(min_value=1, max_value=8)) - (0.5 if variant == FILTER_SPLIT else 0.0)
         condition = (1, 1) if variant == PAIR_HERALD else (0, 0)
@@ -190,7 +189,6 @@ def scheme_configs(draw):
             FwmTpamSpec(FwmParams(length, pump_phase), condition),
             BeamSplitterParams(theta0, phi0),
             variant=variant,
-            cutoff=cutoff,
         )
     if draw(st.booleans()):
         tpam = FwmTpamSpec(FwmParams(float(draw(st.integers(min_value=1, max_value=8))), pump_phase))
@@ -199,7 +197,7 @@ def scheme_configs(draw):
         scale = draw(st.floats(min_value=0.0, max_value=1.0))
         tpam = GenericTpam(scale * math.sqrt(max(0.0, 1.0 - abs(beta) ** 2)), beta)
     case = draw(st.sampled_from(tuple(CaseId)))
-    return manifold_config(draw(angles), case, p=p, tpam=tpam, theta0=theta0, variant=variant, cutoff=cutoff)
+    return manifold_config(draw(angles), case, p=p, tpam=tpam, theta0=theta0, variant=variant)
 
 
 def assert_stored_kets_valid(ensemble):

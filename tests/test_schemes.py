@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 import ensemble_mirrors as em
 from photonherald import (
+    CIRCUIT_CUTOFF,
     DEFAULT_TPAM,
     DOUBLED,
     FILTER_SPLIT,
     MAIN,
-    MAX_CUTOFF,
     PAIR_HERALD,
     VARIANTS,
     BeamSplitterParams,
     Circuit,
+    CutoffOverflowError,
     Ensemble,
     FockKet,
     FwmParams,
@@ -28,7 +29,9 @@ from photonherald import (
     ModeRegister,
     SchemeConfig,
     SourceSpec,
+    SweepSpec,
     apply_beam_splitter,
+    apply_creation,
     build_circuit,
     fock_state,
     jf_length_scan,
@@ -39,6 +42,7 @@ from photonherald import (
     run_main_scheme,
     run_pair_herald_scheme,
     run_scheme,
+    sweep_rows,
 )
 from photonherald import schemes
 
@@ -283,10 +287,36 @@ def test_main_rejects_wrong_variant():
         run_main_scheme(main_config(variant=DOUBLED))
 
 
-@pytest.mark.parametrize("cutoff", [1, MAX_CUTOFF + 1, 4.0, True])
-def test_config_rejects_cutoff_outside_integer_range(cutoff):
-    with pytest.raises(ValueError, match="cutoff"):
-        SchemeConfig(SourceSpec(1.0), FULL_ABSORBER, cutoff=cutoff)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_circuits_hold_every_mode_at_two_photons(variant):
+    # Two single-photon sources put at most two photons in a mode, so every
+    # register a run builds holds two, and a third photon still raises.
+    cfg = manifold_config(variant=variant)
+    with pytest.raises(TypeError):
+        dataclasses.replace(cfg, cutoff=4)
+    circuit = build_circuit(cfg)
+    for n, _, _, state in schemes._inputs(cfg):
+        assert state.register.cutoff == circuit.prepare(state).register.cutoff == CIRCUIT_CUTOFF == 2
+        if n == 2 and variant != DOUBLED:
+            with pytest.raises(CutoffOverflowError):
+                apply_creation(state, "B")
+    assert run_scheme(cfg).conditional_state.register.cutoff == CIRCUIT_CUTOFF
+
+
+CUTOFF_FREE_ENTRY_POINTS = {
+    "SchemeConfig": lambda cutoff: SchemeConfig(SourceSpec(1.0), FULL_ABSORBER, cutoff=cutoff),
+    "manifold_config": lambda cutoff: manifold_config(cutoff=cutoff),
+    "run_pair_herald_scheme": lambda cutoff: run_pair_herald_scheme(1.0, 2.0, cutoff=cutoff),
+    "run_filter_split_scheme": lambda cutoff: run_filter_split_scheme(1.0, 1.5, cutoff=cutoff),
+    "sweep_rows": lambda cutoff: sweep_rows(SweepSpec(theta1=(0.5,)), cutoff=cutoff),
+}
+
+
+@pytest.mark.parametrize("entry", CUTOFF_FREE_ENTRY_POINTS)
+def test_run_and_sweep_entry_points_take_no_cutoff(entry):
+    # a cutoff changes no result, so no way into a run accepts one, not even the circuits' own bound
+    with pytest.raises(TypeError, match="cutoff"):
+        CUTOFF_FREE_ENTRY_POINTS[entry](CIRCUIT_CUTOFF)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +374,14 @@ DOUBLED_HERALD_CASES = [
 
 @pytest.mark.parametrize("case", DOUBLED_HERALD_CASES)
 def test_doubled_herald_is_complete_and_cutoff_free(case):
-    # the mirror sums its joint over every (n_a, n_b) pair the cutoff allows;
-    # the run must find the same clicks whatever the cutoff
+    # the mirror sums its joint over every (n_a, n_b) pair its cutoff allows;
+    # the run, at the circuits' cutoff of 2, must find its clicks at every cutoff
     p, alpha, beta = case["p"], case["alpha"], case["beta"]
     angles = {name: case[name] for name in ("theta1", "phi1", "theta2", "phi2")}
-    results = []
+    result = run_doubled_scheme(manifold_config(p=p, tpam=GenericTpam(alpha, beta), theta0=0.4, variant=DOUBLED, **angles))
+    clicks = result.details["clicks_by_detector"]
     for cutoff in (2, 4, 16):
-        cfg = manifold_config(p=p, tpam=GenericTpam(alpha, beta), theta0=0.4, variant=DOUBLED, cutoff=cutoff, **angles)
-        result = run_doubled_scheme(cfg)
         mirror = em.ensemble_doubled_generic(p, alpha, beta, **angles, theta0=0.4, cutoff=cutoff)
-        clicks = result.details["clicks_by_detector"]
         one_click = {
             "A": sum(q for (n_a, n_b), q in mirror["joint"].items() if n_a == 1 and n_b != 1),
             "B": sum(q for (n_a, n_b), q in mirror["joint"].items() if n_b == 1 and n_a != 1),
@@ -361,8 +389,6 @@ def test_doubled_herald_is_complete_and_cutoff_free(case):
         assert result.p_success == pytest.approx(mirror["p_success"], rel=1e-15, abs=0.0)
         for arm in "AB":
             assert clicks[arm] == pytest.approx(one_click[arm], rel=1e-15, abs=0.0)
-        results.append(result.to_dict())
-    assert results[0] == results[1] == results[2]
 
 
 # ---------------------------------------------------------------------------

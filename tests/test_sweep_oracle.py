@@ -6,8 +6,8 @@ defect in any of those would pass there.  This property compares every row
 of a drawn grid with the independent density matrix of
 ``dense_oracle.dense_main_generic`` instead, at a relative tolerance, for
 weak sources, every constraint branch, angles on and off the null points of
-the closed form, absorbers inside the unit disc and every cutoff a scheme
-uses.
+the closed form, absorbers inside the unit disc, and oracle cutoffs from 2
+to 5 against the sweep's own bound of two photons per mode.
 """
 
 import cmath
@@ -85,7 +85,7 @@ def sweep_specs(draw):
 @settings(max_examples=30, deadline=None)
 @given(spec=sweep_specs(), cutoff=st.integers(2, 5))
 def test_sweep_rows_match_dense_oracle(spec, cutoff):
-    rows = sweep_rows(spec, cutoff=cutoff)
+    rows = sweep_rows(spec)
     assert len(rows) == len(spec.theta0) * len(spec.theta1) * len(spec.beta) * len(spec.p)
     for row in rows:
         p, beta, theta1 = row["p"], complex(row["beta_re"], row["beta_im"]), row["theta1_rad"]

@@ -15,8 +15,8 @@ It prints the sha256 of
   sweep-grid workload at seed 77;
 * the newline join of ``repr(sweep_rows(...))`` over the edge grid of
   ``tests/test_analysis.py::test_sweep_rows_match_single_runs_on_edge_grid``
-  (four theta0 values, null angles, a vanishing source), for every case at
-  cutoffs 2 and 4.
+  (four theta0 values, null angles, a vanishing source), once for every
+  case.
 * the sorted-key JSON of the run manifests, without their ``timestamp``,
   of the eight ``photonherald run`` inputs of the benchmark's cli-cold
   workload at seed 13, each followed by the manifest of ``run --config`` on
@@ -26,8 +26,8 @@ It prints the sha256 of
 Run it in two checkouts and compare the outputs: equal objects mean equal
 bytes on all of these inputs.  The package comes from the checkout's
 ``src/`` and the inputs from ``perfbench/workloads.py``, which is only
-imported.  The command-line runs go through fresh interpreters, without
-``FOCK_CUTOFF``; :func:`fingerprints` takes the runner as an argument, so
+imported.  The command-line runs go through fresh interpreters;
+:func:`fingerprints` takes the runner as an argument, so
 ``tests/test_fingerprints.py`` computes the same object with the commands
 run in-process.
 """
@@ -76,7 +76,7 @@ def fresh_cli(*args: str) -> tuple[int, bytes, bytes]:
     """``photonherald ARGS`` in a fresh interpreter on this checkout's ``src/``,
     as (exit code, stdout, stderr); stdout stays bytes, so the sweep's CRLF
     line ends are hashed as written."""
-    env = {k: v for k, v in os.environ.items() if k != "FOCK_CUTOFF"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     cmd = [sys.executable, "-c", workloads.CliCold.ENTRY, *args]
     proc = subprocess.run(cmd, capture_output=True, env=env, cwd=ROOT, timeout=600)
@@ -123,7 +123,7 @@ def fingerprints(cli: Callable[..., tuple[int, bytes, bytes]] = fresh_cli) -> di
     )
     grids = first_results(workloads.SweepGrid(77), 12)
     out["sweep_grid_12_seed77_sha256"] = sha256("\n".join(repr(rows) for rows in grids))
-    edges = (sweep_rows(SweepSpec(**EDGE_SWEEP_AXES, case=case), cutoff=cutoff) for case in CaseId for cutoff in (2, 4))
+    edges = (sweep_rows(SweepSpec(**EDGE_SWEEP_AXES, case=case)) for case in CaseId)
     out["edge_sweep_sha256"] = sha256("\n".join(repr(rows) for rows in edges))
     out["cli_cold_seed13_run_and_config_manifests_sha256"] = sha256(json.dumps(manifests, sort_keys=True))
     return out
