@@ -423,7 +423,9 @@ def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
     products cover the whole theta1 x beta product.  B's weight of each
     sector, and that weight over p^2, come per (theta0, p) pair from the
     function that :func:`reduce_through_bs0` calls after its checks, with
-    no checks per pair.  As in a single run, p_success sums the weights
+    no checks per pair.  As the fold of a single run
+    (:func:`~photonherald.schemes._interpret`) weights its
+    :func:`~photonherald.schemes._sectors` rows, p_success sums the weights
     times the sectors' heralds, p_success/p^2 sums the weights over p^2
     times the heralds, and the fidelity weights the sectors that herald
     relative to the largest.  After every stage the amplitudes a single run
@@ -561,7 +563,10 @@ def _sector_heralds(
 ) -> np.ndarray:
     """Herald probability, and its part with one photon left in the output,
     of the main circuit fed ``|n>`` at unit weight: ``h[x, theta1, beta, n]``
-    for n = 0, 1, 2, with x = 0 the herald and x = 1 that part.
+    for n = 0, 1, 2, with x = 0 the herald and x = 1 that part.  This is the
+    table of a single run's :func:`~photonherald.schemes._sectors` rows in
+    numpy form: x = 0 is row n's ``q``, and x = 1 the weight of its
+    ``states`` with one photon in C.
 
     The circuit attaches the output mode and a medium, then runs BS1 and
     BS2, at the ``(theta, phi)`` of ``bs1`` and ``bs2``, around the absorber.

@@ -22,7 +22,8 @@ Angles, as flags or in a config file, are accepted as ``30deg``,
 ``generic:alpha=1,beta=0`` or ``jf:M=2,condition=(1,1)`` (``fwm:`` is
 accepted as an alias for ``jf:``; M may be a fraction like ``3/2``).  The
 circuits hold every mode at two photons, the most two single-photon sources
-can put there, so ``run`` and ``sweep`` take no cutoff.  ``verify --cutoff``
+can put there, so ``run`` and ``sweep`` take no cutoff and refuse
+``--cutoff`` saying so.  ``verify --cutoff``
 (default 4, a whole number in 2..16) sets the per-mode cutoff that the
 invariants suite draws its Fock states up to; the paper-values suite refuses
 it.
@@ -334,13 +335,17 @@ def _one_line_errors() -> Iterator[None]:
     """Re-raise a failure as a :class:`click.ClickException`, which click
     prints as one ``Error:`` line on stderr: exit 2 for a usage error or a
     ``ValueError``, 3 for a ``FockError`` or an ``OSError``.  Click's help
-    for a bare ``photonherald`` and its broken-pipe exit pass through."""
+    for a bare ``photonherald`` and its broken-pipe exit pass through.  A
+    ``--cutoff`` where no command takes one is refused with the reason, in
+    place of click's hint at the nearest option name."""
     try:
         yield
     except (click.UsageError, ValueError, FockError, OSError) as exc:
         if isinstance(exc, (click.exceptions.NoArgsIsHelpError, BrokenPipeError)):
             raise
         message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+        if isinstance(exc, click.NoSuchOption) and exc.option_name == "--cutoff":
+            message = f"{exc.message} The circuits hold every mode at two photons, so there is no cutoff to set."
         failure = click.ClickException(" ".join(message.split()))
         failure.exit_code = 3 if isinstance(exc, (FockError, OSError)) else 2
         raise failure from None

@@ -24,22 +24,28 @@ Four executable circuits, all fed by the same imperfect source model
 Every stage after the front splitter is linear, so a run sends each input
 photon-number sector through its circuit once, at unit norm: B holding n
 photons, or for doubled each source product |a, b>, which its circuit
-mixes at the front splitter first.  It weights the sectors at the end, by
-their weights and by their weights over p^2, so p^2 is never formed and
-any p in [0, 1] runs.
+mixes at the front splitter first.  A run is two steps.  :func:`_sectors`,
+the only code that runs stages, gives one row per sector: its photon
+count n, weight w_n, weight over p^2 r_n, herald probability q_n, each
+detector's share of q_n, and its heralded states, all at unit weight, so
+no row holds p.  The fold, :func:`_interpret`, runs no stage: it weights
+the rows, by w_n and by r_n, so p^2 is never formed and any p in [0, 1]
+runs.  Each sector is one Kraus branch of the circuit, and the result is
+their weighted sum.
 
 Every run returns a :class:`SchemeResult` carrying the success probability,
 the conditional (heralded) output state, its fidelity to ``|1>``, and a
 per-input-photon-sector breakdown of where the probability came from.
 Each herald above counts at least one photon, and no stage adds photons,
-so the vacuum input can never herald: a run books its sector as 0.0
-without sending it through the circuit.
+so the vacuum input can never herald: its row heralds nothing, and no
+stage runs on it.
 """
 
 from __future__ import annotations
 
 import math
 import reprlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -201,18 +207,16 @@ class SchemeResult:
 def _ensemble_to_jsonable(ens: Ensemble | None) -> dict[str, object] | None:
     if ens is None:
         return None
-    branches = []
-    for w, state in ens.branches:
-        terms = [
-            {
-                "occupations": list(ket.occupations),
-                "medium": ket.medium,
-                "re": amp.real,
-                "im": amp.imag,
-            }
-            for ket, amp in state.terms()
-        ]
-        branches.append({"weight": w, "terms": terms})
+    branches = [
+        {
+            "weight": w,
+            "terms": [
+                {"occupations": list(ket.occupations), "medium": ket.medium, "re": amp.real, "im": amp.imag}
+                for ket, amp in state.terms()
+            ],
+        }
+        for w, state in ens.branches
+    ]
     return {"modes": list(ens.register.labels), "branches": branches}
 
 
@@ -290,7 +294,8 @@ def _evolve(state: PureState, stages) -> tuple[PureState, ...]:
 
 
 class Circuit(NamedTuple):
-    """A scheme as data: its stages, its herald and its fixed details.
+    """A scheme as data, with no methods: its stages, its herald and its
+    fixed details.  :func:`_sectors` runs it.
 
     Each stage is a call of one kernel with every argument but the state
     (a :func:`functools.partial`): a splitter, a tensor with vacuum modes
@@ -311,11 +316,6 @@ class Circuit(NamedTuple):
     report: str | None
     mirror: str | None
     details: dict[str, object]
-
-    def prepare(self, state: PureState) -> PureState:
-        """``state``, one input sector, after every stage before the herald."""
-        (prepared,) = _evolve(state, self.stages)
-        return prepared
 
 
 def _check_absorber(cfg: SchemeConfig) -> None:
@@ -425,59 +425,84 @@ def _inputs(cfg: SchemeConfig) -> list[tuple[int, float, float, PureState]]:
     return [(n, w, over_p2[n], _fock(("B",), (n,))) for n, w in weights.items()]
 
 
-def _interpret(cfg: SchemeConfig) -> SchemeResult:
-    """Run the circuit of ``cfg`` once per input sector, at unit weight, and
-    weight each sector at the end.
+class _Sector(NamedTuple):
+    """One input sector of a run, at unit weight: its photon count ``n``,
+    weight ``w`` (w_n), weight over p^2 ``r`` (r_n), herald probability
+    ``q`` (q_n), each herald detector's share of q_n and the mirror's click
+    (``clicks``), and the heralded states (``states``)."""
 
-    Every stage after the front splitter is linear, so sector n heralds
-    with a probability ``q_n`` that does not depend on p.  p_success sums
-    ``w_n q_n``, p_success/p^2 sums ``(w_n / p^2) q_n``, and ``branch_log``
-    and the click tables take the weights ``w_n``.  The heralded states
-    are weighted relative to the heralding sector of largest weight, so no
-    amplitude over- or underflows, and a run whose p_success underflows
-    still reports its state.  No stage adds photons, so a herald whose every
-    outcome counts a photon cannot fire on the vacuum sector: that sector is
-    booked with 0.0 in ``branch_log`` and not run.  A herald with an
+    n: int
+    w: float
+    r: float
+    q: float
+    clicks: dict[str, float]
+    states: list[PureState]
+
+
+def _sectors(circuit: Circuit, inputs: Iterable[tuple[int, float, float, PureState]]) -> Iterator[_Sector]:
+    """One row per input sector ``(n, w, r, state)`` of ``inputs``, each
+    run through ``circuit`` at unit norm.
+
+    Every stage after the front splitter is linear, so q_n and the
+    heralded states do not depend on p.  No stage adds photons, so a herald
+    whose every outcome counts a photon cannot fire on the vacuum sector:
+    its row heralds nothing, and no stage runs on it.  A herald with an
     all-zero outcome runs it.
     """
+    vacuum_heralds = any(not any(n for _, n in counts) for _, counts, _ in circuit.outcomes)
+    detectors = sorted({detector for detector, _, _ in circuit.outcomes} | {circuit.mirror} - {None})
+    for n, w, r, state in inputs:
+        q, clicks, states = 0.0, dict.fromkeys(detectors, 0.0), []
+        if n or vacuum_heralds:
+            (pre,) = _evolve(state, circuit.stages)
+            for detector, counts, tail in circuit.outcomes:
+                detected = _detect(pre, counts)
+                share = detected.squared_norm()
+                clicks[detector] += share
+                q += share
+                if share > 0.0:
+                    states.extend(_evolve(detected, tail))
+            if circuit.mirror:
+                clicks[circuit.mirror] += _detect(pre, ((circuit.mirror, 1),)).squared_norm()
+        yield _Sector(n, w, r, q, clicks, states)
+
+
+def _interpret(cfg: SchemeConfig) -> SchemeResult:
+    """The fold of the :func:`_sectors` rows of ``cfg``'s circuit into its
+    result; it runs no stage.
+
+    p_success sums ``w_n q_n`` and p_success/p^2 sums ``r_n q_n`` over the
+    rows that herald (an overflowing r_n times 0 would be NaN);
+    ``branch_log``, and the click table of a circuit that reports one, take
+    the weights ``w_n``.  The
+    heralded states are weighted relative to the heralding row of largest
+    r_n, so no amplitude over- or underflows, and a run whose p_success
+    underflows still reports its state.
+    """
     circuit = build_circuit(cfg)
-    outcomes, mirror = circuit.outcomes, circuit.mirror
-    vacuum_heralds = any(not any(n for _, n in counts) for _, counts, _ in outcomes)
-    clicks = dict.fromkeys(sorted({detector for detector, _, _ in outcomes} | {mirror} - {None}), 0.0)
+    rows = list(_sectors(circuit, _inputs(cfg)))
+    heralds = [row for row in rows if row.q > 0.0]
     p_success = over_p2 = 0.0
     branch_log: dict[int, float] = {}
-    heralded: list[tuple[float, list[PureState]]] = []  # weight over p^2 and heralded states of each sector that heralds
-    for sector, w, r, state in _inputs(cfg):
-        q_sector = 0.0
-        if sector or vacuum_heralds:
-            pre = circuit.prepare(state)
-            kept: list[PureState] = []
-            for detector, counts, tail in outcomes:
-                detected = _detect(pre, counts)
-                q = detected.squared_norm()
-                clicks[detector] += w * q
-                q_sector += q
-                if q > 0.0:
-                    kept.extend(_evolve(detected, tail))
-            if mirror:
-                clicks[mirror] += w * _detect(pre, ((mirror, 1),)).squared_norm()
-            if q_sector > 0.0:
-                heralded.append((r, kept))
-                over_p2 += r * q_sector
-        branch_log[sector] = branch_log.get(sector, 0.0) + w * q_sector
-        p_success += w * q_sector
+    for row in rows:
+        branch_log[row.n] = branch_log.get(row.n, 0.0) + row.w * row.q
+        p_success += row.w * row.q
+    for row in heralds:
+        over_p2 += row.r * row.q
     details = dict(circuit.details)
     if circuit.report:
-        details[circuit.report] = clicks
+        clicks = details[circuit.report] = {}
+        for row in rows:
+            for detector, share in row.clicks.items():
+                clicks[detector] = clicks.get(detector, 0.0) + row.w * share
     conditional: Ensemble | None = None
     fidelity = 0.0
-    if heralded:
-        top = max(r for r, _ in heralded)
-        kept = [state if r == top else state.scaled(math.sqrt(r / top)) for r, states in heralded for state in states]
+    if heralds:
+        top = max(row.r for row in heralds)
+        kept = [state if row.r == top else state.scaled(math.sqrt(row.r / top)) for row in heralds for state in row.states]
         conditional = Ensemble(kept[-1].register, kept).normalized_weights().consolidated()
         fidelity = fidelity_to_single_photon(conditional)
-    p = cfg.source.p
-    details |= {"p": p, "p_success_over_p2": over_p2 if p > 0 else None, "variant": cfg.variant}
+    details |= {"p": cfg.source.p, "p_success_over_p2": over_p2 if cfg.source.p > 0 else None, "variant": cfg.variant}
     return SchemeResult(p_success, conditional, fidelity, branch_log, details)
 
 

@@ -2,7 +2,8 @@
 
 Each function builds a :class:`SchemeConfig` and runs each input sector,
 at its weight, through the package's own circuit up to its herald detectors
-(:meth:`Circuit.prepare`), then reads the detector distributions from the
+(the circuit's ``stages``, through ``schemes._evolve``, as a run sends each
+sector), then reads the detector distributions from the
 ensemble of those branches, so the sparse ensemble machinery
 and the dense density-matrix oracle can be compared outcome by outcome — not
 just on the heralding probability that the ``run_*`` entry points report.
@@ -64,7 +65,10 @@ def weighted(inputs):
 
 def prepared(circuit, states):
     """The ensemble of ``states``, each run through every stage of ``circuit`` before its herald."""
-    branches = [circuit.prepare(state) for state in states]
+    branches = []
+    for state in states:
+        (branch,) = schemes._evolve(state, circuit.stages)
+        branches.append(branch)
     return Ensemble(branches[0].register, branches)
 
 

@@ -1,24 +1,29 @@
 """The null-condition manifold, closed forms, optimizers, scans, sweeps."""
 
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonherald import (
     MAX_SWEEP_POINTS,
     CaseId,
     GenericTpam,
     SweepSpec,
+    build_circuit,
     closed_form_ps,
     golden_section_maximize,
     jf_length_scan,
     manifold_completion,
     manifold_config,
     optimize_ps,
+    project_number,
     run_main_scheme,
     sweep_rows,
 )
-from photonherald import analysis, elements
+from photonherald import analysis, elements, schemes
 from photonherald.verify import invariant_checks, paper_value_checks
 from dense_oracle import null_branch
 from test_fingerprints import load_tool
@@ -383,6 +388,34 @@ def test_sweep_rows_do_not_depend_on_how_the_grid_is_chunked(monkeypatch):
     whole = sweep_rows(spec)
     monkeypatch.setattr(analysis, "_CHUNK", 2)
     assert repr(sweep_rows(spec)) == repr(whole)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    case=st.sampled_from(tuple(CaseId)),
+    theta1=st.floats(-2 * math.pi, 2 * math.pi),
+    theta0=st.floats(-2 * math.pi, 2 * math.pi),
+    p=st.floats(0.0, 1.0),
+    magnitude=st.floats(0.0, 1.0),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_sweep_sector_heralds_equal_the_single_run_rows(case, theta1, theta0, p, magnitude, phase):
+    # The sweep engine's h[x, theta1, beta, n] is the table of a single
+    # run's rows in numpy form: x = 0 is each sector's herald q_n, x = 1 the
+    # part of it that leaves one photon in C.  Every sector n = 0, 1, 2 runs
+    # at unit norm, and the run's own rows, at its weights, carry the same q_n.
+    cfg = manifold_config(theta1, case, p=p, theta0=theta0, tpam=GenericTpam.unitary(cmath.rect(magnitude, phase)))
+    circuit = build_circuit(cfg)
+    h = analysis._sector_heralds(circuit, [(cfg.bs1.theta, cfg.bs1.phi)], [(cfg.bs2.theta, cfg.bs2.phi)], [cfg.tpam])
+    unit = [(n, 1.0, 1.0, schemes._fock(("B",), (n,))) for n in range(3)]
+    rows = list(schemes._sectors(circuit, unit))
+    assert [row.n for row in rows] == [0, 1, 2]
+    for row in rows:
+        one = sum(project_number(state, "C", 1)[1] for state in row.states)
+        assert abs(h[0, 0, 0, row.n] - row.q) <= 1e-12, (row.n, h[:, 0, 0], row.q)
+        assert abs(h[1, 0, 0, row.n] - one) <= 1e-12, (row.n, h[:, 0, 0], one)
+    for row in schemes._sectors(circuit, schemes._inputs(cfg)):
+        assert row.q == rows[row.n].q
 
 
 def clear_sweep_memo():

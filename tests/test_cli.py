@@ -296,6 +296,9 @@ def test_run_and_sweep_take_no_cutoff_flag(runner, tmp_path, command):
         result = runner.invoke(main, [*args, "--cutoff", value])
         assert_one_line_usage_error(result)
         assert "--cutoff" in result.stderr
+        # The refusal gives the reason, not click's hint at the nearest option.
+        assert "two photons" in result.stderr and "no cutoff to set" in result.stderr
+        assert "--config" not in result.stderr and "Did you mean" not in result.stderr
 
 
 def test_verify_cutoff_flag_reads_a_whole_float(runner):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import dense_oracle as dn
 import ensemble_mirrors as em
 from photonherald import DEFAULT_TPAM, DOUBLED, BeamSplitterParams, SchemeConfig, SourceSpec, build_circuit, reduce_through_bs0
+from photonherald import schemes
 
 REL = 1e-9
 
@@ -74,12 +75,12 @@ def test_joint_front_splitter_matches_dense_density(p, theta0, phi0, cutoff):
     want = dn.apply_op(rho, dn.bs_unitary(theta0, phi0, dim), (0, 1), [dim, dim]).reshape(dim * dim, dim * dim)
     # The doubled scheme's source products, each through its circuit's first stage, weighted by P_a P_b.
     cfg = SchemeConfig(SourceSpec(p), DEFAULT_TPAM[DOUBLED], BeamSplitterParams(theta0, phi0), variant=DOUBLED)
-    circuit = build_circuit(cfg)
-    front = circuit._replace(stages=circuit.stages[:1])
+    front = build_circuit(cfg).stages[:1]
     got = np.zeros_like(want)
     for weight, state in zip(*em.inputs_of(cfg)):
         psi = np.zeros(dim * dim, dtype=complex)
-        for ket, amp in front.prepare(state).terms():
+        (mixed,) = schemes._evolve(state, front)
+        for ket, amp in mixed.terms():
             a, b = ket.occupations
             psi[a * dim + b] = amp
         got += weight * np.outer(psi, psi.conj())

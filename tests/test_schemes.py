@@ -19,7 +19,6 @@ from photonherald import (
     PAIR_HERALD,
     VARIANTS,
     BeamSplitterParams,
-    Circuit,
     CutoffOverflowError,
     Ensemble,
     FockKet,
@@ -154,15 +153,17 @@ def test_front_splitter_weights_stay_finite_and_sum_to_one_for_weak_sources(p, t
     assert all(math.isfinite(r) for r in over_p2.values()) == (p > 1e-154)
 
 
-def _recording_prepare(monkeypatch):
-    """Make ``Circuit.prepare`` record every input branch it receives."""
-    seen, prepare = [], Circuit.prepare
+def _recording_evolve(monkeypatch):
+    """Make ``schemes._evolve`` record every state it receives: each input
+    branch a run sends through its circuit, and each heralded state it
+    sends through a herald tail."""
+    seen, evolve = [], schemes._evolve
 
-    def recording(circuit, state):
+    def recording(state, stages):
         seen.append(state)
-        return prepare(circuit, state)
+        return evolve(state, stages)
 
-    monkeypatch.setattr(Circuit, "prepare", recording)
+    monkeypatch.setattr(schemes, "_evolve", recording)
     return seen
 
 
@@ -174,7 +175,7 @@ def _photons(state):
 def test_vacuum_branch_is_booked_but_never_prepared(variant, monkeypatch):
     # Every herald here counts a photon, which the vacuum input cannot show:
     # its branch is booked as 0.0 without running the circuit.
-    seen = _recording_prepare(monkeypatch)
+    seen = _recording_evolve(monkeypatch)
     result = run_scheme(SchemeConfig(SourceSpec(0.6), DEFAULT_TPAM[variant], variant=variant))
     assert seen and all(0 not in _photons(state) for state in seen)
     assert sorted(result.branch_log) == [0, 1, 2]
@@ -190,11 +191,43 @@ def test_a_herald_on_vacuum_runs_the_vacuum_branch(monkeypatch):
         return circuit._replace(outcomes=(("B", (("B", 0),), ()),))
 
     monkeypatch.setattr(schemes, "build_circuit", zero_click)
-    seen = _recording_prepare(monkeypatch)
+    seen = _recording_evolve(monkeypatch)
     result = run_scheme(SchemeConfig(SourceSpec(0.6), FULL_ABSORBER))
     assert any(_photons(state) == {0} for state in seen)
     # all of B's vacuum weight p^2/2 - p + 1 shows B = 0
     assert result.branch_log[0] == pytest.approx(0.6 * 0.6 / 2 - 0.6 + 1, rel=1e-12)
+
+
+def test_the_worked_case_rows_and_their_fold():
+    # Main at theta1 = 30 deg, beta = 0, p = 1: B holds two photons or none,
+    # each with weight 1/2.  The two-photon sector heralds with
+    # 2 cos^6 sin^2 = 27/128; the vacuum heralds nothing, and no stage runs
+    # on it.  The fold's p_success is the sum of w q, 27/256.
+    cfg = manifold_config(math.pi / 6, p=1.0, tpam=GenericTpam.unitary(0.0))
+    circuit = build_circuit(cfg)
+    fed = []
+    first, *rest = circuit.stages
+
+    def recording(state):
+        fed.append(state)
+        return first(state)
+
+    rows = list(schemes._sectors(circuit._replace(stages=(recording, *rest)), schemes._inputs(cfg)))
+    by_n = {row.n: row for row in rows}
+    assert sorted(by_n) == [0, 2] and len(rows) == 2
+    assert by_n[2].w == pytest.approx(0.5, rel=0.0, abs=1e-15)
+    assert by_n[2].q == pytest.approx(27 / 128, rel=0.0, abs=1e-15)
+    assert by_n[0].q == 0.0 and by_n[0].states == [] and not any(by_n[0].clicks.values())
+    assert [_photons(state) for state in fed] == [{2}]
+    total = 0.0
+    for row in rows:
+        total += row.w * row.q
+    assert total == pytest.approx(27 / 256, rel=0.0, abs=1e-15)
+    assert run_main_scheme(cfg).p_success == total
+    # On the balanced null manifold a lone photon never clicks.
+    balanced = manifold_config(math.pi / 4, p=0.5)
+    (one,) = [row for row in schemes._sectors(build_circuit(balanced), schemes._inputs(balanced)) if row.n == 1]
+    assert one.w > 0.0 and one.q == 0.0 and one.states == []
 
 
 @pytest.mark.parametrize("variant", [MAIN, DOUBLED])
@@ -296,7 +329,8 @@ def test_circuits_hold_every_mode_at_two_photons(variant):
         dataclasses.replace(cfg, cutoff=4)
     circuit = build_circuit(cfg)
     for n, _, _, state in schemes._inputs(cfg):
-        assert state.register.cutoff == circuit.prepare(state).register.cutoff == CIRCUIT_CUTOFF == 2
+        (prepared,) = schemes._evolve(state, circuit.stages)
+        assert state.register.cutoff == prepared.register.cutoff == CIRCUIT_CUTOFF == 2
         if n == 2 and variant != DOUBLED:
             with pytest.raises(CutoffOverflowError):
                 apply_creation(state, "B")
