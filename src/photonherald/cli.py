@@ -22,11 +22,9 @@ Angles, as flags or in a config file, are accepted as ``30deg``,
 ``generic:alpha=1,beta=0`` or ``jf:M=2,condition=(1,1)`` (``fwm:`` is
 accepted as an alias for ``jf:``; M may be a fraction like ``3/2``).  The
 circuits hold every mode at two photons, the most two single-photon sources
-can put there, so ``run`` and ``sweep`` take no cutoff and refuse
-``--cutoff`` saying so.  ``verify --cutoff``
-(default 4, a whole number in 2..16) sets the per-mode cutoff that the
-invariants suite draws its Fock states up to; the paper-values suite refuses
-it.
+can put there, and the invariants suite draws its Fock states up to
+``fock.DEFAULT_CUTOFF`` (4), so no command takes a cutoff and each refuses
+``--cutoff`` saying so.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from click.core import ParameterSource
 from . import __version__
 from .analysis import SWEEP_COLUMNS, SweepSpec, _number, _whole, manifold_config, sweep_rows
 from .fock import DEFAULT_CUTOFF, FockError
-from .schemes import DEFAULT_TPAM, DOUBLED, FILTER_SPLIT, MAIN, MAX_CUTOFF, PAIR_HERALD, SchemeConfig, SchemeResult, _check_cutoff, run_scheme
+from .schemes import DEFAULT_TPAM, DOUBLED, FILTER_SPLIT, MAIN, PAIR_HERALD, SchemeConfig, SchemeResult, run_scheme
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam
 from .verify import DEFAULT_SEED, invariant_checks, paper_value_checks
 
@@ -198,12 +196,6 @@ def _default_tpam_help() -> str:
     return ", ".join(f"{spec} for {' and '.join(names)}" for spec, names in tokens.items())
 
 
-def _cutoff(ctx: click.Context, param: click.Parameter, value: str) -> int:
-    """The ``--cutoff`` text through the cutoff rule, read as a whole number
-    so that ``6.0`` is 6."""
-    return _check_cutoff(_whole("cutoff", value))
-
-
 # --------------------------------------------------------------------------
 # Config canonicalization and execution
 
@@ -335,8 +327,8 @@ def _one_line_errors() -> Iterator[None]:
     """Re-raise a failure as a :class:`click.ClickException`, which click
     prints as one ``Error:`` line on stderr: exit 2 for a usage error or a
     ``ValueError``, 3 for a ``FockError`` or an ``OSError``.  Click's help
-    for a bare ``photonherald`` and its broken-pipe exit pass through.  A
-    ``--cutoff`` where no command takes one is refused with the reason, in
+    for a bare ``photonherald`` and its broken-pipe exit pass through.  No
+    command takes a ``--cutoff``, and one is refused with the reason, in
     place of click's hint at the nearest option name."""
     try:
         yield
@@ -345,7 +337,7 @@ def _one_line_errors() -> Iterator[None]:
             raise
         message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
         if isinstance(exc, click.NoSuchOption) and exc.option_name == "--cutoff":
-            message = f"{exc.message} The circuits hold every mode at two photons, so there is no cutoff to set."
+            message = f"{exc.message} No command takes a cutoff: the circuits hold every mode at two photons, and the invariants suite draws its states up to {DEFAULT_CUTOFF}, so there is no cutoff to set."
         failure = click.ClickException(" ".join(message.split()))
         failure.exit_code = 3 if isinstance(exc, (FockError, OSError)) else 2
         raise failure from None
@@ -466,22 +458,12 @@ def cmd_sweep(spec_file, output, points) -> None:
     help="Which check suite to run.",
 )
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, help="RNG seed for randomized checks.")
-@click.option(
-    "--cutoff",
-    metavar="INTEGER",
-    default=str(DEFAULT_CUTOFF),
-    callback=_cutoff,
-    show_default=True,
-    help=f"Per-mode photon cutoff the invariants suite draws Fock states up to, a whole number in 2..{MAX_CUTOFF}.",
-)
-def cmd_verify(suite, seed, cutoff) -> None:
+def cmd_verify(suite, seed) -> None:
     """Run a verification suite; exit 0 iff every check passes."""
     if suite == "paper-values":
-        if click.get_current_context().get_parameter_source("cutoff") is ParameterSource.COMMANDLINE:
-            raise ValueError("--cutoff applies to the invariants suite only; the paper-values suite runs circuits, which hold two photons per mode")
         checks = paper_value_checks(seed=seed)
     else:
-        checks = invariant_checks(seed=seed, cutoff=cutoff)
+        checks = invariant_checks(seed=seed)
     for check in checks:
         click.echo(check.format_line())
     failed = sum(1 for c in checks if not c.passed)

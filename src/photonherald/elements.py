@@ -165,13 +165,15 @@ def splitter_blocks(angles: list[tuple[float, float]], totals: list[int] | range
     return blocks.reshape(len(angles), dim, dim)
 
 
-def unitarity_check(params: BeamSplitterParams, cutoff: int = DEFAULT_CUTOFF) -> float:
+def unitarity_check(params: BeamSplitterParams) -> float:
     """Max-norm deviation of the induced Fock-basis matrix from unitarity.
 
-    Places the blocks of every total photon number up to ``cutoff`` on the
-    diagonal (the splitter conserves that total, so this is the space it
-    acts on without truncation) and returns ``max |U^dag U - I|``.
+    Places the blocks of every total photon number up to
+    :data:`~photonherald.fock.DEFAULT_CUTOFF` (4, the invariants suite's
+    bound) on the diagonal (the splitter conserves that total, so this is
+    the space it acts on without truncation) and returns
+    ``max |U^dag U - I|``.
     """
-    (u,) = splitter_blocks([(params.theta, params.phi)], range(cutoff + 1))
+    (u,) = splitter_blocks([(params.theta, params.phi)], range(DEFAULT_CUTOFF + 1))
     dev = u.conj().T @ u - np.eye(len(u))
     return float(np.max(np.abs(dev)))

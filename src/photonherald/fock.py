@@ -76,9 +76,9 @@ __all__ = [
 ]
 
 #: Default photon-number cutoff per mode of a bare :class:`ModeRegister`, and
-#: of ``photonherald verify``, whose invariants suite draws Fock states up to
-#: it.  The scheme circuits hold their registers at two photons instead
-#: (``schemes.CIRCUIT_CUTOFF``); an overflow raises either way.
+#: the bound the invariants suite draws its Fock states up to (no command
+#: sets another).  The scheme circuits hold their registers at two photons
+#: instead (``schemes.CIRCUIT_CUTOFF``); an overflow raises either way.
 DEFAULT_CUTOFF = 4
 
 #: Amplitudes at or below this magnitude, relative to the norm of the state

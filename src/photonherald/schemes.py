@@ -44,7 +44,6 @@ stage runs on it.
 from __future__ import annotations
 
 import math
-import reprlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -72,7 +71,6 @@ __all__ = [
     "MAIN",
     "DOUBLED",
     "CIRCUIT_CUTOFF",
-    "MAX_CUTOFF",
     "PAIR_HERALD",
     "FILTER_SPLIT",
     "VARIANTS",
@@ -114,18 +112,6 @@ DEFAULT_TPAM = {
 #: results.  A kernel that would put a third photon in a mode still raises
 #: :class:`~photonherald.fock.CutoffOverflowError`.
 CIRCUIT_CUTOFF = 2
-
-#: Largest per-mode cutoff the invariants suite draws its Fock states up
-#: to; the ceiling only keeps absurd input out.
-MAX_CUTOFF = 16
-
-
-def _check_cutoff(cutoff: object) -> int:
-    """The cutoff rule of ``verify --cutoff`` and the invariants suite:
-    ``cutoff`` if it is an int in [2, MAX_CUTOFF], else ``ValueError``."""
-    if isinstance(cutoff, int) and 2 <= cutoff <= MAX_CUTOFF:
-        return cutoff
-    raise ValueError(f"the invariant checks need an integer cutoff in [2, {MAX_CUTOFF}] (two-photon states), got {reprlib.repr(cutoff)}")
 
 
 @dataclass(frozen=True, slots=True)

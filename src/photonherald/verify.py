@@ -47,7 +47,6 @@ from .fock import (
 from .schemes import (
     DOUBLED,
     SchemeConfig,
-    _check_cutoff,
     reduce_through_bs0,
     run_doubled_scheme,
     run_filter_split_scheme,
@@ -240,32 +239,29 @@ def paper_value_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return checks
 
 
-def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> list[CheckResult]:
+def invariant_checks(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Randomized structural properties; deterministic for a given seed.
 
-    ``cutoff`` bounds the Fock states the element checks draw, and passes
-    the cutoff rule before any work starts; the scheme runs hold their own.
+    The element checks draw their Fock states up to
+    :data:`~photonherald.fock.DEFAULT_CUTOFF` photons per mode; the scheme
+    runs hold their own two-photon registers.
     """
-    _check_cutoff(cutoff)
     rng = random.Random(seed)
     checks: list[CheckResult] = []
 
     worst = max(
-        unitarity_check(
-            BeamSplitterParams(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 2.0 * math.pi)),
-            cutoff=cutoff,
-        )
+        unitarity_check(BeamSplitterParams(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 2.0 * math.pi)))
         for _ in range(_DRAWS)
     )
     checks.append(CheckResult("beam-splitter-unitarity", worst, 0.0, 1e-12, f"{_DRAWS} draws"))
 
     # BS(theta, phi) then BS(-theta, phi) is the identity.
-    reg = ModeRegister(("B", "C"), cutoff)
+    reg = ModeRegister(("B", "C"), DEFAULT_CUTOFF)
     worst = 0.0
     for _ in range(_DRAWS):
         theta, phi = rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 2.0 * math.pi)
-        n1 = rng.randint(0, cutoff // 2)
-        n2 = rng.randint(0, cutoff - n1 - 1)
+        n1 = rng.randint(0, DEFAULT_CUTOFF // 2)
+        n2 = rng.randint(0, DEFAULT_CUTOFF - n1 - 1)
         psi = fock_state(reg, (n1, n2))
         out = apply_beam_splitter(psi, ("B", "C"), BeamSplitterParams(theta, phi))
         out = apply_beam_splitter(out, ("B", "C"), BeamSplitterParams(-theta, phi))
@@ -277,7 +273,7 @@ def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> 
 
     # Unitary absorber + splitters preserve the norm.
     worst = 0.0
-    reg_m = ModeRegister(("B", "C"), cutoff, medium_dims=2)
+    reg_m = ModeRegister(("B", "C"), DEFAULT_CUTOFF, medium_dims=2)
     for _ in range(_DRAWS):
         tpam = _random_unitary_tpam(rng)
         psi = PureState(
@@ -326,10 +322,10 @@ def invariant_checks(seed: int = DEFAULT_SEED, cutoff: int = DEFAULT_CUTOFF) -> 
     checks.append(CheckResult("doubling-exactness", worst, 0.0, 1e-12))
 
     # Ladder: projecting n+1 after a creation operator gives (n+1) * norm^2.
-    reg1 = ModeRegister(("B",), cutoff)
+    reg1 = ModeRegister(("B",), DEFAULT_CUTOFF)
     worst = 0.0
     for _ in range(_DRAWS):
-        n = rng.randint(0, cutoff - 1)
+        n = rng.randint(0, DEFAULT_CUTOFF - 1)
         scale = rng.uniform(0.1, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         psi = fock_state(reg1, (n,)).scaled(scale)
         _, q = project_number(apply_creation(psi, "B"), "B", n + 1)

@@ -308,7 +308,7 @@ def test_criterion_12_phase_invariance_and_unitarity():
         params = BeamSplitterParams(
             rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
         )
-        worst_unitary = max(worst_unitary, unitarity_check(params, cutoff=4))
+        worst_unitary = max(worst_unitary, unitarity_check(params))
 
     reg = ModeRegister(("B",), cutoff=4, medium_dims=2)
     worst_phase = 0.0

@@ -77,7 +77,7 @@ def test_balanced_single_photon_equal_split_no_phase():
     ],
 )
 def test_unitarity_residual_is_tiny(params):
-    assert unitarity_check(params, cutoff=CUTOFF) < 1e-12
+    assert unitarity_check(params) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(CUTOFF + 1))

@@ -8,10 +8,12 @@ fractions (``1/0`` among them), booleans and junk.  A run either prints a
 finite result or refuses with one short ``Error:`` line and exit code 2 or
 3; no draw may crash or print a plausible number.
 
-A cutoff wherever a run or sweep would read one: the circuits hold two
-photons per mode, so ``run --cutoff``, ``sweep --cutoff``, a config file's
-``cutoff`` and ``verify --suite paper-values --cutoff`` are refused with
-one short ``Error:`` line and exit code 2, whatever the value.
+A cutoff wherever a command would read one: the circuits hold two photons
+per mode and the invariants suite draws its states up to a fixed bound, so
+``run --cutoff``, ``sweep --cutoff``, a config file's ``cutoff`` and
+``verify --cutoff`` (as ``--cutoff V`` or ``--cutoff=V``, under either
+suite) are refused with one short ``Error:`` line and exit code 2, whatever
+the value.
 """
 
 import json
@@ -73,14 +75,18 @@ cutoff_inputs = st.one_of(
     st.builds(lambda value: (["run", "--cutoff", value], None), values),
     st.builds(lambda value: (["sweep", "spec.json", "--cutoff", value], None), values),
     st.builds(lambda value: (["run", "--config", "config.json"], {"cutoff": value}), json_values),
-    st.just((["verify", "--suite", "paper-values", "--cutoff", "4"], None)),
+    st.builds(
+        lambda suite, flag: (["verify", "--suite", suite, *flag], None),
+        st.sampled_from(["paper-values", "invariants"]),
+        st.one_of(values.map(lambda value: ["--cutoff", value]), values.map(lambda value: [f"--cutoff={value}"])),
+    ),
 )
 
 
 @seed(31)
 @given(case=cutoff_inputs)
 @settings(max_examples=120, deadline=None, database=None)
-def test_a_cutoff_for_the_circuits_is_refused_in_one_line(case):
+def test_a_cutoff_is_refused_in_one_line(case):
     args, config = case
     runner = CliRunner()
     with runner.isolated_filesystem():

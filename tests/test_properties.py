@@ -79,7 +79,7 @@ def absorber_states(draw):
 
 @given(theta=angles, phi=angles)
 def test_beam_splitter_is_unitary(theta, phi):
-    assert unitarity_check(BeamSplitterParams(theta, phi), cutoff=CUTOFF) < 1e-11
+    assert unitarity_check(BeamSplitterParams(theta, phi)) < 1e-11
 
 
 @given(psi=two_mode_states(), theta=angles, phi=angles)

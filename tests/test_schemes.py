@@ -42,8 +42,10 @@ from photonherald import (
     run_pair_herald_scheme,
     run_scheme,
     sweep_rows,
+    unitarity_check,
 )
 from photonherald import schemes
+from photonherald.verify import invariant_checks
 
 # simulator benchmarks, frozen from independently computed closed forms
 PS_MAIN_FWM_ONE_CYCLE = 0.03633821830004222
@@ -343,12 +345,15 @@ CUTOFF_FREE_ENTRY_POINTS = {
     "run_pair_herald_scheme": lambda cutoff: run_pair_herald_scheme(1.0, 2.0, cutoff=cutoff),
     "run_filter_split_scheme": lambda cutoff: run_filter_split_scheme(1.0, 1.5, cutoff=cutoff),
     "sweep_rows": lambda cutoff: sweep_rows(SweepSpec(theta1=(0.5,)), cutoff=cutoff),
+    "invariant_checks": lambda cutoff: invariant_checks(cutoff=cutoff),
+    "unitarity_check": lambda cutoff: unitarity_check(BeamSplitterParams.balanced(), cutoff=cutoff),
 }
 
 
 @pytest.mark.parametrize("entry", CUTOFF_FREE_ENTRY_POINTS)
-def test_run_and_sweep_entry_points_take_no_cutoff(entry):
-    # a cutoff changes no result, so no way into a run accepts one, not even the circuits' own bound
+def test_no_entry_point_takes_a_cutoff(entry):
+    # a cutoff changes no result and the invariant checks hold their own
+    # bound, so no entry point accepts one, not even the circuits' own bound
     with pytest.raises(TypeError, match="cutoff"):
         CUTOFF_FREE_ENTRY_POINTS[entry](CIRCUIT_CUTOFF)
 
