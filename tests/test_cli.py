@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonherald
-from photonherald import DEFAULT_TPAM, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam, cli
+from photonherald import DEFAULT_TPAM, SWEEP_COLUMNS, FwmTpamSpec, GenericTpam, cli, verify
 from photonherald.cli import (
     SCHEME_TOKENS,
     config_hash,
@@ -948,3 +948,27 @@ def test_verify_is_seed_stable(runner):
     a = runner.invoke(main, ["verify", "--suite", "invariants", "--seed", "11"]).output
     b = runner.invoke(main, ["verify", "--suite", "invariants", "--seed", "11"]).output
     assert a == b
+
+
+@pytest.mark.parametrize("cutoff", [17, 2.5, "4", True])
+def test_verify_suites_check_their_cutoff_before_any_work(monkeypatch, cutoff):
+    # the invariants suite holds its own bound: any cutoff, the default
+    # included, is refused before a single check runs
+    def work(*args, **kwargs):
+        pytest.fail(f"invariant_checks started work at cutoff {cutoff!r}")
+
+    monkeypatch.setattr(verify, "unitarity_check", work)
+    with pytest.raises(TypeError, match="cutoff"):
+        verify.invariant_checks(cutoff=cutoff)
+
+
+@pytest.mark.parametrize("cutoff", ["2", "4", "4.0", "16"])
+def test_paper_values_suite_refuses_an_explicit_cutoff_before_any_work(runner, monkeypatch, cutoff):
+    # the paper values run circuits, which take no cutoff, whatever its value
+    def work(*args, **kwargs):
+        pytest.fail(f"paper_value_checks started work at cutoff {cutoff!r}")
+
+    monkeypatch.setattr(cli, "paper_value_checks", work)
+    result = runner.invoke(main, ["verify", "--suite", "paper-values", "--cutoff", cutoff])
+    assert_one_line_usage_error(result)
+    assert "No command takes a cutoff" in result.stderr
