@@ -28,17 +28,17 @@ import itertools
 import math
 import numbers
 import reprlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .elements import BeamSplitterParams, splitter_blocks
 from .fock import PRUNE_THRESHOLD, FockKet, ModeRegister, PureState, _check_number, fock_state
-from .schemes import DEFAULT_TPAM, MAIN, Circuit, SchemeConfig, SourceSpec, _front_weights, build_circuit
+from .schemes import DEFAULT_TPAM, MAIN, SchemeConfig, SourceSpec, _front_weights, build_circuit
 from .tpam import FwmParams, FwmTpamSpec, GenericTpam, apply_generic_tpam, fwm_coefficients
 
 __all__ = [
@@ -274,7 +274,7 @@ MAX_SWEEP_POINTS = 100_000
 
 def _check_grid_size(points: int) -> None:
     if points > MAX_SWEEP_POINTS:
-        raise ValueError(f"sweep grid has {points} points, more than the {MAX_SWEEP_POINTS} allowed")
+        raise ValueError(f"sweep grid has {reprlib.repr(points)} points, more than the {MAX_SWEEP_POINTS} allowed")
 
 
 SWEEP_COLUMNS = (
@@ -413,11 +413,12 @@ def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
     """Evaluate the main scheme at every grid point; deterministic row order.
 
     Grid order is theta0-major, then theta1, beta, p.  The spec's values
-    were checked when it was built, so the sweep checks nothing; it runs
-    the :func:`build_circuit` stages of the default main config, which do
-    not depend on the axes.  Each stage is one block-diagonal matrix on the
-    input photon-number sectors 0, 1 and 2, built once per value it depends
-    on and kept across calls by :func:`_sector_heralds` (the splitters per
+    were checked when it was built, so the sweep checks nothing.  It runs
+    one circuit, the main scheme's, whose layout :func:`_layout` reads once
+    from ``build_circuit(manifold_config())``, so a call builds no config
+    and no circuit.  Each stage is one block-diagonal matrix on the input
+    photon-number sectors 0, 1 and 2, built once per value it depends on
+    and kept across calls by :func:`_sector_heralds` (the splitters per
     (theta, phi), the absorber ``GenericTpam.unitary(beta)`` per beta), so
     a repeated call builds none of them; no herald or row is kept.  numpy
     products cover the whole theta1 x beta product.  B's weight of each
@@ -428,15 +429,15 @@ def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
     :func:`~photonherald.schemes._sectors` rows, p_success sums the weights
     times the sectors' heralds, p_success/p^2 sums the weights over p^2
     times the heralds, and the fidelity weights the sectors that herald
-    relative to the largest.  After every stage the amplitudes a single run
-    would prune are set to 0, so rows agree with ``run_main_scheme`` to
+    relative to the largest.  Every stage is fed a unit vector, so after
+    each one the amplitudes at or below ``PRUNE_THRESHOLD`` are set to 0, as
+    a single run prunes them; rows agree with ``run_main_scheme`` to
     rounding, and its exact zeros stay 0.
     """
-    circuit = build_circuit(manifold_config())
     completed = [manifold_completion(theta1, spec.case) for theta1 in spec.theta1]
     bs1 = [(theta1, phi1) for theta1, (_, phi1, _) in zip(spec.theta1, completed)]
     bs2 = [(theta2, phi2) for theta2, _, phi2 in completed]
-    heralds = _sector_heralds(circuit, bs1, bs2, [GenericTpam.unitary(beta) for beta in spec.beta])
+    heralds = _sector_heralds(bs1, bs2, spec.beta)
     # B's weight of 0, 1 and 2 photons per (theta0, p), and that weight over p^2: axes (theta0, p, n).
     fronts = [[_front_weights(q, t, 0.0) for q in spec.p] for t in spec.theta0]
     weights, over_p2 = np.array([[[[front[i].get(n, 0.0) for n in range(3)] for front in row] for row in fronts] for i in (0, 1)])
@@ -471,22 +472,20 @@ def sweep_rows(spec: SweepSpec) -> list[dict[str, float]]:
 #: which bounds its memory on a large grid; a README-shaped grid is one chunk.
 _CHUNK = 4096
 
-#: Bounds of the sweep engine's memos of its constant stage matrices.  A
-#: splitter or absorber block of the main circuit is a 7 x 7 complex matrix,
-#: about 1 kB with its key, so either memo holds about 1 MB when full; a
-#: layout is a few kB, one per circuit shape, and every sweep runs one shape.
+#: Bound of each memo of the sweep engine's stage blocks.  A splitter or
+#: absorber block of the main circuit is a 7 x 7 complex matrix, about 1 kB
+#: with its key, so either memo holds about 1 MB when full.
 _BLOCK_MEMO_SIZE = 1024
-_LAYOUT_MEMO_SIZE = 16
 
-#: The splitter blocks :func:`_splitter_blocks` has built, keyed on
-#: ``(theta, phi, totals)``.
-_SPLITTER_MEMO: dict[tuple[float, float, tuple[int, ...]], np.ndarray] = {}
+#: The splitter blocks :func:`_splitter_blocks` has built, keyed on ``(theta, phi)``.
+_SPLITTER_MEMO: dict[tuple[float, float], np.ndarray] = {}
 
 
 class _Layout(NamedTuple):
-    """The sectors of a circuit shape: the photon-number total of each
+    """The sectors of the main circuit: the photon-number total of each
     diagonal block, the basis kets and their states, the herald's ``keep``
-    and ``one`` masks over the basis, and the input rows ``|n, 0>``."""
+    and ``one`` masks over the basis, the input rows ``|n, 0>``, and the
+    absorber's mode and excited level."""
 
     totals: tuple[int, ...]
     basis: tuple[FockKet, ...]
@@ -494,6 +493,8 @@ class _Layout(NamedTuple):
     keep: np.ndarray
     one: np.ndarray
     inputs: np.ndarray
+    mode: str
+    excited: int
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -501,10 +502,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=_LAYOUT_MEMO_SIZE)
-def _layout(shape: tuple) -> _Layout:
-    """The sector layout of ``shape``, ``(attach vacuum's register, herald
-    counts, absorber mode, excited level)``.
+@cache
+def _layout() -> _Layout:
+    """The sector layout of the main circuit, read once from
+    ``build_circuit(manifold_config())``: the attach stage's register, the
+    herald's counts and the absorber's mode and level, none of which
+    depends on a sweep axis.
 
     The input is the front splitter's output B; the circuit attaches the
     rest, with the medium.  Sector n holds the kets ``|k, n-k>`` on the
@@ -512,7 +515,10 @@ def _layout(shape: tuple) -> _Layout:
     took two photons.  Sector 2 comes first, so each sum over a sector's
     kets adds them in the order it would alone.
     """
-    vacuum_register, counts, _, _ = shape
+    circuit = build_circuit(manifold_config())
+    attach, _, absorb, _ = circuit.stages
+    ((_, counts, _),) = circuit.outcomes
+    vacuum_register = attach.keywords["b"].register
     medium_dims = vacuum_register.medium_dims
     register = ModeRegister(("B", *vacuum_register.labels), vacuum_register.cutoff, medium_dims)
     groups = [(level, n - 2 * (level > 0)) for n in (2, 1, 0) for level in range(medium_dims) if n - 2 * (level > 0) >= 0]
@@ -522,45 +528,44 @@ def _layout(shape: tuple) -> _Layout:
     one = np.array([[o for i, o in enumerate(ket.occupations) if i not in measured] == [1] for ket in basis])
     kets = tuple(fock_state(register, ket.occupations, ket.medium) for ket in basis)
     inputs = np.eye(len(basis), dtype=complex)[[basis.index(FockKet((n, 0))) for n in range(3)]]
-    return _Layout(tuple(total for _, total in groups), basis, kets, *map(_read_only, (keep, one, inputs)))
+    arrays = map(_read_only, (keep, one, inputs))
+    return _Layout(tuple(total for _, total in groups), basis, kets, *arrays, absorb.keywords["mode"], absorb.keywords["excited_level"])
 
 
 @lru_cache(maxsize=_BLOCK_MEMO_SIZE)
-def _absorber_block(shape: tuple, tpam: GenericTpam) -> np.ndarray:
-    """The absorber ``tpam`` on the basis of ``shape``'s layout, column j
-    the circuit's kernel :func:`apply_generic_tpam` on ket j."""
-    _, _, mode, excited = shape
-    layout = _layout(shape)
+def _absorber_block(beta: complex) -> np.ndarray:
+    """The lossless absorber ``GenericTpam.unitary(beta)``, for a checked
+    beta, on the basis of :func:`_layout`, column j the circuit's kernel
+    :func:`apply_generic_tpam` on ket j."""
+    layout = _layout()
+    tpam = GenericTpam.unitary(beta)
     index = {ket: i for i, ket in enumerate(layout.basis)}
     block = np.zeros((len(index), len(index)), dtype=complex)
     for j, ket in enumerate(layout.kets):
-        for out, amp in apply_generic_tpam(ket, mode, tpam, excited_level=excited).terms():
+        for out, amp in apply_generic_tpam(ket, layout.mode, tpam, excited_level=layout.excited).terms():
             block[index[out], j] = amp
     return _read_only(block)
 
 
-def _splitter_blocks(angles: list[tuple[float, float]], totals: tuple[int, ...]) -> np.ndarray:
-    """:func:`splitter_blocks` at ``angles`` on ``totals``, each block read
-    from ``_SPLITTER_MEMO``.
+def _splitter_blocks(angles: list[tuple[float, float]]) -> np.ndarray:
+    """:func:`splitter_blocks` at ``angles`` on the totals of :func:`_layout`,
+    each block read from ``_SPLITTER_MEMO``.
 
     The blocks the memo lacks are built in one :func:`splitter_blocks` call
     and kept as views of its read-only array.  A memo left above
     ``_BLOCK_MEMO_SIZE`` is emptied, so every view of an array leaves it at
     once and the memory it holds stays within its bound.
     """
-    keys = [(theta, phi, totals) for theta, phi in angles]
-    missing = [key for key in dict.fromkeys(keys) if key not in _SPLITTER_MEMO]
+    missing = [key for key in dict.fromkeys(angles) if key not in _SPLITTER_MEMO]
     if missing:
-        _SPLITTER_MEMO.update(zip(missing, _read_only(splitter_blocks([key[:2] for key in missing], totals))))
-    blocks = np.array([_SPLITTER_MEMO[key] for key in keys])
+        _SPLITTER_MEMO.update(zip(missing, _read_only(splitter_blocks(missing, _layout().totals))))
+    blocks = np.array([_SPLITTER_MEMO[key] for key in angles])
     if len(_SPLITTER_MEMO) > _BLOCK_MEMO_SIZE:
         _SPLITTER_MEMO.clear()
     return blocks
 
 
-def _sector_heralds(
-    circuit: Circuit, bs1: list[tuple[float, float]], bs2: list[tuple[float, float]], absorbers: list[GenericTpam]
-) -> np.ndarray:
+def _sector_heralds(bs1: list[tuple[float, float]], bs2: list[tuple[float, float]], betas: Sequence[complex]) -> np.ndarray:
     """Herald probability, and its part with one photon left in the output,
     of the main circuit fed ``|n>`` at unit weight: ``h[x, theta1, beta, n]``
     for n = 0, 1, 2, with x = 0 the herald and x = 1 that part.  This is the
@@ -569,38 +574,35 @@ def _sector_heralds(
     ``states`` with one photon in C.
 
     The circuit attaches the output mode and a medium, then runs BS1 and
-    BS2, at the ``(theta, phi)`` of ``bs1`` and ``bs2``, around the absorber.
-    The three sectors of :func:`_layout` run as one pass on the union of
-    their kets, each stage one block-diagonal matrix, with amplitudes on the
-    axes (theta1, beta, n, ket), in chunks of at most ``_CHUNK`` (theta1,
-    beta) pairs.  The stage matrices are constants kept across calls: the
-    layout per circuit shape, each absorber block per ``GenericTpam`` value
-    and each splitter block per ``(theta, phi)``, every one read-only.
+    BS2, at the ``(theta, phi)`` of ``bs1`` and ``bs2``, around the lossless
+    absorber of each checked beta of ``betas``.  The three sectors of
+    :func:`_layout` run as one pass on the union of their kets, each stage
+    one block-diagonal matrix, with amplitudes on the axes (theta1, beta,
+    n, ket), in chunks of at most ``_CHUNK`` (theta1, beta) pairs.  The
+    stage matrices are constants kept across calls: the one layout, each
+    absorber block per beta and each splitter block per ``(theta, phi)``,
+    every one read-only.  Every stage's input is a unit vector, so
+    :func:`_pruned` drops what a single run would, and the herald's
+    projection only zeroes entries the last stage kept.
     """
-    # Attach, BS1, absorber, BS2, and the herald's one outcome.
-    attach, _, absorb, _ = circuit.stages
-    ((_, counts, _),) = circuit.outcomes
-    shape = (attach.keywords["b"].register, counts, absorb.keywords["mode"], absorb.keywords["excited_level"])
-    layout = _layout(shape)
+    layout = _layout()
     dim = len(layout.basis)
-    heralds = np.zeros((2, len(bs1), len(absorbers), 3))
-    for b in range(0, len(absorbers), _CHUNK):
-        chunk = absorbers[b : b + _CHUNK]
-        absorber = np.array([_absorber_block(shape, tpam) for tpam in chunk])[None, :, None]
+    heralds = np.zeros((2, len(bs1), len(betas), 3))
+    for b in range(0, len(betas), _CHUNK):
+        chunk = betas[b : b + _CHUNK]
+        absorber = np.array([_absorber_block(beta) for beta in chunk])[None, :, None]
         step = max(1, _CHUNK // len(chunk))
         for t in range(0, len(bs1), step):
-            blocks = _splitter_blocks(bs1[t : t + step] + bs2[t : t + step], layout.totals)
-            split1, split2 = blocks.reshape(2, -1, 1, 1, dim, dim)
+            split1, split2 = _splitter_blocks(bs1[t : t + step] + bs2[t : t + step]).reshape(2, -1, 1, 1, dim, dim)
             amps = layout.inputs
             for matrix in (split1, absorber, split2):
-                amps = _pruned((matrix @ amps[..., None])[..., 0], amps)
-            probs = abs(_pruned(np.where(layout.keep, amps, 0.0), amps)) ** 2
+                amps = _pruned((matrix @ amps[..., None])[..., 0])
+            probs = np.where(layout.keep, abs(amps) ** 2, 0.0)
             heralds[:, t : t + step, b : b + _CHUNK] = probs.sum(axis=-1), probs[..., layout.one].sum(axis=-1)
     return heralds
 
 
-def _pruned(amps: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """``amps`` with every amplitude at or below ``PRUNE_THRESHOLD`` times the
-    norm of ``before``, the stage's input, set to 0, as a single run drops it."""
-    floor = PRUNE_THRESHOLD * np.sqrt(np.sum(abs(before) ** 2, axis=-1, keepdims=True))
-    return np.where(abs(amps) > floor, amps, 0.0)
+def _pruned(amps: np.ndarray) -> np.ndarray:
+    """``amps``, the output of a stage fed a unit vector, with every amplitude
+    at or below ``PRUNE_THRESHOLD`` set to 0, as a single run drops it."""
+    return np.where(abs(amps) > PRUNE_THRESHOLD, amps, 0.0)

@@ -455,7 +455,7 @@ def _sectors(circuit: Circuit, inputs: Iterable[tuple[int, float, float, PureSta
 
 def _interpret(cfg: SchemeConfig) -> SchemeResult:
     """The fold of the :func:`_sectors` rows of ``cfg``'s circuit into its
-    result; it runs no stage.
+    result, in one pass over the rows; it runs no stage.
 
     p_success sums ``w_n q_n`` and p_success/p^2 sums ``r_n q_n`` over the
     rows that herald (an overflowing r_n times 0 would be NaN);
@@ -466,21 +466,21 @@ def _interpret(cfg: SchemeConfig) -> SchemeResult:
     underflows still reports its state.
     """
     circuit = build_circuit(cfg)
-    rows = list(_sectors(circuit, _inputs(cfg)))
-    heralds = [row for row in rows if row.q > 0.0]
+    heralds: list[_Sector] = []
     p_success = over_p2 = 0.0
     branch_log: dict[int, float] = {}
-    for row in rows:
+    clicks: dict[str, float] = {}
+    for row in _sectors(circuit, _inputs(cfg)):
         branch_log[row.n] = branch_log.get(row.n, 0.0) + row.w * row.q
         p_success += row.w * row.q
-    for row in heralds:
-        over_p2 += row.r * row.q
+        for detector, share in row.clicks.items():
+            clicks[detector] = clicks.get(detector, 0.0) + row.w * share
+        if row.q > 0.0:
+            heralds.append(row)
+            over_p2 += row.r * row.q
     details = dict(circuit.details)
     if circuit.report:
-        clicks = details[circuit.report] = {}
-        for row in rows:
-            for detector, share in row.clicks.items():
-                clicks[detector] = clicks.get(detector, 0.0) + row.w * share
+        details[circuit.report] = clicks
     conditional: Ensemble | None = None
     fidelity = 0.0
     if heralds:

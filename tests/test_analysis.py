@@ -406,7 +406,7 @@ def test_sweep_sector_heralds_equal_the_single_run_rows(case, theta1, theta0, p,
     # at unit norm, and the run's own rows, at its weights, carry the same q_n.
     cfg = manifold_config(theta1, case, p=p, theta0=theta0, tpam=GenericTpam.unitary(cmath.rect(magnitude, phase)))
     circuit = build_circuit(cfg)
-    h = analysis._sector_heralds(circuit, [(cfg.bs1.theta, cfg.bs1.phi)], [(cfg.bs2.theta, cfg.bs2.phi)], [cfg.tpam])
+    h = analysis._sector_heralds([(cfg.bs1.theta, cfg.bs1.phi)], [(cfg.bs2.theta, cfg.bs2.phi)], [cfg.tpam.beta])
     unit = [(n, 1.0, 1.0, schemes._fock(("B",), (n,))) for n in range(3)]
     rows = list(schemes._sectors(circuit, unit))
     assert [row.n for row in rows] == [0, 1, 2]
@@ -440,7 +440,7 @@ MEMO_SPEC = SweepSpec(theta0=(0.3, 1.1), theta1=(0.2, 0.2, DEG30, 1.0), beta=(0j
 
 def test_a_warm_sweep_builds_no_stage_matrix(monkeypatch):
     calls = []
-    for name in ("splitter_blocks", "apply_generic_tpam"):
+    for name in ("splitter_blocks", "apply_generic_tpam", "build_circuit", "manifold_config"):
         kernel = getattr(analysis, name)
         monkeypatch.setattr(analysis, name, lambda *args, kernel=kernel, **kwargs: calls.append(1) or kernel(*args, **kwargs))
     sweep_rows(MEMO_SPEC)

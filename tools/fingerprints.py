@@ -16,7 +16,9 @@ It prints the sha256 of
 * the newline join of ``repr(sweep_rows(...))`` over the edge grid of
   ``tests/test_analysis.py::test_sweep_rows_match_single_runs_on_edge_grid``
   (four theta0 values, null angles, a vanishing source), once for every
-  case.
+  case;
+* the 900 seeded edge grids that ``tools/sweep_grids.py --seed 1`` hashes,
+  as the hash that tool prints (its grids come from the tool itself);
 * the sorted-key JSON of the run manifests, without their ``timestamp``,
   of the eight ``photonherald run`` inputs of the benchmark's cli-cold
   workload at seed 13, each followed by the manifest of ``run --config`` on
@@ -35,6 +37,7 @@ run in-process.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -93,6 +96,14 @@ def run_manifest(cli: Callable[..., tuple[int, bytes, bytes]], *args: str) -> di
     return manifest
 
 
+def sweep_grids_digest(seed: int) -> str:
+    """The hash that ``tools/sweep_grids.py --seed SEED`` prints, from that tool loaded by path."""
+    spec = importlib.util.spec_from_file_location("sweep_grids", ROOT / "tools" / "sweep_grids.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.digest(seed)
+
+
 def first_results(workload, calls: int) -> list:
     return [workload.call(x) for x in itertools.islice(workload.ops(), calls)]
 
@@ -125,6 +136,7 @@ def fingerprints(cli: Callable[..., tuple[int, bytes, bytes]] = fresh_cli) -> di
     out["sweep_grid_12_seed77_sha256"] = sha256("\n".join(repr(rows) for rows in grids))
     edges = (sweep_rows(SweepSpec(**EDGE_SWEEP_AXES, case=case)) for case in CaseId)
     out["edge_sweep_sha256"] = sha256("\n".join(repr(rows) for rows in edges))
+    out["sweep_grids_seed1_sha256"] = sweep_grids_digest(1)
     out["cli_cold_seed13_run_and_config_manifests_sha256"] = sha256(json.dumps(manifests, sort_keys=True))
     return out
 

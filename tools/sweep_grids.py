@@ -56,14 +56,18 @@ def grid(rng: random.Random) -> SweepSpec:
     return spec
 
 
+def digest(seed: int) -> str:
+    """The sha256 of the newline join of ``repr(rows)`` over the grids of ``seed``."""
+    rng = random.Random(seed)
+    rows = (sweep_rows(grid(rng)) for _ in range(GRIDS))
+    return hashlib.sha256("\n".join(repr(r) for r in rows).encode("utf-8")).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    rng = random.Random(args.seed)
-    rows = (sweep_rows(grid(rng)) for _ in range(GRIDS))
-    digest = hashlib.sha256("\n".join(repr(r) for r in rows).encode("utf-8")).hexdigest()
-    print(f"seed {args.seed}, {GRIDS} grids: {digest}")
+    print(f"seed {args.seed}, {GRIDS} grids: {digest(args.seed)}")
 
 
 if __name__ == "__main__":
